@@ -32,7 +32,7 @@ docs/durability.md.
 from __future__ import annotations
 
 import os
-from typing import Dict, Iterable, List, Optional, Union
+from typing import Dict, Iterable, List, Optional, Tuple, Union
 
 from repro.core.engine import MatchingEngine, SearchResult
 from repro.core.limits import Budget
@@ -41,7 +41,7 @@ from repro.core.pattern import ProblemPattern
 from repro.core.sparqlgen import pattern_to_sparql
 from repro.core.transform import TransformedPlan, transform_plan
 from repro.qep.model import PlanGraph, PlanOperator
-from repro.qep.parser import parse_plan, parse_plan_file
+from repro.qep.parser import parse_plan
 from repro.store import (
     DEFAULT_CHECKPOINT_EVERY,
     DurabilityError,
@@ -49,6 +49,11 @@ from repro.store import (
     RecoveryInfo,
     compose_version,
 )
+
+
+def _read_text(path: str) -> str:
+    with open(path, "r", encoding="utf-8") as handle:
+        return handle.read()
 
 
 class OptImatch:
@@ -150,7 +155,15 @@ class OptImatch:
             compose_version(revision, transformed.graph.version)
         )
 
-    def _plan_source(self, transformed: TransformedPlan) -> str:
+    @staticmethod
+    def _journal_source(
+        transformed: TransformedPlan, text: Optional[str]
+    ) -> str:
+        """The explain source recovery re-parses: the *text* the plan
+        was parsed from, byte for byte, or — for a plan handed in as a
+        :class:`PlanGraph` — the writer's serialization of it."""
+        if text is not None:
+            return text
         from repro.qep.writer import write_plan
 
         return write_plan(transformed.plan)
@@ -170,13 +183,18 @@ class OptImatch:
 
     def add_plan(self, plan: PlanGraph) -> TransformedPlan:
         """Transform *plan* and add it to the workload."""
+        return self._add(plan, None)
+
+    def _add(self, plan: PlanGraph, text: Optional[str]) -> TransformedPlan:
+        """Add *plan*, journaling *text* as its source (see
+        :meth:`_journal_source`)."""
         if plan.plan_id in self._by_id:
             raise ValueError(f"duplicate plan id {plan.plan_id!r} in workload")
         self._check_writable()
         transformed = transform_plan(plan)
         if self._store is not None:
             revision = self._store.record_add(
-                transformed.plan_id, self._plan_source(transformed)
+                transformed.plan_id, self._journal_source(transformed, text)
             )
         else:
             revision = self._revisions.get(transformed.plan_id, 0) + 1
@@ -193,11 +211,22 @@ class OptImatch:
         version can never collide with a cached match for the old plan
         even when both graphs have the same triple count.
         """
+        return self._replace(plan, None)
+
+    def replace_explain_text(
+        self, text: str, plan_id: Optional[str] = None
+    ) -> TransformedPlan:
+        """Parse explain *text* and replace the same-id plan (add when
+        absent), journaling *text* itself — the ``?replace=1`` ingest
+        routes.  Accepts the same inputs as :meth:`load_explain_text`."""
+        return self._replace(self._parse_explain(text, plan_id), text)
+
+    def _replace(self, plan: PlanGraph, text: Optional[str]) -> TransformedPlan:
         self._check_writable()
         transformed = transform_plan(plan)
         if self._store is not None:
             revision = self._store.record_replace(
-                transformed.plan_id, self._plan_source(transformed)
+                transformed.plan_id, self._journal_source(transformed, text)
             )
         else:
             revision = self._revisions.get(transformed.plan_id, 0) + 1
@@ -230,34 +259,40 @@ class OptImatch:
         surface before anything is added), then committed; on error the
         workload is unchanged.
         """
-        self._commit(transform_plan(plan) for plan in plans)
+        self._commit((transform_plan(plan), None) for plan in plans)
 
-    def _commit(self, staged: Iterable[TransformedPlan]) -> int:
-        """Validate a staged batch of transformed plans, then add it.
+    def _commit(
+        self, staged: Iterable[Tuple[TransformedPlan, Optional[str]]]
+    ) -> int:
+        """Validate a staged batch of ``(transformed plan, source text)``
+        pairs, then add it (see :meth:`_journal_source` for the text).
 
         With durability on the whole batch is journaled as ONE record,
         so it is atomic across a crash too: either every plan in the
         batch recovers or none does.
         """
         self._check_writable()
-        batch: List[TransformedPlan] = []
+        batch: List[Tuple[TransformedPlan, Optional[str]]] = []
         seen = set(self._by_id)
-        for transformed in staged:
+        for transformed, text in staged:
             if transformed.plan_id in seen:
                 raise ValueError(
                     f"duplicate plan id {transformed.plan_id!r} in workload"
                 )
             seen.add(transformed.plan_id)
-            batch.append(transformed)
+            batch.append((transformed, text))
         if self._store is not None and batch:
             revisions = self._store.record_add_batch(
-                [(t.plan_id, self._plan_source(t)) for t in batch]
+                [
+                    (t.plan_id, self._journal_source(t, text))
+                    for t, text in batch
+                ]
             )
         else:
             revisions = [
-                self._revisions.get(t.plan_id, 0) + 1 for t in batch
+                self._revisions.get(t.plan_id, 0) + 1 for t, _ in batch
             ]
-        for transformed, revision in zip(batch, revisions):
+        for (transformed, _), revision in zip(batch, revisions):
             self._stamp(transformed, revision)
             self._workload.append(transformed)
             self._by_id[transformed.plan_id] = transformed
@@ -278,9 +313,11 @@ class OptImatch:
         """Parse explain *text* and add the plan to the workload.
 
         Accepts both full explain files (Plan Details section) and bare
-        ASCII tree snippets like the paper's Figure 1.
+        ASCII tree snippets like the paper's Figure 1.  With durability
+        on, *text* itself is journaled, so recovery re-parses the same
+        bytes with the same parser.
         """
-        return self.add_plan(self._parse_explain(text, plan_id))
+        return self._add(self._parse_explain(text, plan_id), text)
 
     def load_explain_batch(
         self,
@@ -295,20 +332,23 @@ class OptImatch:
         (``None`` entries keep the parsed/default id) — the streaming
         ingest route uses this so tree snippets, whose default id is
         shared, can be batched.  Explicit ids survive recovery: the
-        journal records ``(plan_id, source)`` and replay re-parses with
-        the recorded id.
+        journal records ``(plan_id, text)`` and replay re-parses the
+        text with the recorded id.
         """
-        if plan_ids is None:
-            plans = [self._parse_explain(text) for text in texts]
-        else:
-            plans = [
-                self._parse_explain(text, plan_id)
-                for text, plan_id in zip(texts, plan_ids)
-            ]
-        return self._commit(transform_plan(plan) for plan in plans)
+        texts = list(texts)
+        ids = [None] * len(texts) if plan_ids is None else plan_ids
+        plans = [
+            self._parse_explain(text, plan_id)
+            for text, plan_id in zip(texts, ids)
+        ]
+        return self._commit(
+            (transform_plan(plan), text) for plan, text in zip(plans, texts)
+        )
 
     def load_explain_file(self, path: str) -> TransformedPlan:
-        return self.add_plan(parse_plan_file(path))
+        """Load one explain file (full explain or tree snippet), like
+        :meth:`load_explain_text` over its contents."""
+        return self.load_explain_text(_read_text(path))
 
     def load_workload_dir(
         self,
@@ -330,13 +370,17 @@ class OptImatch:
             for name in sorted(os.listdir(directory))
             if name.endswith(suffix)
         ]
+        texts = [_read_text(path) for path in paths]
+        plans = [self._parse_explain(text) for text in texts]
         if use_rdf_cache:
-            from repro.core.store import load_transformed
+            from repro.core.store import transform_cached
 
-            return self._commit([load_transformed(path) for path in paths])
-        return self._commit(
-            [transform_plan(parse_plan_file(path)) for path in paths]
-        )
+            staged = [
+                transform_cached(path, plan) for path, plan in zip(paths, plans)
+            ]
+        else:
+            staged = [transform_plan(plan) for plan in plans]
+        return self._commit(zip(staged, texts))
 
     @property
     def workload(self) -> List[TransformedPlan]:

@@ -78,7 +78,14 @@ def load_transformed(explain_path: str, refresh: bool = False) -> TransformedPla
     read back; otherwise the plan is transformed and the sidecar
     (re)written.  *refresh* forces re-transformation.
     """
-    plan = parse_plan_file(explain_path)
+    return transform_cached(explain_path, parse_plan_file(explain_path), refresh)
+
+
+def transform_cached(
+    explain_path: str, plan: PlanGraph, refresh: bool = False
+) -> TransformedPlan:
+    """:func:`load_transformed` for a *plan* the caller already parsed
+    from *explain_path* (the facade parses the text it journals)."""
     cache = rdf_cache_path(explain_path)
     if not refresh and os.path.exists(cache) and (
         os.path.getmtime(cache) >= os.path.getmtime(explain_path)

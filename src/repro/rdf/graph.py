@@ -34,18 +34,37 @@ from repro.rdf.term import Literal, Term, URIRef, is_ground
 #: A ground RDF triple (subject, predicate, object).
 Triple = Tuple[Term, Term, Term]
 
-_Index = Dict[int, Dict[int, Set[int]]]
+#: One permutation index, ``{a: {b: {c: None}}}``.  Each leaf is an
+#: insertion-ordered dict used as an ordered set of int IDs, for two
+#: reasons: lookups under a bound prefix enumerate in insertion
+#: (transform) order, and CPython's cycle collector never tracks a dict
+#: holding only ints and ``None`` (it tracks every ``set``), so the
+#: leaves, most of a plan graph's containers, cost full collections
+#: nothing.
+_Index = Dict[int, Dict[int, Dict[int, None]]]
 
 
-def _index_add(index: _Index, a: int, b: int, c: int) -> None:
-    index.setdefault(a, {}).setdefault(b, set()).add(c)
+def _index_add(index: _Index, a: int, b: int, c: int) -> bool:
+    """Insert ``(a, b, c)``; False when it was already present."""
+    second = index.get(a)
+    if second is None:
+        index[a] = {b: {c: None}}
+        return True
+    third = second.get(b)
+    if third is None:
+        second[b] = {c: None}
+        return True
+    if c in third:
+        return False
+    third[c] = None
+    return True
 
 
 def _index_remove(index: _Index, a: int, b: int, c: int) -> None:
     try:
         second = index[a]
         third = second[b]
-        third.discard(c)
+        third.pop(c, None)
         if not third:
             del second[b]
         if not second:
@@ -101,10 +120,8 @@ class Graph:
         self._validate(s, p, o)
         encode = self._dict.encode
         si, pi, oi = encode(s), encode(p), encode(o)
-        objs = self._spo.setdefault(si, {}).setdefault(pi, set())
-        if oi in objs:
+        if not _index_add(self._spo, si, pi, oi):
             return  # duplicate
-        objs.add(oi)
         _index_add(self._pos, pi, oi, si)
         _index_add(self._osp, oi, si, pi)
         self._size += 1
@@ -178,9 +195,11 @@ class Graph:
     ) -> Iterator[Tuple[int, int, int]]:
         """ID-space twin of :meth:`triples`; ``None`` is a wildcard.
 
-        Yields ``(s_id, p_id, o_id)`` in the same index order the
-        term-level API observes (both iterate the same int-keyed
-        indexes), so the two APIs enumerate matches identically.
+        Yields ``(s_id, p_id, o_id)`` in index insertion order: every
+        level of the SPO/POS/OSP indexes is an insertion-ordered dict,
+        so the triples under a bound prefix come out in the order they
+        were added.  The term-level API iterates the same indexes, so
+        the two APIs enumerate matches identically.
         """
         s, p, o = subject, predicate, obj
         if s is not None:
@@ -586,9 +605,9 @@ class Graph:
         shared (term objects themselves are immutable and shared)."""
         clone = Graph(self.identifier)
         clone._dict = self._dict.copy()
-        clone._spo = {a: {b: set(c) for b, c in m.items()} for a, m in self._spo.items()}
-        clone._pos = {a: {b: set(c) for b, c in m.items()} for a, m in self._pos.items()}
-        clone._osp = {a: {b: set(c) for b, c in m.items()} for a, m in self._osp.items()}
+        clone._spo = {a: {b: c.copy() for b, c in m.items()} for a, m in self._spo.items()}
+        clone._pos = {a: {b: c.copy() for b, c in m.items()} for a, m in self._pos.items()}
+        clone._osp = {a: {b: c.copy() for b, c in m.items()} for a, m in self._osp.items()}
         clone._pred_total = dict(self._pred_total)
         clone._spell = dict(self._spell)
         clone._size = self._size

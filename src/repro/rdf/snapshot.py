@@ -14,12 +14,14 @@ and only small lookup tables are materialized lazily on first use.
 
 Bit-identical enumeration
 -------------------------
-Result order in this system is deliberately deterministic *given a
-graph object*: it falls out of insertion-ordered dicts and stable (per
-object) set iteration inside the SPO/POS/OSP indexes.  A rebuilt
-hash-based index would enumerate in a different order, so the snapshot
-instead **captures each index's own enumeration order** at encode time
-and lays the groups out as flat arrays with prefix offsets.  A
+Result order in this system is deliberately deterministic: every level
+of a graph's SPO/POS/OSP indexes is an insertion-ordered dict, down to
+the leaves, which are ``{id: None}`` dicts rather than sets (an int-only
+dict stays out of CPython's cycle collector, a set never does; see
+docs/store-internals.md §3).  So ``triples_ids`` enumerates in the
+order the triples were added — transform order for a plan graph.  The
+snapshot **captures each index in that enumeration order** at encode
+time and lays the groups out as flat arrays with prefix offsets.  A
 :class:`GraphView` iterates those arrays directly, which makes every
 ``triples_ids`` call enumerate exactly as the source graph did — the
 property the process-pool differential tests assert.
@@ -162,7 +164,7 @@ def _flatten_index(index) -> Tuple[List[int], ...]:
         for b, cs in groups.items():
             b_keys.append(b)
             b_starts.append(len(c_vals))
-            ordered = list(cs)  # the set's own (stable) iteration order
+            ordered = list(cs)  # the leaf's insertion order
             b_counts.append(len(ordered))
             c_vals.extend(ordered)
     return a_keys, a_counts, a_starts, b_keys, b_counts, b_starts, c_vals

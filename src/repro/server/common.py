@@ -825,8 +825,7 @@ def _dispatch_post(
         text = body.decode("utf-8")
         with state.lock:
             if flag(query, "replace"):
-                plan = state.tool._parse_explain(text)
-                transformed = state.tool.replace_plan(plan)
+                transformed = state.tool.replace_explain_text(text)
             else:
                 transformed = state.tool.load_explain_text(text)
             synced = handle_ack(state, query)

@@ -287,12 +287,12 @@ class StreamSession:
                     with state.lock:
                         state.check_ingest_allowed(state.retry_after_seconds)
                         if self.replace:
-                            plan_ids = []
-                            for text, plan_id in zip(texts, ids):
-                                plan = state.tool._parse_explain(text, plan_id)
-                                plan_ids.append(
-                                    state.tool.replace_plan(plan).plan_id
-                                )
+                            plan_ids = [
+                                state.tool.replace_explain_text(
+                                    text, plan_id
+                                ).plan_id
+                                for text, plan_id in zip(texts, ids)
+                            ]
                         else:
                             count = state.tool.load_explain_batch(
                                 texts, plan_ids=ids

@@ -164,13 +164,15 @@ class TestFig11:
     def test_kb_sizes_respected(self, table):
         assert [row[0] for row in table.rows] == [1, 3, 6]
 
+    # Work, not wall-clock time: three tiny timed runs are too noisy for
+    # a trend, while the visited-binding count repeats exactly per seed.
     def test_time_grows_with_kb(self, table):
-        seconds = [row[2] for row in table.rows]
-        assert seconds[-1] > seconds[0]
+        bindings = fig11.series_from_table(table)["bindings"]
+        assert bindings == [766, 3835, 6352]
 
     def test_linear_in_kb_size(self, table):
         series = fig11.series_from_table(table)
-        r2 = linear_fit_r2(series["kb_sizes"], series["seconds"])
+        r2 = linear_fit_r2(series["kb_sizes"], series["bindings"])
         assert r2 > 0.8
 
     def test_report_embeds_stage_breakdown(self, table):

@@ -1,5 +1,8 @@
 """Triple store: mutation, pattern lookup, indexes, estimates."""
 
+import gc
+import random
+
 import pytest
 
 from repro.rdf import Graph, Literal, Namespace, URIRef, BNode
@@ -327,3 +330,81 @@ class TestDictionaryEncoding:
         uri_id = graph.term_id(EX.a)
         assert graph.is_literal_id(lit_id)
         assert not graph.is_literal_id(uri_id)
+
+
+class TestLeafLayout:
+    """Index leaves are int-only insertion-ordered dicts: the cycle
+    collector never tracks them, and bound lookups enumerate in the
+    order the triples were added."""
+
+    @staticmethod
+    def _shuffled_graph():
+        """A graph whose insertion order differs from ascending-ID order."""
+        rng = random.Random(13)
+        nodes = [EX.term(f"n{i}") for i in range(8)]
+        preds = [EX.term(f"p{i}") for i in range(3)]
+        rng.shuffle(nodes)
+        triples = [(s, p, o) for s in nodes for p in preds for o in nodes]
+        rng.shuffle(triples)
+        # The first triples fix the dictionary IDs in node order.
+        triples = [(n, EX.seen, n) for n in nodes] + triples[:120]
+        g = Graph()
+        g.add_all(triples)
+        return g, [tuple(g.term_id(t) for t in triple) for triple in triples]
+
+    @staticmethod
+    def _leaves(g):
+        for index in (g._spo, g._pos, g._osp):
+            for groups in index.values():
+                yield from groups.values()
+
+    def test_leaves_untracked_after_adds_and_removes(self):
+        g, _ = self._shuffled_graph()
+        for s, p, o in list(g.triples())[::3]:
+            g.remove((s, p, o))
+        g.add((EX.n0, EX.p0, Literal(7)))
+        leaves = list(self._leaves(g))
+        assert len(leaves) > 100
+        assert not any(gc.is_tracked(leaf) for leaf in leaves)
+
+    @staticmethod
+    def _expected(added, bound, group):
+        """Insertion-ordered enumeration of the triples matching *bound*
+        (position -> id), grouped by first sight of position *group*."""
+        groups = {}
+        for triple in added:
+            if all(triple[i] == v for i, v in bound.items()):
+                groups.setdefault(triple[group], []).append(triple)
+        return [t for members in groups.values() for t in members]
+
+    def test_bound_lookups_enumerate_in_insertion_order(self):
+        g, added = self._shuffled_graph()
+        unsorted = 0
+        for s, p, o in added:
+            # (bound positions, grouping position): SPO, POS, OSP order.
+            cases = [
+                ({0: s}, 1), ({1: p}, 2), ({2: o}, 0),
+                ({0: s, 1: p}, 2), ({1: p, 2: o}, 0), ({0: s, 2: o}, 1),
+            ]
+            for bound, group in cases:
+                pattern = [bound.get(i) for i in range(3)]
+                expected = self._expected(added, bound, group)
+                assert list(g.triples_ids(*pattern)) == expected, bound
+                unsorted += expected != sorted(expected)
+        assert unsorted > len(added)  # insertion order really differs
+
+    def test_copy_and_snapshot_enumerate_identically(self):
+        from repro.rdf.snapshot import GraphView, encode_graph
+
+        g, added = self._shuffled_graph()
+        g.remove(next(g.triples(None, EX.p1, None)))
+        views = [g.copy(), GraphView(encode_graph(g))]
+        s, p, o = added[-1]
+        patterns = [
+            (None, None, None), (s, None, None), (None, p, None),
+            (None, None, o), (s, p, None), (None, p, o), (s, None, o),
+        ]
+        for pattern in patterns:
+            expected = list(g.triples_ids(*pattern))
+            for other in views:
+                assert list(other.triples_ids(*pattern)) == expected

@@ -16,6 +16,7 @@ Three degradation stories, each pinned end to end over real sockets:
 
 import http.client
 import json
+import shutil
 import threading
 import time
 
@@ -23,6 +24,7 @@ import pytest
 
 from repro.qep.writer import write_plan
 from repro.server import OptImatchServer
+from repro.store.wal import scan_wal
 from repro.testing import chaos
 from repro.workload import generate_workload
 
@@ -284,3 +286,84 @@ class TestDurabilityAcks:
         _, _, entries = request(fresh, "GET", "/kb/entries")
         assert "journaled-entry" in entries["entries"]
         assert health["durability"]["recovery"]["replayedRecords"] == 0
+
+
+class TestJournalSource:
+    """Every text ingest route journals the client's explain text byte
+    for byte, and recovery rebuilds identical graphs from it."""
+
+    @staticmethod
+    def journaled_sources(data_dir):
+        sources = []
+        logs = sorted(data_dir.glob("wal-*.log"),
+                      key=lambda path: int(path.stem.split("-")[1]))
+        for path in logs:
+            for record in scan_wal(str(path)).records:
+                if record["op"] == "add_batch":
+                    sources.extend(source for _, _, source in record["plans"])
+                elif record["op"] in ("add", "replace"):
+                    sources.append(record["source"])
+        return sources
+
+    @staticmethod
+    def graphs(tool):
+        return {
+            t.plan_id: (list(t.graph.triples()), t.graph.version)
+            for t in tool.workload
+        }
+
+    def test_every_route_journals_client_text(self, durable_server, tmp_path):
+        from repro.core.optimatch import OptImatch
+        from repro.qep.writer import render_tree
+        from tests.conftest import build_figure1_plan
+
+        srv = durable_server()
+        wait_for_status(srv, "ok")
+        # Spellings the writer would not reproduce: CRLF line ends, a
+        # trailing blank line, and a bare Figure-1 tree snippet.
+        texts = [t.replace("\n", "\r\n") for t in plan_texts(4, seed=13)]
+        snippet = render_tree(build_figure1_plan())
+        replaced = [texts[0] + "\r\n", texts[3] + "\n", snippet + "\n"]
+
+        def stream(records, query=""):
+            body = "".join(json.dumps(r) + "\n" for r in records)
+            status, _, payload = request(
+                srv, "POST", "/plans/stream" + query, body,
+                content_type="application/x-ndjson",
+            )
+            assert status == 201, payload
+
+        status, _, _ = request(srv, "POST", "/plans", texts[0])
+        assert status == 201
+        status, _, _ = request(
+            srv, "POST", "/plans", json.dumps({"plans": texts[1:3]}),
+            content_type="application/json",
+        )
+        assert status == 201
+        stream([texts[3], {"plan": snippet, "id": "fig1-snippet"}])
+        status, _, _ = request(srv, "POST", "/plans?replace=1", replaced[0])
+        assert status == 201
+        stream(
+            [replaced[1], {"plan": replaced[2], "id": "fig1-snippet"}],
+            "?replace=1",
+        )
+
+        data_dir = tmp_path / "data"
+        expected = texts + [snippet] + replaced
+        assert [s.encode("utf-8") for s in self.journaled_sources(data_dir)] \
+            == [t.encode("utf-8") for t in expected]
+
+        before = self.graphs(srv.state.tool)
+        assert "fig1-snippet" in before and len(before) == 5
+        # Journal-only recovery (a copy taken before any checkpoint)...
+        shutil.copytree(data_dir, tmp_path / "journal-only")
+        with OptImatch(workers=1, data_dir=str(tmp_path / "journal-only")) as tool:
+            recovery = tool.durability_status()["recovery"]
+            assert recovery["checkpointSeq"] == 0
+            assert recovery["replayedRecords"] > 0
+            assert self.graphs(tool) == before
+        # ...and a server restart through the final checkpoint.
+        srv.stop(drain_seconds=2.0)
+        fresh = durable_server()
+        wait_for_status(fresh, "ok")
+        assert self.graphs(fresh.state.tool) == before
