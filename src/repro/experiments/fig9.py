@@ -10,12 +10,17 @@ property paths.
 The reproduction measures the same sweep over the synthetic workload;
 the *shape* expectations (linearity, Pattern #2 ≈ 2x) are asserted by
 benchmarks and tests, not the absolute seconds (different substrate,
-different machine)."""
+different machine).  Next to each search time the table records the
+search's visited bindings (the evaluator's work counter, read from an
+unlimited :class:`~repro.core.limits.Budget`): the count repeats exactly
+for a fixed seed, so the growth trend can be checked without timing
+noise."""
 
 from __future__ import annotations
 
 from typing import Dict, List, Optional
 
+from repro.core.limits import Budget, activate
 from repro.core.matcher import find_matches
 from repro.core.sparqlgen import pattern_to_sparql
 from repro.core.transform import transform_workload
@@ -60,22 +65,30 @@ def run(
 
     table = ExperimentTable(
         title="Figure 9 — search time vs number of QEP files",
-        headers=["QEP files", "Pattern #1 [s]", "Pattern #2 [s]", "Pattern #3 [s]"],
+        headers=["QEP files"]
+        + [f"Pattern {label} [s]" for label in queries]
+        + [f"Pattern {label} bindings" for label in queries],
     )
     series: Dict[str, List[float]] = {label: [] for label in queries}
     for size in sizes:
         subset = transformed[:size]
-        row: List[object] = [size]
+        seconds_row: List[float] = []
+        bindings_row: List[int] = []
         for label, sparql in queries.items():
             total = 0.0
+            visited = 0
             for _ in range(repetitions):
-                elapsed, _ = timed(find_matches, sparql, subset)
+                budget = Budget()
+                with activate(budget):
+                    elapsed, _ = timed(find_matches, sparql, subset)
                 total += elapsed
+                visited += budget.bindings
             timer.add("search", total)
             seconds = total / repetitions
             series[label].append(seconds)
-            row.append(seconds)
-        table.add_row(*row)
+            seconds_row.append(seconds)
+            bindings_row.append(round(visited / repetitions))
+        table.add_row(size, *seconds_row, *bindings_row)
     table.add_note(
         f"scale={scale:g} (paper: 100..1000 QEPs; here {sizes[0]}..{sizes[-1]})"
     )
@@ -110,10 +123,14 @@ def _striped_by_size(plans, n_buckets: int):
 
 
 def series_from_table(table: ExperimentTable) -> Dict[str, List[float]]:
-    """Extract the numeric series for assertions in tests/benchmarks."""
-    return {
-        "sizes": [row[0] for row in table.rows],
-        "#1": [row[1] for row in table.rows],
-        "#2": [row[2] for row in table.rows],
-        "#3": [row[3] for row in table.rows],
-    }
+    """Extract the numeric series for assertions in tests/benchmarks.
+
+    ``"#1"``..``"#3"`` are seconds; ``"bindings #1"``..``"bindings #3"``
+    the matching visited-binding counts."""
+    series = {"sizes": [row[0] for row in table.rows]}
+    for offset, label in enumerate(PATTERN_IDS, start=1):
+        series[label] = [row[offset] for row in table.rows]
+        series[f"bindings {label}"] = [
+            row[offset + len(PATTERN_IDS)] for row in table.rows
+        ]
+    return series

@@ -948,11 +948,20 @@ def _path_successors(
 # evaluation.  Invalidation goes through the graph's mutation counter.
 _CLOSURE_ATTR = "_sparql_closure_cache"
 
-#: Guards the attach/replace of the per-graph closure memo.  Multiple
-#: engine workers share one graph; without the lock two threads racing
-#: a version bump could each install a fresh state and interleave
-#: writes across them, or a reader could observe a state dict whose
-#: "entries" belong to another version.
+#: Cap on memoized closures per graph; past it the oldest entry is
+#: evicted.  Keys are path-object identities, so one-off ad-hoc queries
+#: leave entries no later query reuses.  On the largest benchmark plan
+#: (539 operators, 13k triples) one query adds at most 51 entries for
+#: Patterns A-D and the KB queries, and 2,722 for a both-ends-free
+#: mutual-reachability join, so no query evicts its own entries.
+MAX_CLOSURES_PER_GRAPH = 4096
+
+#: Guards the attach/replace of the per-graph closure memo and every
+#: insert/eviction.  Multiple engine workers share one graph; without
+#: the lock two threads racing a version bump could each install a
+#: fresh state and interleave writes across them, a reader could
+#: observe a state dict whose "entries" belong to another version, or
+#: two evictions could race on the same oldest entry.
 _CLOSURE_LOCK = threading.Lock()
 
 
@@ -1033,7 +1042,10 @@ def _closure(
     if cache is not None:
         # (pinned path, discovery order, membership set): the set serves
         # the both-bound membership fast path in _eval_mod.
-        cache[key] = (path, tuple(order), frozenset(order))
+        planner.memo_insert(
+            cache, key, (path, tuple(order), frozenset(order)),
+            MAX_CLOSURES_PER_GRAPH, _CLOSURE_LOCK,
+        )
     if probe is not None:
         probe.closure(path, start, forward, frontier_sizes, cached=False)
     yield from order
@@ -1337,7 +1349,10 @@ def _closure_ids(
     if cache is not None:
         # (pinned path, discovery order, membership set) — the set backs
         # the both-bound membership fast path in _eval_mod_ids.
-        cache[key] = (path, tuple(order), frozenset(order))
+        planner.memo_insert(
+            cache, key, (path, tuple(order), frozenset(order)),
+            MAX_CLOSURES_PER_GRAPH, _CLOSURE_LOCK,
+        )
     if probe is not None:
         probe.closure(path, start, forward, frontier_sizes, cached=False)
     yield from order

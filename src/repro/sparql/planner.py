@@ -17,6 +17,11 @@ Three planning products:
   rows); larger ones fall back to greedy cheapest-next-connected-
   pattern.  The plan also fixes the store index (SPO/POS/OSP) each
   pattern will resolve through, given the boundness its prefix implies.
+  Both searches run over integer bitmasks (one bit per BGP variable,
+  one per pattern) and read one per-call estimate table keyed by the
+  bound subset of each pattern's own variables, so a pattern is
+  estimated at most ``2^|vars|`` times however many subsets the DP
+  walks.
 * :func:`plan_closure` — a :class:`ClosurePlan` for a both-ends-free
   transitive closure (``?x path+ ?y``): instead of seeding a BFS from
   *every* graph node, seed only from nodes that can actually start
@@ -24,11 +29,13 @@ Three planning products:
   whichever candidate set is smaller.
 * the per-graph **plan memo**: plans attach to the graph object under a
   version-stamped attribute (the closure-cache idiom) so re-evaluating
-  a prepared query against an unchanged graph reuses the plan.  On cost
-  ties the lexicographically-smallest order — i.e. the one closest to
-  the written query — wins, following the memoize-and-prefer-simpler
-  idiom of CozySynthesizer's cost model (see SNIPPETS.md): when two
-  plans are equally cheap, keep the simpler one.
+  a prepared query against an unchanged graph reuses the plan.  It is
+  bounded: past :data:`MAX_PLANS_PER_GRAPH` entries the oldest is
+  evicted, releasing the query objects it pins.  On cost ties the
+  lexicographically-smallest order — i.e. the one closest to the
+  written query — wins, following the memoize-and-prefer-simpler idiom
+  of CozySynthesizer's cost model (see SNIPPETS.md): when two plans are
+  equally cheap, keep the simpler one.
 
 This module is imported by :mod:`repro.sparql.evaluator` (never the
 reverse), so it owns the compiled-pattern position-spec kinds; the
@@ -79,8 +86,9 @@ DP_MAX_PATTERNS = 8
 #: on where paths belong in a join.
 PATH_ESTIMATES = (float(1 << 30), 64.0, 2.0)
 
-#: Cap on memoized plans per graph (a runaway workload of distinct
-#: ad-hoc queries should not grow the graph attribute without bound).
+#: Cap on memoized BGP plans, and separately on closure plans, per graph
+#: (a runaway workload of distinct ad-hoc queries must not grow the
+#: graph attribute without bound): past it the oldest entry is evicted.
 MAX_PLANS_PER_GRAPH = 512
 
 
@@ -138,16 +146,26 @@ def _plan_state(graph: Graph) -> dict:
         with _PLAN_LOCK:
             state = getattr(graph, _PLAN_ATTR, None)
             if state is None or state["version"] != version:
-                # "pins" keeps the keyed objects (patterns, paths) alive
-                # so their ids cannot be recycled while an entry lives.
-                state = {
-                    "version": version,
-                    "plans": {},
-                    "closures": {},
-                    "pins": [],
-                }
+                state = {"version": version, "plans": {}, "closures": {}}
                 setattr(graph, _PLAN_ATTR, state)
     return state
+
+
+def memo_insert(memo: dict, key, entry: tuple, cap: int, lock) -> tuple:
+    """Store *entry* under *key* in a bounded per-graph memo.
+
+    An existing entry wins and is returned.  Beyond *cap* entries the
+    oldest (dict insertion order) are evicted.  Each entry carries the
+    objects its key names by identity, so evicting it releases them and
+    their ids can only be recycled once no entry refers to them.  The
+    insert and the eviction run under *lock*, so engine workers sharing
+    a graph never evict from a dict another worker is iterating.
+    """
+    with lock:
+        kept = memo.setdefault(key, entry)
+        while len(memo) > cap:
+            del memo[next(iter(memo))]
+    return kept
 
 
 def invalidate(graph: Graph) -> None:
@@ -184,10 +202,19 @@ def _index_for_bounds(
     return "SPO-scan"
 
 
-def _make_estimator(graph: Graph):
-    """Selectivity estimator ``(compiled_pattern, bound_vars) -> float``.
+class _EstimateTable:
+    """Selectivity estimates for one planning call, keyed by bitmask.
 
-    Expected number of extensions one input solution produces:
+    Every variable of the BGP gets one bit, so a bound-variable set is
+    an int.  A pattern's estimate reads only whether each of its own
+    s/p/o positions is bound, so it is memoized under ``bound &
+    own[i]`` — the bound subset of pattern *i*'s variables.  The DP, the
+    greedy and the replay all read this one table, so each pattern is
+    estimated at most ``2^|vars|`` times per call however many subsets
+    the search walks.
+
+    An estimate is the expected number of extensions one input solution
+    produces:
 
     * ground positions go straight into the exact ``estimate_ids``;
     * a position bound by a *join variable* (value unknown at plan
@@ -197,25 +224,72 @@ def _make_estimator(graph: Graph):
       with the per-solution greedy;
     * any ``ABSENT`` position makes the pattern unmatchable (0.0).
     """
-    node_total: List[float] = []
 
-    def fallback_distinct() -> float:
-        if not node_total:
-            node_total.append(float(max(1, len(graph.node_ids()))))
-        return node_total[0]
+    __slots__ = ("own", "memo", "_bits", "_compiled", "_graph", "_positions",
+                 "_nodes")
 
-    def estimate(cp, bound: Set) -> float:
-        s_spec, p_spec, o_spec = cp[0], cp[1], cp[2]
-        s_kind = s_spec[0]
-        o_kind = o_spec[0]
-        s_bound = s_kind != VAR or s_spec[1] in bound
-        o_bound = o_kind != VAR or o_spec[1] in bound
-        if p_spec[0] == PATH:
+    def __init__(self, compiled: Sequence, graph: Graph) -> None:
+        bits: Dict = {}
+        own: List[int] = []
+        positions: List[Tuple[int, int, int, bool]] = []
+        for cp in compiled:
+            mine = 0
+            for var in cp[3]:
+                bit = bits.get(var)
+                if bit is None:
+                    bit = bits[var] = 1 << len(bits)
+                mine |= bit
+            own.append(mine)
+            s_spec, p_spec, o_spec = cp[0], cp[1], cp[2]
+            positions.append((
+                bits[s_spec[1]] if s_spec[0] == VAR else 0,
+                bits[p_spec[1]] if p_spec[0] == VAR else 0,
+                bits[o_spec[1]] if o_spec[0] == VAR else 0,
+                p_spec[0] == PATH,
+            ))
+        self.own = own
+        self.memo: List[Dict[int, float]] = [{} for _ in compiled]
+        self._bits = bits
+        self._compiled = compiled
+        self._graph = graph
+        self._positions = positions
+        self._nodes: Optional[float] = None
+
+    def bits_of(self, variables) -> int:
+        """Bitmask of those *variables* that occur in the BGP."""
+        mask = 0
+        for var in variables:
+            mask |= self._bits.get(var, 0)
+        return mask
+
+    def boundness(self, i: int, bound: int) -> Tuple[bool, bool, bool, bool]:
+        """``(s_bound, p_bound, o_bound, is_path)`` of pattern *i*."""
+        s_bit, p_bit, o_bit, is_path = self._positions[i]
+        return (
+            not s_bit or bool(bound & s_bit),
+            not is_path and (not p_bit or bool(bound & p_bit)),
+            not o_bit or bool(bound & o_bit),
+            is_path,
+        )
+
+    def estimate(self, i: int, bound: int) -> float:
+        """Estimate for pattern *i* under the bound-variable mask *bound*."""
+        key = bound & self.own[i]
+        memo = self.memo[i]
+        est = memo.get(key)
+        if est is None:
+            est = memo[key] = self._estimate(i, key)
+        return est
+
+    def _estimate(self, i: int, bound: int) -> float:
+        s_bound, p_bound, o_bound, is_path = self.boundness(i, bound)
+        if is_path:
             return PATH_ESTIMATES[int(s_bound) + int(o_bound)]
-        p_kind = p_spec[0]
+        s_spec, p_spec, o_spec = self._compiled[i][:3]
+        s_kind, p_kind, o_kind = s_spec[0], p_spec[0], o_spec[0]
         if ABSENT in (s_kind, p_kind, o_kind):
             return 0.0
-        p_bound = p_kind != VAR or p_spec[1] in bound
+        graph = self._graph
         sid = s_spec[1] if s_kind == GROUND else None
         pid = p_spec[1] if p_kind == GROUND else None
         oid = o_spec[1] if o_kind == GROUND else None
@@ -227,27 +301,21 @@ def _make_estimator(graph: Graph):
                 _, subjects, _ = graph.predicate_stats(pid)
                 base /= float(subjects) if subjects else 1.0
             else:
-                base /= fallback_distinct()
+                base /= self._distinct_nodes()
         if o_bound and oid is None:
             if pid is not None:
                 _, _, objects = graph.predicate_stats(pid)
                 base /= float(objects) if objects else 1.0
             else:
-                base /= fallback_distinct()
+                base /= self._distinct_nodes()
         if p_bound and pid is None:
             base /= float(max(1, graph.distinct_predicates()))
         return base
 
-    return estimate
-
-
-def _pattern_boundness(cp, bound: Set) -> Tuple[bool, bool, bool, bool]:
-    s_spec, p_spec, o_spec = cp[0], cp[1], cp[2]
-    is_path = p_spec[0] == PATH
-    s_bound = s_spec[0] != VAR or s_spec[1] in bound
-    o_bound = o_spec[0] != VAR or o_spec[1] in bound
-    p_bound = (not is_path) and (p_spec[0] != VAR or p_spec[1] in bound)
-    return s_bound, p_bound, o_bound, is_path
+    def _distinct_nodes(self) -> float:
+        if self._nodes is None:
+            self._nodes = float(max(1, len(self._graph.node_ids())))
+        return self._nodes
 
 
 # ----------------------------------------------------------------------
@@ -265,102 +333,106 @@ def order_bgp(
     starts.  *force* pins the search method for tests ("dp"/"greedy").
     """
     n = len(compiled)
-    estimate = _make_estimator(graph)
+    table = _EstimateTable(compiled, graph)
+    bound0 = table.bits_of(bound)
     if n == 1:
-        est = estimate(compiled[0], set(bound))
-        index = _index_for_bounds(*_pattern_boundness(compiled[0], set(bound)))
+        est = table.estimate(0, bound0)
+        index = _index_for_bounds(*table.boundness(0, bound0))
         return BGPPlan((0,), (est,), (index,), est, "single")
     if force == "dp" or (force is None and n <= DP_MAX_PATTERNS):
-        order, method = _dp_order(compiled, estimate, bound), "dp"
+        order, method = _dp_order(table, bound0), "dp"
     else:
-        order, method = _greedy_order(compiled, estimate, bound), "greedy"
-    estimates, indexes, cost = _replay(compiled, estimate, bound, order)
+        order, method = _greedy_order(table, bound0), "greedy"
+    estimates, indexes, cost = _replay(table, bound0, order)
     return BGPPlan(tuple(order), estimates, indexes, cost, method)
 
 
 def _replay(
-    compiled, estimate, bound0: FrozenSet, order: Sequence[int]
+    table: _EstimateTable, bound: int, order: Sequence[int]
 ) -> Tuple[Tuple[float, ...], Tuple[str, ...], float]:
     """Walk *order* accumulating per-step estimates, indexes and cost."""
-    bound = set(bound0)
     rows = 1.0
     cost = 0.0
     estimates: List[float] = []
     indexes: List[str] = []
     for position in order:
-        cp = compiled[position]
-        indexes.append(_index_for_bounds(*_pattern_boundness(cp, bound)))
-        rows *= estimate(cp, bound)
+        indexes.append(_index_for_bounds(*table.boundness(position, bound)))
+        rows *= table.estimate(position, bound)
         cost += rows
         estimates.append(rows)
-        bound.update(cp[3])
+        bound |= table.own[position]
     return tuple(estimates), tuple(indexes), cost
 
 
-def _greedy_order(compiled, estimate, bound0: FrozenSet) -> List[int]:
+def _greedy_order(table: _EstimateTable, bound: int) -> List[int]:
     """Cheapest-next-connected-pattern, written order on exact ties."""
-    bound = set(bound0)
-    remaining = list(range(len(compiled)))
+    own = table.own
+    estimate = table.estimate
+    remaining = list(range(len(own)))
     order: List[int] = []
     while remaining:
         best = None
         best_key: Optional[Tuple[int, float, int]] = None
         for i in remaining:
-            cp = compiled[i]
             # A pattern is "connected" when it shares a variable with
             # what is already bound (or has nothing left to bind); the
             # first pick and fully-static patterns always qualify.
-            connected = (
-                not order
-                or not cp[3]
-                or any(v in bound for v in cp[3])
-            )
-            key = (0 if connected else 1, estimate(cp, bound), i)
+            connected = not order or not own[i] or bool(own[i] & bound)
+            key = (0 if connected else 1, estimate(i, bound), i)
             if best_key is None or key < best_key:
                 best, best_key = i, key
         remaining.remove(best)
         order.append(best)
-        bound.update(compiled[best][3])
+        bound |= own[best]
     return order
 
 
-def _dp_order(compiled, estimate, bound0: FrozenSet) -> List[int]:
+def _dp_order(table: _EstimateTable, bound0: int) -> Tuple[int, ...]:
     """Exact minimum-total-intermediate-rows order (Selinger-style DP).
 
-    ``best[mask]`` holds the cheapest way to join the pattern subset
-    *mask*: ``(cost, rows, order)``.  Ties on cost prefer the
-    lexicographically smaller order tuple — the plan closest to the
-    written query (the memoize-and-prefer-simpler tie-break).
+    Pattern subsets are bitmasks.  For each subset ``mask`` the DP keeps
+    the cheapest way to join it (``costs``, ``rows``, ``orders``) and
+    ``bound[mask]``, the variable bits bound once it is joined, built
+    off its lowest set bit.  Each mask walks only its set bits.  Ties on
+    cost prefer the lexicographically smaller order tuple — the plan
+    closest to the written query (the memoize-and-prefer-simpler
+    tie-break) — so a candidate's order tuple is built only when its
+    cost is at most the best so far.
     """
-    n = len(compiled)
-    var_sets = [frozenset(cp[3]) for cp in compiled]
-    # Bound-variable set per subset, built incrementally off the lowest bit.
-    bound_for: List[Optional[frozenset]] = [None] * (1 << n)
-    bound_for[0] = frozenset(bound0)
-
-    def subset_bound(mask: int) -> frozenset:
-        cached = bound_for[mask]
-        if cached is None:
-            low = (mask & -mask).bit_length() - 1
-            cached = subset_bound(mask & (mask - 1)) | var_sets[low]
-            bound_for[mask] = cached
-        return cached
-
-    best: List[Optional[Tuple[float, float, Tuple[int, ...]]]] = [None] * (1 << n)
-    best[0] = (0.0, 1.0, ())
-    for mask in range(1, 1 << n):
-        entry = None
-        for last in range(n):
-            bit = 1 << last
-            if not mask & bit:
-                continue
-            prev = best[mask ^ bit]
-            rows = prev[1] * estimate(compiled[last], subset_bound(mask ^ bit))
-            cand = (prev[0] + rows, rows, prev[2] + (last,))
-            if entry is None or (cand[0], cand[2]) < (entry[0], entry[2]):
-                entry = cand
-        best[mask] = entry
-    return list(best[(1 << n) - 1][2])
+    own = table.own
+    memo = table.memo
+    estimate = table.estimate
+    size = 1 << len(own)
+    bound = [bound0] * size
+    costs = [0.0] * size
+    rows = [1.0] * size
+    orders: List[Tuple[int, ...]] = [()] * size
+    for mask in range(1, size):
+        low = mask & -mask
+        bound[mask] = bound[mask ^ low] | own[low.bit_length() - 1]
+        best_cost = best_rows = best_order = None
+        rest = mask
+        while rest:
+            bit = rest & -rest
+            rest ^= bit
+            last = bit.bit_length() - 1
+            prev = mask ^ bit
+            est = memo[last].get(bound[prev] & own[last])
+            if est is None:
+                est = estimate(last, bound[prev])
+            cand_rows = rows[prev] * est
+            cost = costs[prev] + cand_rows
+            if best_order is None or cost < best_cost:
+                best_cost, best_rows = cost, cand_rows
+                best_order = orders[prev] + (last,)
+            elif cost == best_cost:
+                order = orders[prev] + (last,)
+                if order < best_order:
+                    best_cost, best_rows, best_order = cost, cand_rows, order
+        costs[mask] = best_cost
+        rows[mask] = best_rows
+        orders[mask] = best_order
+    return orders[size - 1]
 
 
 def plan_bgp(
@@ -375,22 +447,20 @@ def plan_bgp(
     BGP (solutions differing only in unrelated variables share a plan).
     Pattern objects of a prepared query are id-stable across
     evaluations, so the identity key makes repeat evaluation against an
-    unchanged graph a dictionary hit; the memo pins the pattern list so
-    ids cannot be recycled.  An existing entry always wins — combined
-    with the in-search tie-break this is the memoize-and-prefer-simpler
-    discipline (the first, simplest equal-cost plan is kept).
+    unchanged graph a dictionary hit; each entry pins its pattern tuple
+    so ids cannot be recycled while it lives.  An existing entry always
+    wins — combined with the in-search tie-break this is the
+    memoize-and-prefer-simpler discipline (the first, simplest
+    equal-cost plan is kept).  Past :data:`MAX_PLANS_PER_GRAPH` entries
+    the oldest is evicted.
     """
-    state = _plan_state(graph)
-    plans: Dict = state["plans"]
+    plans: Dict = _plan_state(graph)["plans"]
     key = (tuple(map(id, patterns)), bound)
     hit = plans.get(key)
     if hit is not None:
-        return hit
-    plan = order_bgp(compiled, graph, bound)
-    if len(plans) < MAX_PLANS_PER_GRAPH:
-        state["pins"].append(tuple(patterns))
-        plans[key] = plan
-    return plan
+        return hit[1]
+    entry = (tuple(patterns), order_bgp(compiled, graph, bound))
+    return memo_insert(plans, key, entry, MAX_PLANS_PER_GRAPH, _PLAN_LOCK)[1]
 
 
 # ----------------------------------------------------------------------
@@ -466,12 +536,11 @@ def plan_closure(inner: ast.Path, graph: Graph) -> ClosurePlan:
     be restricted safely, the plan degrades to an unrestricted forward
     scan — exactly the legacy behavior.
     """
-    state = _plan_state(graph)
-    closures: Dict[int, ClosurePlan] = state["closures"]
+    closures: Dict = _plan_state(graph)["closures"]
     key = id(inner)
     hit = closures.get(key)
     if hit is not None:
-        return hit
+        return hit[1]
     forward = _endpoint_ids(inner, graph, True)
     reverse = _endpoint_ids(inner, graph, False)
     forward_count = None if forward is None else len(forward)
@@ -486,6 +555,5 @@ def plan_closure(inner: ast.Path, graph: Graph) -> ClosurePlan:
         )
     else:
         plan = ClosurePlan("forward", None, None, None)
-    state["pins"].append(inner)
-    closures[key] = plan
-    return plan
+    entry = (inner, plan)
+    return memo_insert(closures, key, entry, MAX_PLANS_PER_GRAPH, _PLAN_LOCK)[1]
