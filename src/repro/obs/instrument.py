@@ -33,15 +33,14 @@ class EvalProbe:
 
     * ``bgp(patterns, compiled)`` — once per BGP join.  *patterns* are
       the source :class:`~repro.sparql.ast.TriplePattern` objects;
-      *compiled* is the parallel list of ID-space compiled tuples, or
-      ``None`` on the term-space path.  Positional correspondence maps
-      compiled-tuple identity back to display text.
+      *compiled* is the parallel list of compiled pattern tuples.
+      Positional correspondence maps compiled-tuple identity back to
+      display text.
     * ``pattern_input(pattern, bindings)`` — a pattern was chosen as the
       next join step for one intermediate solution.  *pattern* is the
-      compiled tuple (ID path) or the ``TriplePattern`` (term path);
-      *bindings* the current solution (``Variable -> int`` or
-      ``Variable -> Term``), from which boundness — and therefore the
-      index the store will pick — is derived.
+      compiled tuple; *bindings* the current ``Variable -> int``
+      solution, from which boundness — and therefore the index the
+      store will pick — is derived.
     * ``pattern_output(pattern)`` — one extension was produced by that
       pattern (output cardinality).
     * ``closure(path, start, forward, frontier_sizes, cached)`` — one
@@ -51,8 +50,7 @@ class EvalProbe:
     * ``bgp_plan(patterns, compiled, plan)`` — the cost-based planner
       fixed a join order for this BGP.  *plan* is a
       ``repro.sparql.planner.BGPPlan``; *compiled* is the compiled
-      pattern list on the ID-space path, ``None`` on the term path.
-      Fired once per distinct plan per BGP join.
+      pattern list.  Fired once per distinct plan per BGP join.
     * ``closure_plan(path, decision)`` — a both-free closure picked its
       direction/seeding.  *decision* is a dict with ``direction``,
       ``mode`` ("seeded" / "full-scan"), ``seeds``, ``totalNodes`` and
@@ -61,7 +59,7 @@ class EvalProbe:
 
     __slots__ = ()
 
-    def bgp(self, patterns: Sequence[Any], compiled: Optional[Sequence[Any]]) -> None:
+    def bgp(self, patterns: Sequence[Any], compiled: Sequence[Any]) -> None:
         pass
 
     def pattern_input(self, pattern: Any, bindings: Any) -> None:
@@ -81,7 +79,7 @@ class EvalProbe:
         pass
 
     def bgp_plan(
-        self, patterns: Sequence[Any], compiled: Optional[Sequence[Any]], plan: Any
+        self, patterns: Sequence[Any], compiled: Sequence[Any], plan: Any
     ) -> None:
         pass
 

@@ -114,35 +114,20 @@ def _index_for(s_bound: bool, p_bound: bool, o_bound: bool, is_path: bool) -> st
 def _boundness(pattern: Any, bindings: Any) -> Tuple[bool, bool, bool, bool]:
     """(s_bound, p_bound, o_bound, is_path) for a probe ``pattern_input``.
 
-    Handles both probe payload shapes: a compiled ID-space tuple with
-    ``Variable -> int`` bindings, or a source ``TriplePattern`` with
-    ``Variable -> Term`` bindings.
+    *pattern* is a compiled pattern tuple and *bindings* the current
+    ``Variable -> int`` solution.
     """
-    from repro.rdf.term import Variable
-    from repro.sparql import ast
-    from repro.sparql.evaluator import _PATH, _VAR
+    from repro.sparql.planner import PATH, VAR
 
-    if isinstance(pattern, tuple):  # compiled ID-space pattern
-        s_spec, p_spec, o_spec = pattern[0], pattern[1], pattern[2]
+    s_spec, p_spec, o_spec = pattern[0], pattern[1], pattern[2]
 
-        def bound(spec) -> bool:
-            # _GROUND and _ABSENT are statically bound; a _VAR position
-            # is bound when the current solution carries it.
-            return spec[0] != _VAR or spec[1] in bindings
+    def bound(spec) -> bool:
+        # GROUND and ABSENT positions are statically bound; a VAR
+        # position is bound when the current solution carries it.
+        return spec[0] != VAR or spec[1] in bindings
 
-        is_path = p_spec[0] == _PATH
-        return bound(s_spec), (not is_path and bound(p_spec)), bound(o_spec), is_path
-
-    def term_bound(term) -> bool:
-        return not isinstance(term, Variable) or term in bindings
-
-    is_path = isinstance(pattern.predicate, ast.Path)
-    return (
-        term_bound(pattern.subject),
-        (not is_path and term_bound(pattern.predicate)),
-        term_bound(pattern.obj),
-        is_path,
-    )
+    is_path = p_spec[0] == PATH
+    return bound(s_spec), (not is_path and bound(p_spec)), bound(o_spec), is_path
 
 
 # ----------------------------------------------------------------------
@@ -227,12 +212,9 @@ class CollectingProbe(EvalProbe):
         self._estimates: Dict[str, float] = {}
 
     # -- EvalProbe hooks ----------------------------------------------
-    def bgp(self, patterns: Sequence[Any], compiled: Optional[Sequence[Any]]) -> None:
+    def bgp(self, patterns: Sequence[Any], compiled: Sequence[Any]) -> None:
         with self._lock:
-            keys = compiled if compiled is not None else patterns
-            for source, key_obj in zip(patterns, keys):
-                self._display[id(key_obj)] = _format_pattern(source)
-                self._pinned.append(key_obj)
+            self._register(patterns, compiled)
 
     def pattern_input(self, pattern: Any, bindings: Any) -> None:
         s_bound, p_bound, o_bound, is_path = _boundness(pattern, bindings)
@@ -275,10 +257,7 @@ class CollectingProbe(EvalProbe):
 
     def bgp_plan(self, patterns, compiled, plan) -> None:
         with self._lock:
-            keys = compiled if compiled is not None else patterns
-            for source, key_obj in zip(patterns, keys):
-                self._display[id(key_obj)] = _format_pattern(source)
-                self._pinned.append(key_obj)
+            self._register(patterns, compiled)
             texts = [_format_pattern(patterns[i]) for i in plan.order]
             dedup = (tuple(texts), plan.method, tuple(plan.indexes))
             if dedup in self._plan_keys:
@@ -304,11 +283,18 @@ class CollectingProbe(EvalProbe):
                 self._closure_plans[key] = {"path": text, **decision}
 
     # -- aggregation ---------------------------------------------------
+    def _register(self, patterns: Sequence[Any], compiled: Sequence[Any]) -> None:
+        # Caller holds the lock.  Compiled-tuple identity maps back to
+        # the source pattern's display text.
+        for source, key_obj in zip(patterns, compiled):
+            self._display[id(key_obj)] = _format_pattern(source)
+            self._pinned.append(key_obj)
+
     def _profile_for(self, pattern: Any) -> PatternProfile:
         # Caller holds the lock.
         text = self._display.get(id(pattern))
-        if text is None:  # pattern never registered (direct _eval_bgp use)
-            text = _format_pattern(pattern) if not isinstance(pattern, tuple) else repr(pattern)
+        if text is None:  # pattern never registered through bgp()
+            text = repr(pattern)
             self._display[id(pattern)] = text
             self._pinned.append(pattern)
         profile = self._patterns.get(text)

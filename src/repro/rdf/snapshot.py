@@ -298,10 +298,10 @@ class GraphView:
     """Read-only graph over a snapshot buffer; evaluator/planner ready.
 
     Implements the full ID-level API of :class:`~repro.rdf.graph.Graph`
-    plus the term-level read methods the evaluator's fallback paths use
-    (``triples`` / ``estimate`` / ``subject_set`` / ``contains``), with
-    identical semantics *and identical enumeration order*.  Mutation is
-    not supported — the buffer is shared and immutable by contract.
+    plus the term-level read methods (``triples`` / ``estimate`` /
+    ``subject_set`` / ``contains``), with identical semantics *and
+    identical enumeration order*.  Mutation is not supported — the
+    buffer is shared and immutable by contract.
 
     The class intentionally has a ``__dict__`` (no ``__slots__``): the
     evaluator's closure memo and the cost planner's plan memo attach
@@ -309,10 +309,6 @@ class GraphView:
     view accumulating those caches is exactly how the process pool
     amortizes warm-up across searches.
     """
-
-    #: Capability flag the evaluator/planner key on (instead of an
-    #: ``isinstance(graph, Graph)`` check) to select the ID-space path.
-    supports_id_api = True
 
     def __init__(self, buffer, offset: int = 0, length: Optional[int] = None):
         mv = memoryview(buffer)
@@ -587,7 +583,7 @@ class GraphView:
         return self._version
 
     # ------------------------------------------------------------------
-    # Term-level read API (evaluator fallback paths, tests)
+    # Term-level read API
     # ------------------------------------------------------------------
     def triples(
         self,

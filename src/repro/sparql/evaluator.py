@@ -1,39 +1,57 @@
 """SPARQL query evaluation over :class:`repro.rdf.Graph`.
 
 Evaluation is streaming where possible: a group graph pattern produces an
-iterator of binding dictionaries (``Variable -> Term``).  Basic graph
-patterns are ordered ahead of time by the cost-based planner
-(:mod:`repro.sparql.planner`) — exact DP over join orders for small
-BGPs, greedy cheapest-next-connected for large ones, memoized per
-(pattern set, bound vars, graph version) — with the original
-per-solution greedy (most-bound positions, estimate tie-break) retained
-as the ``COST_PLANNER = False`` ablation.  Property paths are evaluated
-with breadth-first fixpoints, matching SPARQL 1.1 semantics for
-``/ | ^ + * ?``; both-ends-free closures are seeded from the planner's
-cheaper endpoint set instead of every graph node, and closures with
-both ends bound become memoized membership tests.
+iterator of binding dictionaries (``Variable -> Term``).
 
-Against a dictionary-encoded :class:`~repro.rdf.graph.Graph`, the BGP
-join core and the property-path fixpoints run entirely in **ID space**:
-query terms are encoded once per BGP, bindings are carried as
-``Variable -> int`` dictionaries, conflict checks compare machine ints,
-and terms are decoded only when solutions cross back into the term world
-(FILTER evaluation, OPTIONAL/UNION sub-groups, projection).  A graph
-object without the ID-level API (or the ``ID_SPACE_JOIN`` ablation
-switch turned off) falls back to the original term-space path; both
-paths enumerate the same matches in the same order because they iterate
-the same underlying indexes.
+There is one join core.  A basic graph pattern is compiled once per join
+(every ground term is encoded against the graph dictionary) and then
+evaluated in **ID space**: bindings are carried as ``Variable -> int``
+dictionaries, conflict checks compare machine ints, and terms are
+decoded only when solutions cross back into the term world (FILTER
+evaluation, OPTIONAL/UNION sub-groups, projection).  Any store with the
+ID-level API of :class:`~repro.rdf.graph.Graph` works; the other one is
+:class:`repro.rdf.snapshot.GraphView`, the shared-memory stand-in the
+process pool evaluates against.
+
+Two policies sit on top of the core, as module switches that stay on in
+production (the DESIGN.md §4 ablations and the tests turn them off):
+
+* ``JOIN_REORDERING``: the cost-based planner (:mod:`repro.sparql.
+  planner`) fixes each BGP's join order once per (pattern set, bound
+  variables, graph version).  Off, patterns join in written order.
+* ``CLOSURE_CACHING``: transitive closures are memoized per graph
+  version.  Off, every closure reruns its BFS.
+
+Property paths run as breadth-first fixpoints over dictionary IDs.
+Both-ends-free closures are seeded from the planner's cheaper endpoint
+set instead of every graph node, and a closure with both ends bound is
+a memoized membership test.  Zero-length paths follow SPARQL 1.1
+(§18.5, ZeroLengthPath and ALP): a ground or bound end relates to itself
+at length zero whether or not the graph holds it, and with both ends
+free the zero-length pairs range over every subject and object of the
+graph.  Two behaviours depart from the spec on purpose:
+
+* ``/`` and ``|`` yield **distinct** (start, end) pairs.  The spec
+  translates them into a join and a union, so two routes between the
+  same pair would give two rows.  Here a match is a pair of nodes, not a
+  count of routes: with ``a e0 m1 . a e0 m2 . m1 e1 c . m2 e1 c``,
+  ``?x p:e0/p:e1 ?y`` returns one row where the spelled-out
+  ``?x p:e0 ?m . ?m p:e1 ?y`` returns two.
+* Path ends decode to the **dictionary's spelling**.  Equal numeric
+  literals (``"100"`` and ``"1e2"``) share one dictionary ID.  A plain
+  triple pattern binds the spelling its own triple stored, but a path
+  end binds the spelling the dictionary saw first.
 """
 
 from __future__ import annotations
 
 import threading
-from typing import Dict, Iterable, Iterator, List, Optional, Set, Tuple, Union
+from typing import Dict, Iterable, Iterator, List, Optional, Set, Tuple
 
 from repro.core.limits import active_budget
 from repro.obs.instrument import active_probe
 from repro.rdf.graph import Graph
-from repro.rdf.term import BNode, Literal, Term, URIRef, Variable
+from repro.rdf.term import Literal, Term, URIRef, Variable
 from repro.sparql import ast, planner
 from repro.sparql.functions import (
     ExprError,
@@ -41,35 +59,19 @@ from repro.sparql.functions import (
     evaluate_expression,
     order_key,
 )
+from repro.sparql.planner import ABSENT, GROUND, PATH, UNMATCHABLE, VAR
 from repro.sparql.results import ResultRow, ResultSet
 
 Bindings = Dict[Variable, Term]
 
 _XSD = "http://www.w3.org/2001/XMLSchema#"
 
-#: Ablation switches (used by benchmarks; leave True in production).
-#: JOIN_REORDERING toggles greedy estimate-based BGP ordering;
-#: CLOSURE_CACHING toggles the per-graph property-path closure memo;
-#: ID_SPACE_JOIN toggles the dictionary-encoded (int-space) BGP core;
-#: COST_PLANNER toggles the ahead-of-time cost-based plans (BGP join
-#: order and closure direction/seeding) — off, evaluation falls back to
-#: the per-solution greedy and the full-node-scan closure paths.
+#: Policy switches (used by the ablation benchmarks; leave True in
+#: production).  JOIN_REORDERING toggles the cost-based BGP join order
+#: (off: written order); CLOSURE_CACHING toggles the per-graph
+#: property-path closure memo.
 JOIN_REORDERING = True
 CLOSURE_CACHING = True
-ID_SPACE_JOIN = True
-COST_PLANNER = True
-
-
-def _id_capable(graph) -> bool:
-    """Does *graph* expose the full ID-level store API?
-
-    A capability check rather than ``isinstance(graph, Graph)``: the
-    compiled ID-space join core, the cost planner and the closure BFS
-    must also engage for :class:`repro.rdf.snapshot.GraphView` — the
-    zero-copy shared-memory stand-in the multiprocess pool evaluates
-    against — and for any future store that advertises the API.
-    """
-    return getattr(graph, "supports_id_api", False)
 
 
 # ----------------------------------------------------------------------
@@ -142,7 +144,7 @@ def eval_group(
         element = patterns[index]
         if isinstance(element, ast.TriplePattern):
             # Batch this run of consecutive triple patterns into one BGP
-            # so the greedy reorderer sees them all.
+            # so the join planner sees them all.
             run: List[ast.TriplePattern] = []
             while index < len(patterns) and isinstance(
                 patterns[index], ast.TriplePattern
@@ -267,7 +269,7 @@ def _passes_filters(
 
 
 # ----------------------------------------------------------------------
-# Basic graph patterns with greedy reordering
+# Basic graph patterns: the ID-space join core
 # ----------------------------------------------------------------------
 def _join_bgp(
     stream: Iterable[Bindings], patterns: List[ast.TriplePattern], graph: Graph
@@ -277,236 +279,46 @@ def _join_bgp(
     # threaded down the recursion; with no probe installed every hook
     # site below is a single ``is not None`` check.
     probe = active_probe()
-    encoded = ID_SPACE_JOIN and _id_capable(graph)
-    # Planning needs compiled patterns (for the static cost model) even
-    # on the term-space path, and applies identically to both join
-    # cores so they keep emitting solutions in the same order.
-    planned = (
-        COST_PLANNER
-        and JOIN_REORDERING
-        and len(patterns) > 1
-        and _id_capable(graph)
-    )
-    compiled = _compile_bgp(patterns, graph) if (encoded or planned) else None
+    compiled = _compile_bgp(patterns, graph)
     if probe is not None:
-        probe.bgp(patterns, compiled if encoded else None)
-    if planned:
-        # One plan per distinct bound-variable set; within this call the
-        # (tiny) set of orders seen is cached locally so the per-graph
-        # memo is consulted once per bound set, not per solution.
-        pattern_vars = frozenset(v for cp in compiled for v in cp[3])
-        orders: Dict[frozenset, list] = {}
-        reported: Set[int] = set()
-        source = compiled if encoded else patterns
-        for solution in stream:
-            bound = frozenset(solution) & pattern_vars
-            ordered = orders.get(bound)
-            if ordered is None:
-                plan = planner.plan_bgp(patterns, compiled, graph, bound)
-                if probe is not None and id(plan) not in reported:
-                    reported.add(id(plan))
-                    probe.bgp_plan(patterns, compiled if encoded else None, plan)
-                ordered = [source[i] for i in plan.order]
-                orders[bound] = ordered
-            if encoded:
-                yield from _eval_bgp_encoded(
-                    ordered, graph, solution, budget, probe, planned=True
-                )
-            else:
-                yield from _eval_bgp_ordered(
-                    ordered, 0, graph, solution, budget, probe
-                )
-        return
-    if encoded:
+        probe.bgp(patterns, compiled)
+    if not JOIN_REORDERING or len(compiled) == 1:
         for solution in stream:
             yield from _eval_bgp_encoded(compiled, graph, solution, budget, probe)
         return
+    # One plan per distinct bound-variable set; within this call the
+    # (tiny) set of orders seen is cached locally so the per-graph memo
+    # is consulted once per bound set, not per solution.
+    pattern_vars = frozenset(v for cp in compiled for v in cp[3])
+    orders: Dict[frozenset, list] = {}
+    reported: Set[int] = set()
     for solution in stream:
-        yield from _eval_bgp(patterns, graph, solution, budget, probe)
+        bound = frozenset(solution) & pattern_vars
+        ordered = orders.get(bound)
+        if ordered is None:
+            plan = planner.plan_bgp(patterns, compiled, graph, bound)
+            if probe is not None and id(plan) not in reported:
+                reported.add(id(plan))
+                probe.bgp_plan(patterns, compiled, plan)
+            ordered = [compiled[i] for i in plan.order]
+            orders[bound] = ordered
+        yield from _eval_bgp_encoded(ordered, graph, solution, budget, probe)
 
-
-def _eval_bgp(
-    patterns: List[ast.TriplePattern],
-    graph: Graph,
-    bindings: Bindings,
-    budget=None,
-    probe=None,
-) -> Iterator[Bindings]:
-    if not patterns:
-        yield bindings
-        return
-    remaining = list(patterns)
-    order = _choose_next(remaining, bindings, graph)
-    pattern = remaining.pop(order)
-    if probe is not None:
-        probe.pattern_input(pattern, bindings)
-    for extended in _match_triple(pattern, graph, bindings):
-        if budget is not None:
-            budget.tick()
-        if probe is not None:
-            probe.pattern_output(pattern)
-        yield from _eval_bgp(remaining, graph, extended, budget, probe)
-
-
-def _eval_bgp_ordered(
-    ordered: List[ast.TriplePattern],
-    position: int,
-    graph: Graph,
-    bindings: Bindings,
-    budget=None,
-    probe=None,
-) -> Iterator[Bindings]:
-    """Term-space BGP recursion over a planner-fixed pattern order."""
-    if position == len(ordered):
-        yield bindings
-        return
-    pattern = ordered[position]
-    if probe is not None:
-        probe.pattern_input(pattern, bindings)
-    position += 1
-    for extended in _match_triple(pattern, graph, bindings):
-        if budget is not None:
-            budget.tick()
-        if probe is not None:
-            probe.pattern_output(pattern)
-        yield from _eval_bgp_ordered(
-            ordered, position, graph, extended, budget, probe
-        )
-
-
-#: Assumed result sizes for property-path patterns by number of bound
-#: endpoints (0, 1, 2).  A path with a bound endpoint explores one BFS
-#: closure, which on plan graphs is far cheaper than enumerating a large
-#: unbound candidate set first.
-_PATH_ESTIMATES = (1 << 30, 64, 2)
-
-
-def _choose_next(
-    patterns: List[ast.TriplePattern], bindings: Bindings, graph: Graph
-) -> int:
-    """Index of the cheapest remaining pattern under the current bindings.
-
-    Two-phase greedy: rank first by number of bound positions (cheap);
-    break ties with exact index-based estimates from the triple store
-    (property paths use a coarse bound-endpoint heuristic).  The tie
-    break is what routes recursive queries through the bound end of a
-    path instead of enumerating a large unbound candidate set.
-    """
-    if len(patterns) == 1 or not JOIN_REORDERING:
-        return 0
-
-    def bound_count(tp: ast.TriplePattern) -> int:
-        count = 0
-        if not isinstance(tp.subject, Variable) or tp.subject in bindings:
-            count += 1
-        if not isinstance(tp.predicate, ast.Path):
-            if not isinstance(tp.predicate, Variable) or tp.predicate in bindings:
-                count += 1
-        if not isinstance(tp.obj, Variable) or tp.obj in bindings:
-            count += 1
-        return count
-
-    counts = [bound_count(tp) for tp in patterns]
-    best_count = max(counts)
-    candidates = [i for i, c in enumerate(counts) if c == best_count]
-    if len(candidates) == 1:
-        return candidates[0]
-
-    def estimate(tp: ast.TriplePattern) -> Tuple[int, int]:
-        subject = _resolve(tp.subject, bindings)
-        obj = _resolve(tp.obj, bindings)
-        if isinstance(tp.predicate, ast.Path):
-            bound_ends = (subject is not None) + (obj is not None)
-            return (_PATH_ESTIMATES[bound_ends], 1)
-        predicate = _resolve(tp.predicate, bindings)
-        return (graph.estimate(subject, predicate, obj), 0)
-
-    return min(candidates, key=lambda i: estimate(patterns[i]))
-
-
-def _resolve(term: Term, bindings: Bindings) -> Optional[Term]:
-    """Ground value of *term* under bindings, or None if still free."""
-    if isinstance(term, Variable):
-        return bindings.get(term)
-    return term
-
-
-def _match_triple(
-    pattern: ast.TriplePattern, graph: Graph, bindings: Bindings
-) -> Iterator[Bindings]:
-    subject = _resolve(pattern.subject, bindings)
-    obj = _resolve(pattern.obj, bindings)
-    predicate = pattern.predicate
-    if isinstance(predicate, ast.Path):
-        for s_val, o_val in eval_path(predicate, graph, subject, obj):
-            extended = _extend(bindings, pattern.subject, s_val)
-            if extended is None:
-                continue
-            extended = _extend(extended, pattern.obj, o_val)
-            if extended is not None:
-                yield extended
-        return
-    pred = _resolve(predicate, bindings)
-    for s_val, p_val, o_val in graph.triples(subject, pred, obj):
-        extended = _extend(bindings, pattern.subject, s_val)
-        if extended is None:
-            continue
-        extended = _extend(extended, predicate, p_val)
-        if extended is None:
-            continue
-        extended = _extend(extended, pattern.obj, o_val)
-        if extended is not None:
-            yield extended
-
-
-def _extend(bindings: Bindings, term: Term, value: Term) -> Optional[Bindings]:
-    """Bind *term* (if a variable) to *value*; None on conflict."""
-    if not isinstance(term, Variable):
-        return bindings
-    bound = bindings.get(term)
-    if bound is None:
-        new = dict(bindings)
-        new[term] = value
-        return new
-    if bound == value:
-        return bindings
-    return None
-
-
-# ----------------------------------------------------------------------
-# ID-space BGP join core (dictionary-encoded graphs)
-# ----------------------------------------------------------------------
-#: Sentinel for a pattern position whose ground value is provably absent
-#: from the graph dictionary (real IDs are always >= 0).  A pattern with
-#: an unmatchable position matches nothing.  The planner owns the
-#: compiled-pattern spec vocabulary (it consumes compiled patterns but
-#: must not import this module); the historical underscore names are
-#: kept here for the profiler and tests.
-_UNMATCHABLE = planner.UNMATCHABLE
-
-#: Position-spec kinds for compiled triple patterns.
-_GROUND = planner.GROUND  # pre-encoded dictionary ID
-_VAR = planner.VAR        # a Variable, resolved against the ID bindings
-_ABSENT = planner.ABSENT  # ground term not in the dictionary: matches nothing
-_PATH = planner.PATH      # predicate position only: a property path
 
 IdBindings = Dict[Variable, int]
 
-#: A compiled pattern: (subject_spec, predicate_spec, object_spec) where
-#: each spec is a (kind, payload) pair.  Ground terms are encoded ONCE
-#: per _join_bgp call instead of per recursion step per solution.
-#: (s_spec, p_spec, o_spec, variables, static_bound) — the last two are
-#: precomputed for the join-order heuristic: *variables* lists the
-#: Variable payloads of the _VAR positions (one entry per occurrence),
-#: *static_bound* counts the positions that are bound regardless of the
-#: current solution (_GROUND / _ABSENT; _PATH predicates count zero,
-#: matching the term-space heuristic).
+#: A compiled pattern: (s_spec, p_spec, o_spec, variables).  Each spec
+#: is a ``(kind, payload)`` pair with a kind from the planner (GROUND: a
+#: dictionary ID; VAR: a Variable; ABSENT: a ground term the dictionary
+#: does not hold; PATH: a property path, predicate only).  Ground terms
+#: are encoded ONCE per _join_bgp call instead of per recursion step per
+#: solution.  *variables* lists the Variable payloads of the VAR
+#: positions (one entry per occurrence), for the join-order planner.
 _CompiledPattern = Tuple[
     Tuple[int, object],
     Tuple[int, object],
     Tuple[int, object],
     Tuple[Variable, ...],
-    int,
 ]
 
 
@@ -517,27 +329,23 @@ def _compile_bgp(
 
     def position(term) -> Tuple[int, object]:
         if isinstance(term, Variable):
-            return (_VAR, term)
+            return (VAR, term)
         tid = graph.term_id(term)
-        return (_ABSENT, None) if tid is None else (_GROUND, tid)
+        return (ABSENT, term) if tid is None else (GROUND, tid)
 
     compiled: List[_CompiledPattern] = []
     for tp in patterns:
         pred = tp.predicate
         if isinstance(pred, ast.Path):
-            p_spec: Tuple[int, object] = (_PATH, pred)
+            p_spec: Tuple[int, object] = (PATH, pred)
         else:
             p_spec = position(pred)
         s_spec = position(tp.subject)
         o_spec = position(tp.obj)
-        pat_vars: List[Variable] = []
-        static_bound = 0
-        for spec in (s_spec, p_spec, o_spec):
-            if spec[0] == _VAR:
-                pat_vars.append(spec[1])
-            elif spec[0] != _PATH:
-                static_bound += 1
-        compiled.append((s_spec, p_spec, o_spec, tuple(pat_vars), static_bound))
+        pat_vars = tuple(
+            spec[1] for spec in (s_spec, p_spec, o_spec) if spec[0] == VAR
+        )
+        compiled.append((s_spec, p_spec, o_spec, pat_vars))
     return compiled
 
 
@@ -547,36 +355,29 @@ def _eval_bgp_encoded(
     bindings: Bindings,
     budget=None,
     probe=None,
-    planned: bool = False,
 ) -> Iterator[Bindings]:
     """Evaluate a compiled BGP in ID space, decoding only at the boundary.
 
-    Incoming term bindings are encoded once; variables bound to terms
-    the graph has never seen go into *dead* — any pattern referencing
-    one matches nothing, while solutions not touching it pass through
-    with the original term binding intact.  With *planned* true,
-    *compiled* is already in plan order and evaluated as-is; otherwise
-    the per-solution greedy picks the order.
+    *compiled* is already in join order.  Incoming term bindings are
+    encoded once; a variable bound to a term the graph's dictionary
+    does not hold goes into *dead*, mapped to that term.  A plain triple
+    pattern using a dead variable matches nothing, while a path pattern
+    can still match it at length zero.  Solutions keep every incoming
+    term binding intact.
     """
     ids: IdBindings = {}
-    dead: Set[Variable] = set()
+    dead: Dict[Variable, Term] = {}
     term_id = graph.term_id
     for var, term in bindings.items():
         tid = term_id(term)
         if tid is None:
-            dead.add(var)
+            dead[var] = term
         else:
             ids[var] = tid
     id_term = graph.id_term
-    if planned:
-        solutions = _eval_bgp_ids_ordered(
-            compiled, 0, graph, ids, dead, _NO_SPELL, budget, probe
-        )
-    else:
-        solutions = _eval_bgp_ids(
-            compiled, graph, ids, dead, _NO_SPELL, budget, probe
-        )
-    for solution_ids, spell in solutions:
+    for solution_ids, spell in _eval_bgp_ids_ordered(
+        compiled, 0, graph, ids, dead, _NO_SPELL, budget, probe
+    ):
         out = dict(bindings)
         for var, tid in solution_ids.items():
             if var not in out:
@@ -590,47 +391,20 @@ def _eval_bgp_encoded(
 _NO_SPELL: Dict[Variable, Term] = {}
 
 
-def _eval_bgp_ids(
-    compiled: List[_CompiledPattern],
-    graph: Graph,
-    ids: IdBindings,
-    dead: Set[Variable],
-    spell: Dict[Variable, Term],
-    budget=None,
-    probe=None,
-) -> Iterator[Tuple[IdBindings, Dict[Variable, Term]]]:
-    if not compiled:
-        yield ids, spell
-        return
-    remaining = list(compiled)
-    order = _choose_next_ids(remaining, ids, dead, graph)
-    pattern = remaining.pop(order)
-    if probe is not None:
-        probe.pattern_input(pattern, ids)
-    for ext_ids, ext_spell in _match_triple_ids(pattern, graph, ids, dead, spell):
-        if budget is not None:
-            budget.tick()
-        if probe is not None:
-            probe.pattern_output(pattern)
-        yield from _eval_bgp_ids(
-            remaining, graph, ext_ids, dead, ext_spell, budget, probe
-        )
-
-
 def _eval_bgp_ids_ordered(
     ordered: List[_CompiledPattern],
     position: int,
     graph: Graph,
     ids: IdBindings,
-    dead: Set[Variable],
+    dead: Dict[Variable, Term],
     spell: Dict[Variable, Term],
     budget=None,
     probe=None,
 ) -> Iterator[Tuple[IdBindings, Dict[Variable, Term]]]:
-    """ID-space BGP recursion over a planner-fixed pattern order.
+    """ID-space BGP recursion over a fixed pattern order.
 
-    Skipping the per-solution ``_choose_next_ids`` is itself a win on
-    deep joins: the order was decided once from static selectivities.
+    The order was decided once per bound-variable set (planned, or the
+    written order), so no step re-ranks the remaining patterns.
     """
     if position == len(ordered):
         yield ids, spell
@@ -649,148 +423,48 @@ def _eval_bgp_ids_ordered(
         )
 
 
-def _resolve_spec(
-    spec: Tuple[int, object], ids: IdBindings, dead: Set[Variable]
-) -> Optional[int]:
-    """ID of a compiled position under the bindings: an int when ground
-    and present, ``None`` when still free, ``_UNMATCHABLE`` when the
-    pattern provably matches nothing through this position."""
-    kind, payload = spec
-    if kind == _GROUND:
-        return payload
-    if kind == _VAR:
-        if dead and payload in dead:
-            return _UNMATCHABLE
-        return ids.get(payload)
-    return _UNMATCHABLE  # _ABSENT
-
-
-def _choose_next_ids(
-    compiled: List[_CompiledPattern],
-    ids: IdBindings,
-    dead: Set[Variable],
-    graph: Graph,
-) -> int:
-    """ID-space twin of :func:`_choose_next` (same two-phase greedy).
-
-    The ranking decisions are bit-identical to the term-space version:
-    a compiled _ABSENT position corresponds to a ground term for which
-    ``graph.estimate`` would return 0, and bound/free classification of
-    variables is unchanged.
-    """
-    if len(compiled) == 1 or not JOIN_REORDERING:
-        return 0
-
-    # Phase 1: most-bound-positions-first.  A compiled pattern carries
-    # its static bound count and variable occurrences, so this is a
-    # membership check per variable — no spec unpacking in the loop.
-    best_count = -1
-    candidates: List[int] = []
-    for i, cp in enumerate(compiled):
-        count = cp[4]
-        for var in cp[3]:
-            if var in ids or (dead and var in dead):
-                count += 1
-        if count > best_count:
-            best_count = count
-            candidates = [i]
-        elif count == best_count:
-            candidates.append(i)
-    if len(candidates) == 1:
-        return candidates[0]
-
-    # Phase 2: cheapest estimate among the tied candidates.  Inlined
-    # _resolve_spec — this runs once per tied pattern per solution.
-    ids_get = ids.get
-    best_i = -1
-    best_key: Tuple[int, int] = (0, 0)
-    for i in candidates:
-        cp = compiled[i]
-        s_spec, p_spec, o_spec = cp[0], cp[1], cp[2]
-        kind, payload = s_spec
-        if kind == _GROUND:
-            subject = payload
-        elif kind == _VAR:
-            subject = _UNMATCHABLE if dead and payload in dead else ids_get(payload)
-        else:
-            subject = _UNMATCHABLE
-        kind, payload = o_spec
-        if kind == _GROUND:
-            obj = payload
-        elif kind == _VAR:
-            obj = _UNMATCHABLE if dead and payload in dead else ids_get(payload)
-        else:
-            obj = _UNMATCHABLE
-        if p_spec[0] == _PATH:
-            bound_ends = (subject is not None) + (obj is not None)
-            key = (_PATH_ESTIMATES[bound_ends], 1)
-        else:
-            kind, payload = p_spec
-            if kind == _GROUND:
-                predicate = payload
-            elif kind == _VAR:
-                predicate = (
-                    _UNMATCHABLE if dead and payload in dead else ids_get(payload)
-                )
-            else:
-                predicate = _UNMATCHABLE
-            if _UNMATCHABLE in (subject, predicate, obj):
-                # mirrors graph.estimate() == 0 for absent terms
-                key = (0, 0)
-            else:
-                key = (graph.estimate_ids(subject, predicate, obj), 0)
-        if best_i < 0 or key < best_key:
-            best_i = i
-            best_key = key
-    return best_i
-
-
 def _match_triple_ids(
     cp: _CompiledPattern,
     graph: Graph,
     ids: IdBindings,
-    dead: Set[Variable],
+    dead: Dict[Variable, Term],
     spell: Dict[Variable, Term],
 ) -> Iterator[Tuple[IdBindings, Dict[Variable, Term]]]:
     s_spec, p_spec, o_spec = cp[0], cp[1], cp[2]
-    # Inlined _resolve_spec for all three positions — this is the hot
-    # loop of every BGP join; an unmatchable position returns early.
+    if p_spec[0] == PATH:
+        yield from _match_path_ids(cp, graph, ids, dead, spell)
+        return
+    # Inlined resolution of all three positions — this is the hot loop
+    # of every BGP join; an unmatchable position returns early.  A
+    # variable bound to UNMATCHABLE resolves to it, and the store finds
+    # nothing under it.
     kind, payload = s_spec
-    if kind == _GROUND:
+    if kind == GROUND:
         subject = payload
-    elif kind == _VAR:
+    elif kind == VAR:
         if dead and payload in dead:
             return
         subject = ids.get(payload)
     else:
-        return  # _ABSENT
+        return  # ABSENT
     kind, payload = o_spec
-    if kind == _GROUND:
+    if kind == GROUND:
         obj = payload
-    elif kind == _VAR:
+    elif kind == VAR:
         if dead and payload in dead:
             return
         obj = ids.get(payload)
     else:
-        return  # _ABSENT
-    if p_spec[0] == _PATH:
-        for s_id, o_id in _eval_path_ids(p_spec[1], graph, subject, obj):
-            extended = _extend_id(ids, s_spec, s_id)
-            if extended is None:
-                continue
-            extended = _extend_id(extended, o_spec, o_id)
-            if extended is not None:
-                yield extended, spell
-        return
+        return  # ABSENT
     kind, payload = p_spec
-    if kind == _GROUND:
+    if kind == GROUND:
         pred = payload
-    elif kind == _VAR:
+    elif kind == VAR:
         if dead and payload in dead:
             return
         pred = ids.get(payload)
     else:
-        return  # _ABSENT
+        return  # ABSENT
     # The store filters on every resolved position, so a returned triple
     # already agrees with the bound ones; only the genuinely free
     # variable positions extend the solution.  Resolving them up front
@@ -798,18 +472,17 @@ def _match_triple_ids(
     # duplicated free variable (``?x :p ?x``) shows up twice here so the
     # consistency check below still applies.
     free: List[Tuple[Variable, int]] = []
-    if s_spec[0] == _VAR and subject is None:
+    if s_spec[0] == VAR and subject is None:
         free.append((s_spec[1], 0))
-    if p_spec[0] == _VAR and pred is None:
+    if p_spec[0] == VAR and pred is None:
         free.append((p_spec[1], 1))
-    if o_spec[0] == _VAR and obj is None:
+    if o_spec[0] == VAR and obj is None:
         free.append((o_spec[1], 2))
     # Spelling fidelity: a variable first bound from a cell whose literal
-    # spelling differs from the dictionary representative must decode to
-    # the cell's own spelling (the term-keyed store's behavior).  The
-    # override is recorded only on first bind — re-matching the same
-    # value later keeps the original binding, exactly like _extend.
-    track_spelling = obj is None and o_spec[0] == _VAR and graph.has_spellings
+    # spelling differs from the dictionary representative decodes to the
+    # cell's own spelling.  The override is recorded only on first bind —
+    # re-matching the same value later keeps the original binding.
+    track_spelling = obj is None and o_spec[0] == VAR and graph.has_spellings
     for triple in graph.triples_ids(subject, pred, obj):
         if free:
             extended = dict(ids)
@@ -835,6 +508,85 @@ def _match_triple_ids(
         yield extended, out_spell
 
 
+def _match_path_ids(
+    cp: _CompiledPattern,
+    graph: Graph,
+    ids: IdBindings,
+    dead: Dict[Variable, Term],
+    spell: Dict[Variable, Term],
+) -> Iterator[Tuple[IdBindings, Dict[Variable, Term]]]:
+    """Match a property-path pattern (see :func:`_match_triple_ids`)."""
+    s_spec, o_spec = cp[0], cp[2]
+    subject = _path_end(s_spec, ids, dead)
+    obj = _path_end(o_spec, ids, dead)
+    if subject == UNMATCHABLE or obj == UNMATCHABLE:
+        yield from _match_absent_end(cp, subject, obj, ids, dead, spell)
+        return
+    for s_id, o_id in _eval_path_ids(cp[1][1], graph, subject, obj):
+        extended = _extend_id(ids, s_spec, s_id)
+        if extended is None:
+            continue
+        extended = _extend_id(extended, o_spec, o_id)
+        if extended is not None:
+            yield extended, spell
+
+
+def _path_end(
+    spec: Tuple[int, object], ids: IdBindings, dead: Dict[Variable, Term]
+) -> Optional[int]:
+    """ID of a path end: ``None`` when free, UNMATCHABLE when the graph's
+    dictionary does not hold its term."""
+    kind, payload = spec
+    if kind == GROUND:
+        return payload
+    if kind == VAR:
+        return UNMATCHABLE if payload in dead else ids.get(payload)
+    return UNMATCHABLE  # ABSENT
+
+
+def _match_absent_end(
+    cp: _CompiledPattern,
+    subject: Optional[int],
+    obj: Optional[int],
+    ids: IdBindings,
+    dead: Dict[Variable, Term],
+    spell: Dict[Variable, Term],
+) -> Iterator[Tuple[IdBindings, Dict[Variable, Term]]]:
+    """Match a path pattern with an end the graph's dictionary lacks.
+
+    Such a term has no edges, so only the empty route reaches it, and
+    SPARQL 1.1 relates a ground or bound end to itself at length zero
+    whether or not the graph holds it.  The pattern matches once when
+    its path can be empty and the other end is the same term or a free
+    variable.  That variable is bound to UNMATCHABLE, which every store
+    lookup misses, with the term as its spelling override, so the
+    solution decodes to the term and later path patterns read it back.
+    """
+    if not planner.can_be_zero(cp[1][1]):
+        return
+    if subject is None or obj is None:
+        free, absent = (cp[0], cp[2]) if subject is None else (cp[2], cp[0])
+        extended = dict(ids)
+        extended[free[1]] = UNMATCHABLE
+        out_spell = dict(spell)
+        out_spell[free[1]] = _absent_term(absent, dead, spell)
+        yield extended, out_spell
+    elif subject == obj and _absent_term(cp[0], dead, spell) == _absent_term(
+        cp[2], dead, spell
+    ):
+        yield ids, spell
+
+
+def _absent_term(
+    spec: Tuple[int, object], dead: Dict[Variable, Term], spell: Dict[Variable, Term]
+) -> Term:
+    """The term an UNMATCHABLE path end stands for."""
+    kind, payload = spec
+    if kind == ABSENT:
+        return payload
+    return dead[payload] if payload in dead else spell[payload]
+
+
 def _extend_id(
     ids: IdBindings, spec: Tuple[int, object], value: int
 ) -> Optional[IdBindings]:
@@ -844,7 +596,7 @@ def _extend_id(
     dictionary ID (numeric-literal canonicalization included), so ID
     equality coincides exactly with term equality within one graph.
     """
-    if spec[0] != _VAR:
+    if spec[0] != VAR:
         return ids
     var = spec[1]
     bound = ids.get(var)
@@ -858,374 +610,19 @@ def _extend_id(
 
 
 # ----------------------------------------------------------------------
-# Property paths
-# ----------------------------------------------------------------------
-def eval_path(
-    path: ast.Path, graph: Graph, subject: Optional[Term], obj: Optional[Term]
-) -> Iterator[Tuple[Term, Term]]:
-    """Yield (subject, object) pairs connected by *path*.
-
-    Either end may be bound (a ground term) or free (``None``).
-    """
-    if isinstance(path, ast.PathLink):
-        for s, _, o in graph.triples(subject, path.iri, obj):
-            yield (s, o)
-        return
-    if isinstance(path, ast.PathInverse):
-        for o, s in eval_path(path.path, graph, obj, subject):
-            yield (s, o)
-        return
-    if isinstance(path, ast.PathAlternative):
-        seen: Set[Tuple[Term, Term]] = set()
-        for part in path.parts:
-            for pair in eval_path(part, graph, subject, obj):
-                if pair not in seen:
-                    seen.add(pair)
-                    yield pair
-        return
-    if isinstance(path, ast.PathSequence):
-        yield from _eval_sequence(path.parts, graph, subject, obj)
-        return
-    if isinstance(path, ast.PathMod):
-        yield from _eval_mod(path, graph, subject, obj)
-        return
-    raise TypeError(f"unsupported path {path!r}")
-
-
-def _eval_sequence(
-    parts: Tuple[ast.Path, ...],
-    graph: Graph,
-    subject: Optional[Term],
-    obj: Optional[Term],
-) -> Iterator[Tuple[Term, Term]]:
-    if len(parts) == 1:
-        yield from eval_path(parts[0], graph, subject, obj)
-        return
-    # Evaluate left-to-right when the subject is bound (or both free),
-    # right-to-left when only the object is bound.
-    if subject is None and obj is not None:
-        last = parts[-1]
-        rest = parts[:-1]
-        seen: Set[Tuple[Term, Term]] = set()
-        for mid, o_val in eval_path(last, graph, None, obj):
-            for s_val, _ in _eval_sequence(rest, graph, None, mid):
-                pair = (s_val, o_val)
-                if pair not in seen:
-                    seen.add(pair)
-                    yield pair
-        return
-    first = parts[0]
-    rest = parts[1:]
-    seen = set()
-    for s_val, mid in eval_path(first, graph, subject, None):
-        for _, o_val in _eval_sequence(rest, graph, mid, obj):
-            pair = (s_val, o_val)
-            if pair not in seen:
-                seen.add(pair)
-                yield pair
-
-
-def _path_successors(
-    path: ast.Path, graph: Graph, node: Term, forward: bool
-) -> Iterator[Term]:
-    """One application of *path* starting at *node*."""
-    if forward:
-        for _, target in eval_path(path, graph, node, None):
-            yield target
-    else:
-        for source, _ in eval_path(path, graph, None, node):
-            yield source
-
-
-# Per-graph memo for transitive-closure path evaluation.  Recursive
-# (descendant) patterns re-query the same closure for every candidate
-# binding; caching turns the repeated BFS into a dictionary lookup.  The
-# state lives in an attribute ON the graph object, so it shares the
-# graph's lifetime with no weak-reference machinery, and — critically —
-# no hashing of the graph: a WeakKeyDictionary here would fall back to
-# the value-based ``Graph.__eq__`` (an O(size) triple comparison) on any
-# bucket collision, which profiling showed dominating recursive-pattern
-# evaluation.  Invalidation goes through the graph's mutation counter.
-_CLOSURE_ATTR = "_sparql_closure_cache"
-
-#: Cap on memoized closures per graph; past it the oldest entry is
-#: evicted.  Keys are path-object identities, so one-off ad-hoc queries
-#: leave entries no later query reuses.  On the largest benchmark plan
-#: (539 operators, 13k triples) one query adds at most 51 entries for
-#: Patterns A-D and the KB queries, and 2,722 for a both-ends-free
-#: mutual-reachability join, so no query evicts its own entries.
-MAX_CLOSURES_PER_GRAPH = 4096
-
-#: Guards the attach/replace of the per-graph closure memo and every
-#: insert/eviction.  Multiple engine workers share one graph; without
-#: the lock two threads racing a version bump could each install a
-#: fresh state and interleave writes across them, a reader could
-#: observe a state dict whose "entries" belong to another version, or
-#: two evictions could race on the same oldest entry.
-_CLOSURE_LOCK = threading.Lock()
-
-
-def _closure_entries(graph: Graph) -> dict:
-    """A snapshot of the (version-checked) closure memo for *graph*.
-
-    The returned entries dict is captured once per call: a caller keeps
-    reading/writing the dict it was handed even if the graph mutates
-    mid-iteration and a newer state replaces the attribute.  Writes then
-    land in the superseded snapshot and are garbage-collected with it —
-    stale closures are never served to post-mutation readers, matching
-    the version check at generator start.
-    """
-    state = getattr(graph, _CLOSURE_ATTR, None)
-    version = graph.version
-    if state is None or state["version"] != version:
-        with _CLOSURE_LOCK:
-            state = getattr(graph, _CLOSURE_ATTR, None)
-            if state is None or state["version"] != version:
-                state = {"version": version, "entries": {}}
-                setattr(graph, _CLOSURE_ATTR, state)
-    return state["entries"]
-
-
-def _closure(
-    path: ast.Path, graph: Graph, start: Term, forward: bool
-) -> Iterator[Term]:
-    """Nodes reachable from *start* by one or more applications of *path*."""
-    probe = active_probe()
-    budget = active_budget()
-    cache = None
-    key = None
-    if CLOSURE_CACHING:
-        try:
-            cache = _closure_entries(graph)
-            # Key the path by identity, not value: hashing a nested path
-            # expression recursively on every lookup costs more than the
-            # BFS it saves.  The cached entry pins the path object so its
-            # id cannot be recycled while the entry lives.
-            key = (id(path), start, forward)
-            hit = cache.get(key)
-            if hit is not None:
-                if probe is not None:
-                    probe.closure(path, start, forward, None, cached=True)
-                # Warm hits still consume budget per yielded node: a
-                # cached closure feeds the same downstream join work as
-                # a cold one, and deadline/visit governance must see it.
-                if budget is None:
-                    yield from hit[1]
-                else:
-                    for node in hit[1]:
-                        budget.tick()
-                        yield node
-                return
-        except (TypeError, AttributeError):  # unhashable term / frozen graph
-            cache = None
-            key = None
-    # BFS discovery order, not set order: deterministic given the store,
-    # and identical to the ID-space closure over the same encoded graph
-    # (both walk the same int-keyed indexes).
-    frontier_sizes: Optional[List[int]] = [] if probe is not None else None
-    seen: Set[Term] = set()
-    order: List[Term] = []
-    frontier = [start]
-    while frontier:
-        if frontier_sizes is not None:
-            frontier_sizes.append(len(frontier))
-        next_frontier: List[Term] = []
-        for node in frontier:
-            for successor in _path_successors(path, graph, node, forward):
-                if budget is not None:
-                    budget.tick()
-                if successor not in seen:
-                    seen.add(successor)
-                    order.append(successor)
-                    next_frontier.append(successor)
-        frontier = next_frontier
-    if cache is not None:
-        # (pinned path, discovery order, membership set): the set serves
-        # the both-bound membership fast path in _eval_mod.
-        planner.memo_insert(
-            cache, key, (path, tuple(order), frozenset(order)),
-            MAX_CLOSURES_PER_GRAPH, _CLOSURE_LOCK,
-        )
-    if probe is not None:
-        probe.closure(path, start, forward, frontier_sizes, cached=False)
-    yield from order
-
-
-def _closure_contains(
-    path: ast.Path, graph: Graph, start: Term, target: Term
-) -> bool:
-    """Is *target* forward-reachable from *start*?  Memoized membership.
-
-    A warm closure answers in O(1) against the cached membership set —
-    one budget tick instead of a scan of the whole closure sequence.
-    Cold closures run (and memoize) the full BFS via :func:`_closure`.
-    """
-    if CLOSURE_CACHING:
-        try:
-            hit = _closure_entries(graph).get((id(path), start, True))
-        except (TypeError, AttributeError):
-            hit = None
-        if hit is not None:
-            budget = active_budget()
-            if budget is not None:
-                budget.tick()
-            probe = active_probe()
-            if probe is not None:
-                probe.closure(path, start, True, None, cached=True)
-            return target in hit[2]
-    found = False
-    # Drain fully (no early break) so the generator reaches its cache
-    # write and the next membership probe for this start is O(1).
-    for node in _closure(path, graph, start, forward=True):
-        if node == target:
-            found = True
-    return found
-
-
-def _closure_decision(plan, total_nodes: int) -> Dict[str, object]:
-    """Probe payload describing a both-free closure-direction decision."""
-    return {
-        "direction": plan.direction,
-        "mode": "full-scan" if plan.seeds is None else "seeded",
-        "seeds": total_nodes if plan.seeds is None else len(plan.seeds),
-        "totalNodes": total_nodes,
-        "forwardCandidates": plan.forward_count,
-        "reverseCandidates": plan.reverse_count,
-    }
-
-
-def _graph_nodes(graph: Graph) -> Iterable[Term]:
-    """Every subject/object node, deterministically ordered when possible.
-
-    Encoded graphs enumerate in ascending dictionary-ID order — the same
-    order the ID-space path uses, so both join cores emit both-free path
-    solutions identically.  Plain stores fall back to an unordered set.
-    """
-    if _id_capable(graph):
-        id_term = graph.id_term
-        return [id_term(tid) for tid in graph.node_ids()]
-    nodes: Set[Term] = set(graph.subject_set())
-    for s, p, o in graph.triples():
-        nodes.add(o)
-    return nodes
-
-
-def _eval_mod(
-    path: ast.PathMod, graph: Graph, subject: Optional[Term], obj: Optional[Term]
-) -> Iterator[Tuple[Term, Term]]:
-    inner = path.path
-    mod = path.modifier
-    emitted: Set[Tuple[Term, Term]] = set()
-
-    def emit(pair: Tuple[Term, Term]) -> Iterator[Tuple[Term, Term]]:
-        if pair not in emitted:
-            emitted.add(pair)
-            yield pair
-
-    if mod == "?":
-        # zero-length
-        if subject is not None and obj is not None:
-            if subject == obj:
-                yield from emit((subject, obj))
-        elif subject is not None:
-            yield from emit((subject, subject))
-        elif obj is not None:
-            yield from emit((obj, obj))
-        else:
-            for node in _graph_nodes(graph):
-                yield from emit((node, node))
-        for pair in eval_path(inner, graph, subject, obj):
-            yield from emit(pair)
-        return
-
-    budget = active_budget()
-    include_zero = mod == "*"
-    if subject is not None:
-        if obj is not None and COST_PLANNER:
-            # Both ends bound: the closure only decides whether *obj* is
-            # reachable — a memoized membership test, not a scan of the
-            # whole closure sequence per candidate pair.
-            if include_zero and obj == subject:
-                yield from emit((subject, subject))
-            if _closure_contains(inner, graph, subject, obj):
-                if budget is not None:
-                    budget.tick()
-                yield from emit((subject, obj))
-            return
-        if include_zero and (obj is None or obj == subject):
-            yield from emit((subject, subject))
-        for target in _closure(inner, graph, subject, forward=True):
-            if budget is not None:
-                budget.tick()
-            if obj is None or target == obj:
-                yield from emit((subject, target))
-        return
-    if obj is not None:
-        if include_zero:
-            yield from emit((obj, obj))
-        for source in _closure(inner, graph, obj, forward=False):
-            if budget is not None:
-                budget.tick()
-            yield from emit((source, obj))
-        return
-    # Both ends free: zero-length pairs cover every node, but non-empty
-    # closures can only start from the planner's endpoint candidates.
-    nodes = _graph_nodes(graph)
-    if include_zero:
-        for node in nodes:
-            yield from emit((node, node))
-    plan = (
-        planner.plan_closure(inner, graph)
-        if COST_PLANNER and _id_capable(graph)
-        else None
-    )
-    probe = active_probe()
-    if probe is not None and plan is not None:
-        probe.closure_plan(inner, _closure_decision(plan, len(nodes)))
-    if plan is None or plan.seeds is None:
-        for node in nodes:
-            if isinstance(node, Literal):
-                continue  # literals cannot start a forward path
-            for target in _closure(inner, graph, node, forward=True):
-                if budget is not None:
-                    budget.tick()
-                yield from emit((node, target))
-        return
-    id_term = graph.id_term
-    if plan.direction == "forward":
-        for tid in plan.seeds:
-            node = id_term(tid)
-            if isinstance(node, Literal):
-                continue  # literals cannot start a forward path
-            for target in _closure(inner, graph, node, forward=True):
-                if budget is not None:
-                    budget.tick()
-                yield from emit((node, target))
-        return
-    for tid in plan.seeds:  # reverse: seeds are the reachable endpoints
-        node = id_term(tid)
-        for source in _closure(inner, graph, node, forward=False):
-            if budget is not None:
-                budget.tick()
-            if isinstance(source, Literal):
-                continue  # literal sources match the forward skip above
-            yield from emit((source, node))
-
-
-# ----------------------------------------------------------------------
 # Property paths in ID space
 # ----------------------------------------------------------------------
-# Twins of the term-space path evaluation above, operating on dictionary
-# IDs throughout: the BFS frontiers, the dedup sets and the closure-cache
-# entries all hold ints.  Semantics (including the left-to-right /
-# right-to-left sequence orientation and zero-length cases) mirror the
-# term versions line for line.
+# The BFS frontiers, the dedup sets and the closure-memo entries all hold
+# dictionary IDs; terms appear only when a solution is decoded.
 
 
 def _eval_path_ids(
     path: ast.Path, graph: Graph, subject: Optional[int], obj: Optional[int]
 ) -> Iterator[Tuple[int, int]]:
-    """Yield (subject_id, object_id) pairs connected by *path*."""
+    """Yield (subject_id, object_id) pairs connected by *path*.
+
+    Either end may be bound (an ID) or free (``None``).
+    """
     if isinstance(path, ast.PathLink):
         pred = graph.term_id(path.iri)
         if pred is None:
@@ -1299,14 +696,62 @@ def _path_successors_ids(
             yield source
 
 
+# Per-graph memo for transitive-closure path evaluation.  Recursive
+# (descendant) patterns re-query the same closure for every candidate
+# binding; caching turns the repeated BFS into a dictionary lookup.  The
+# state lives in an attribute ON the graph object, so it shares the
+# graph's lifetime with no weak-reference machinery, and — critically —
+# no hashing of the graph: a WeakKeyDictionary here would fall back to
+# the value-based ``Graph.__eq__`` (an O(size) triple comparison) on any
+# bucket collision, which profiling showed dominating recursive-pattern
+# evaluation.  Invalidation goes through the graph's mutation counter.
+_CLOSURE_ATTR = "_sparql_closure_cache"
+
+#: Cap on memoized closures per graph; past it the oldest entry is
+#: evicted.  Keys are path-object identities, so one-off ad-hoc queries
+#: leave entries no later query reuses.  On the largest benchmark plan
+#: (539 operators, 13k triples) one query adds at most 51 entries for
+#: Patterns A-D and the KB queries, and 2,722 for a both-ends-free
+#: mutual-reachability join, so no query evicts its own entries.
+MAX_CLOSURES_PER_GRAPH = 4096
+
+#: Guards the attach/replace of the per-graph closure memo and every
+#: insert/eviction.  Multiple engine workers share one graph; without
+#: the lock two threads racing a version bump could each install a
+#: fresh state and interleave writes across them, a reader could
+#: observe a state dict whose "entries" belong to another version, or
+#: two evictions could race on the same oldest entry.
+_CLOSURE_LOCK = threading.Lock()
+
+
+def _closure_entries(graph: Graph) -> dict:
+    """A snapshot of the (version-checked) closure memo for *graph*.
+
+    The returned entries dict is captured once per call: a caller keeps
+    reading/writing the dict it was handed even if the graph mutates
+    mid-iteration and a newer state replaces the attribute.  Writes then
+    land in the superseded snapshot and are garbage-collected with it —
+    stale closures are never served to post-mutation readers, matching
+    the version check at generator start.
+    """
+    state = getattr(graph, _CLOSURE_ATTR, None)
+    version = graph.version
+    if state is None or state["version"] != version:
+        with _CLOSURE_LOCK:
+            state = getattr(graph, _CLOSURE_ATTR, None)
+            if state is None or state["version"] != version:
+                state = {"version": version, "entries": {}}
+                setattr(graph, _CLOSURE_ATTR, state)
+    return state["entries"]
+
+
 def _closure_ids(
     path: ast.Path, graph: Graph, start: int, forward: bool
 ) -> Iterator[int]:
     """IDs reachable from *start* by one or more applications of *path*.
 
-    Shares the per-graph memo with the term-space closure — the key
-    carries an int start in ID mode and a Term in term mode, which can
-    never collide (an int never equals a Term).
+    Yields in BFS discovery order, not set order, so results are
+    deterministic given the store.
     """
     probe = active_probe()
     budget = active_budget()
@@ -1314,14 +759,18 @@ def _closure_ids(
     key = None
     if CLOSURE_CACHING:
         cache = _closure_entries(graph)
+        # Key the path by identity, not value: hashing a nested path
+        # expression recursively on every lookup costs more than the
+        # BFS it saves.  The cached entry pins the path object so its
+        # id cannot be recycled while the entry lives.
         key = (id(path), start, forward)
         hit = cache.get(key)
         if hit is not None:
             if probe is not None:
                 probe.closure(path, start, forward, None, cached=True)
-            # Warm hits still consume budget per yielded node (see the
-            # term-space twin): governance must not be bypassed by the
-            # memo.
+            # Warm hits still consume budget per yielded node: a cached
+            # closure feeds the same downstream join work as a cold one,
+            # and deadline/visit governance must see it.
             if budget is None:
                 yield from hit[1]
             else:
@@ -1348,7 +797,7 @@ def _closure_ids(
         frontier = next_frontier
     if cache is not None:
         # (pinned path, discovery order, membership set) — the set backs
-        # the both-bound membership fast path in _eval_mod_ids.
+        # the both-bound membership test in _eval_mod_ids.
         planner.memo_insert(
             cache, key, (path, tuple(order), frozenset(order)),
             MAX_CLOSURES_PER_GRAPH, _CLOSURE_LOCK,
@@ -1361,7 +810,12 @@ def _closure_ids(
 def _closure_contains_ids(
     path: ast.Path, graph: Graph, start: int, target: int
 ) -> bool:
-    """ID-space twin of :func:`_closure_contains` (O(1) when warm)."""
+    """Is *target* forward-reachable from *start*?  Memoized membership.
+
+    A warm closure answers in O(1) against the cached membership set —
+    one budget tick instead of a scan of the whole closure sequence.
+    Cold closures run (and memoize) the full BFS via :func:`_closure_ids`.
+    """
     if CLOSURE_CACHING:
         hit = _closure_entries(graph).get((id(path), start, True))
         if hit is not None:
@@ -1373,11 +827,24 @@ def _closure_contains_ids(
                 probe.closure(path, start, True, None, cached=True)
             return target in hit[2]
     found = False
-    # Drain fully so _closure_ids reaches its cache write.
+    # Drain fully (no early break) so _closure_ids reaches its cache
+    # write and the next membership probe for this start is O(1).
     for node in _closure_ids(path, graph, start, forward=True):
         if node == target:
             found = True
     return found
+
+
+def _closure_decision(plan, total_nodes: int) -> Dict[str, object]:
+    """Probe payload describing a both-free closure-direction decision."""
+    return {
+        "direction": plan.direction,
+        "mode": "full-scan" if plan.seeds is None else "seeded",
+        "seeds": total_nodes if plan.seeds is None else len(plan.seeds),
+        "totalNodes": total_nodes,
+        "forwardCandidates": plan.forward_count,
+        "reverseCandidates": plan.reverse_count,
+    }
 
 
 def _eval_mod_ids(
@@ -1411,7 +878,7 @@ def _eval_mod_ids(
     budget = active_budget()
     include_zero = mod == "*"
     if subject is not None:
-        if obj is not None and COST_PLANNER:
+        if obj is not None:
             # Both ends bound: memoized membership test instead of a
             # scan of the whole closure sequence per candidate pair —
             # this is what turns the pathological mutual-reachability
@@ -1423,13 +890,12 @@ def _eval_mod_ids(
                     budget.tick()
                 yield from emit((subject, obj))
             return
-        if include_zero and (obj is None or obj == subject):
+        if include_zero:
             yield from emit((subject, subject))
         for target in _closure_ids(inner, graph, subject, forward=True):
             if budget is not None:
                 budget.tick()
-            if obj is None or target == obj:
-                yield from emit((subject, target))
+            yield from emit((subject, target))
         return
     if obj is not None:
         if include_zero:
@@ -1445,23 +911,14 @@ def _eval_mod_ids(
     if include_zero:
         for node in nodes:
             yield from emit((node, node))
-    plan = planner.plan_closure(inner, graph) if COST_PLANNER else None
+    plan = planner.plan_closure(inner, graph)
     probe = active_probe()
-    if probe is not None and plan is not None:
+    if probe is not None:
         probe.closure_plan(inner, _closure_decision(plan, len(nodes)))
-    if plan is None or plan.seeds is None:
-        for node in nodes:
-            if graph.is_literal_id(node):
-                continue  # literals cannot start a forward path
-            for target in _closure_ids(inner, graph, node, forward=True):
-                if budget is not None:
-                    budget.tick()
-                yield from emit((node, target))
-        return
+    # A literal can start a path too: through an inverse step, or at
+    # length zero inside the inner path (``(p?)+``).
     if plan.direction == "forward":
-        for node in plan.seeds:
-            if graph.is_literal_id(node):
-                continue  # literals cannot start a forward path
+        for node in nodes if plan.seeds is None else plan.seeds:
             for target in _closure_ids(inner, graph, node, forward=True):
                 if budget is not None:
                     budget.tick()
@@ -1471,8 +928,6 @@ def _eval_mod_ids(
         for source in _closure_ids(inner, graph, node, forward=False):
             if budget is not None:
                 budget.tick()
-            if graph.is_literal_id(source):
-                continue  # literal sources match the forward skip above
             yield from emit((source, node))
 
 

@@ -1,13 +1,11 @@
 """Ahead-of-time cost-based planning for BGP joins and path closures.
 
-The evaluator's original strategy picked the next triple pattern
-per intermediate solution (greedy, value-dependent).  This module plans
-a whole basic graph pattern **once per (pattern set, bound-variable
-set, graph version)** from the store's exact :meth:`~repro.rdf.graph.
-Graph.estimate_ids` cardinalities, in the spirit of *Towards Query
-Optimization for SPARQL Property Paths* (Yakovets et al.): selectivity
-estimates drive both the join order and the direction property-path
-closures are explored in.
+This module plans a whole basic graph pattern **once per (pattern set,
+bound-variable set, graph version)** from the store's exact
+:meth:`~repro.rdf.graph.Graph.estimate_ids` cardinalities, in the
+spirit of *Towards Query Optimization for SPARQL Property Paths*
+(Yakovets et al.): selectivity estimates drive both the join order and
+the direction property-path closures are explored in.
 
 Three planning products:
 
@@ -38,8 +36,7 @@ Three planning products:
   equally cheap, keep the simpler one.
 
 This module is imported by :mod:`repro.sparql.evaluator` (never the
-reverse), so it owns the compiled-pattern position-spec kinds; the
-evaluator re-exports them under their historical underscore names.
+reverse), so it owns the compiled-pattern position-spec kinds.
 """
 
 from __future__ import annotations
@@ -60,6 +57,7 @@ __all__ = [
     "PATH",
     "UNMATCHABLE",
     "VAR",
+    "can_be_zero",
     "invalidate",
     "order_bgp",
     "plan_bgp",
@@ -70,10 +68,11 @@ __all__ = [
 #: ``_compile_bgp``).  A compiled position is a ``(kind, payload)`` pair.
 GROUND = 0  # pre-encoded dictionary ID
 VAR = 1     # a Variable, resolved against the ID bindings at runtime
-ABSENT = 2  # ground term not in the graph dictionary: matches nothing
+ABSENT = 2  # ground term not in the graph dictionary (payload: the term)
 PATH = 3    # predicate position only: a property-path expression
 
-#: Sentinel for a provably-absent ground position (real IDs are >= 0).
+#: Sentinel ID for a term the graph dictionary does not hold (real IDs
+#: are >= 0): every store lookup on it finds nothing.
 UNMATCHABLE = -1
 
 #: BGPs up to this many patterns are planned with an exact DP over join
@@ -81,9 +80,9 @@ UNMATCHABLE = -1
 DP_MAX_PATTERNS = 8
 
 #: Assumed per-solution result sizes for property-path patterns by
-#: number of bound endpoints (0, 1, 2) — mirrors the evaluator's
-#: ``_PATH_ESTIMATES`` so planned and per-solution greedy orders agree
-#: on where paths belong in a join.
+#: number of bound endpoints (0, 1, 2).  A path with a bound endpoint
+#: explores one BFS closure, which on plan graphs is far cheaper than
+#: enumerating a large unbound candidate set first.
 PATH_ESTIMATES = (float(1 << 30), 64.0, 2.0)
 
 #: Cap on memoized BGP plans, and separately on closure plans, per graph
@@ -220,8 +219,8 @@ class _EstimateTable:
     * a position bound by a *join variable* (value unknown at plan
       time) divides the ground estimate by the predicate's distinct
       subject/object count — the classic uniform-distribution estimate;
-    * property paths use the coarse bound-endpoint heuristic shared
-      with the per-solution greedy;
+    * property paths use the coarse bound-endpoint heuristic
+      :data:`PATH_ESTIMATES`;
     * any ``ABSENT`` position makes the pattern unmatchable (0.0).
     """
 
@@ -466,16 +465,16 @@ def plan_bgp(
 # ----------------------------------------------------------------------
 # Closure-direction planning
 # ----------------------------------------------------------------------
-def _can_be_zero(path: ast.Path) -> bool:
+def can_be_zero(path: ast.Path) -> bool:
     """True when *path* can match a zero-length walk (node to itself)."""
     if isinstance(path, ast.PathMod):
-        return path.modifier in ("*", "?") or _can_be_zero(path.path)
+        return path.modifier in ("*", "?") or can_be_zero(path.path)
     if isinstance(path, ast.PathInverse):
-        return _can_be_zero(path.path)
+        return can_be_zero(path.path)
     if isinstance(path, ast.PathSequence):
-        return all(_can_be_zero(part) for part in path.parts)
+        return all(can_be_zero(part) for part in path.parts)
     if isinstance(path, ast.PathAlternative):
-        return any(_can_be_zero(part) for part in path.parts)
+        return any(can_be_zero(part) for part in path.parts)
     return False  # PathLink
 
 
@@ -517,11 +516,11 @@ def _endpoint_ids(
             if ends is None:
                 return None
             union |= ends
-            if not _can_be_zero(part):
+            if not can_be_zero(part):
                 return union
         return None  # every part zero-capable: the whole sequence is too
     if isinstance(path, ast.PathMod):
-        if path.modifier == "+" and not _can_be_zero(path.path):
+        if path.modifier == "+" and not can_be_zero(path.path):
             return _endpoint_ids(path.path, graph, forward)
         return None  # * / ? match zero-length from any node
     return None

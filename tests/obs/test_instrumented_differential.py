@@ -6,10 +6,11 @@ every row, ordering and match signature must be unchanged.  The probe
 and tracer are pure observers — if any hook ever filtered, reordered or
 duplicated a solution this suite is the tripwire.
 
-Reuses the random-graph strategy of
-``tests/sparql/test_evaluator_idspace.py`` so the differential runs over
-the same adversarial shapes (unmatchable ground terms, path fixpoints,
-OPTIONAL/UNION under filters) that the ID-space join is tested with.
+Reuses the graph strategy and query corpus of
+``tests/sparql/test_oracle_differential.py`` so the differential runs
+over the same adversarial shapes (unmatchable ground terms, path
+fixpoints, OPTIONAL/UNION under filters) that the engine is checked
+against the reference evaluator with.
 """
 
 import pytest
@@ -21,52 +22,42 @@ from repro.kb.builtin import make_pattern
 from repro.obs.instrument import EvalProbe, probing
 from repro.obs.profiler import CollectingProbe, explain
 from repro.obs.tracing import Tracer
-from repro.sparql import evaluator
 
 from tests.conftest import build_figure1_plan
-from tests.sparql.test_evaluator_idspace import (
-    _PROPERTY_QUERIES,
-    _edges,
-    _random_graph,
-    _rows,
+from tests.sparql.test_oracle_differential import (
+    PARSED,
+    build_graph,
+    edges_strategy,
+    engine_rows,
 )
 
 
 @settings(max_examples=25, deadline=None)
-@given(
-    edges=_edges,
-    query_index=st.integers(0, len(_PROPERTY_QUERIES) - 1),
-    id_space=st.booleans(),
-)
-def test_probe_never_changes_rows(edges, query_index, id_space):
-    """CollectingProbe installed vs absent: identical rows, same order,
-    on both the ID-space and the term-space join paths."""
-    graph = _random_graph(edges)
-    body = _PROPERTY_QUERIES[query_index]
-    evaluator.ID_SPACE_JOIN = id_space
-    try:
-        plain = _rows(graph, body)
-        with probing(CollectingProbe()):
-            probed = _rows(graph, body)
-        # A second run inside the *same* probe (aggregation across
-        # queries) must not perturb anything either.
-        with probing(CollectingProbe()):
-            again = _rows(graph, body)
-    finally:
-        evaluator.ID_SPACE_JOIN = True
+@given(edges=edges_strategy, query_index=st.integers(0, len(PARSED) - 1))
+def test_probe_never_changes_rows(edges, query_index):
+    """CollectingProbe installed vs absent: identical rows, same order."""
+    graph = build_graph(edges)
+    parsed = PARSED[query_index]
+    plain = engine_rows(graph, parsed)
+    with probing(CollectingProbe()):
+        probed = engine_rows(graph, parsed)
+    # A second run inside the *same* probe (aggregation across
+    # queries) must not perturb anything either.
+    with probing(CollectingProbe()):
+        again = engine_rows(graph, parsed)
     assert probed == plain
     assert again == plain
 
 
 @settings(max_examples=15, deadline=None)
-@given(edges=_edges, query_index=st.integers(0, len(_PROPERTY_QUERIES) - 1))
+@given(edges=edges_strategy, query_index=st.integers(0, len(PARSED) - 1))
 def test_base_probe_is_inert(edges, query_index):
     """The no-op EvalProbe base class is also a safe observer."""
-    graph = _random_graph(edges)
-    body = _PROPERTY_QUERIES[query_index]
-    plain = _rows(graph, body)
+    graph = build_graph(edges)
+    parsed = PARSED[query_index]
+    plain = engine_rows(graph, parsed)
     with probing(EvalProbe()):
-        probed = _rows(graph, body)
+        probed = engine_rows(graph, parsed)
     assert probed == plain
 
 

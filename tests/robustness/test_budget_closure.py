@@ -47,14 +47,14 @@ def closure_path():
 def test_warm_closure_generator_still_honors_deadline():
     g = chain_graph()
     path = closure_path()
-    start = EX.n0
-    # Warm the memo with no budget installed.
-    warm = list(evaluator._closure(path, g, start, forward=True))
+    start = g.term_id(EX.n40)
+    # Warm the memo (a reverse closure) with no budget installed.
+    warm = list(evaluator._closure_ids(path, g, start, forward=False))
     assert len(warm) == 40
     # Replay from the memo under an expired deadline: must raise, and
     # must do so before yielding the whole sequence.
     with limits.activate(expired_budget()):
-        gen = evaluator._closure(path, g, start, forward=True)
+        gen = evaluator._closure_ids(path, g, start, forward=False)
         with pytest.raises(EvaluationTimeout):
             for _ in gen:
                 pass
@@ -76,11 +76,11 @@ def test_warm_closure_ids_generator_still_honors_deadline():
 def test_warm_closure_generator_honors_binding_cap():
     g = chain_graph()
     path = closure_path()
-    start = EX.n0
-    list(evaluator._closure(path, g, start, forward=True))  # warm
+    start = g.term_id(EX.n0)
+    list(evaluator._closure_ids(path, g, start, forward=True))  # warm
     with limits.activate(Budget(max_bindings=5)):
         with pytest.raises(BudgetExceeded):
-            for _ in evaluator._closure(path, g, start, forward=True):
+            for _ in evaluator._closure_ids(path, g, start, forward=True):
                 pass
 
 
@@ -101,12 +101,12 @@ def test_cold_and_warm_tick_counts_match():
     """The memo is a cost optimization, not a budget discount: replaying
     a closure charges the same per-element ticks as running its BFS."""
     path = closure_path()
-    start = EX.n0
 
     def ticks_for(graph):
         budget = Budget()
+        start = graph.term_id(EX.n0)
         with limits.activate(budget):
-            list(evaluator._closure(path, graph, start, forward=True))
+            list(evaluator._closure_ids(path, graph, start, forward=True))
         return budget.bindings
 
     g = chain_graph()

@@ -1,83 +1,45 @@
 """Optimizations must be invisible: join reordering and closure caching
-may change cost, never results."""
+may change cost, never results.
 
-import pytest
+Engine against engine.  Join reordering may change the order of
+unordered rows, never the rows.  Closure caching may not even change
+the order or a spelling: the memo replays the closure's BFS discovery
+order, and numeric literals compare by value, so only an exact-spelling
+comparison sees a changed spelling.
+"""
+
+from collections import Counter
+
 from hypothesis import given, settings, strategies as st
 
-from repro.rdf import Graph, Literal, Namespace
-from repro.sparql import evaluator, query
-
-EX = Namespace("http://n/")
-P = Namespace("http://p/")
-PREFIX = "PREFIX n: <http://n/> PREFIX p: <http://p/>\n"
-
-_QUERIES = [
-    # multi-pattern BGP with a filter
-    "SELECT ?a ?c WHERE { ?a p:e0 ?b . ?b p:e1 ?c . ?a p:val ?v . "
-    "FILTER (?v > 2) }",
-    # property path + type-ish constraint
-    "SELECT ?a ?d WHERE { ?a p:e0+ ?d . ?d p:val ?v }",
-    # optional + union
-    "SELECT ?a ?x WHERE { ?a p:val ?v . "
-    "OPTIONAL { { ?a p:e0 ?x } UNION { ?a p:e1 ?x } } }",
-    # descendant-style two-path query (the Pattern B shape)
-    "SELECT ?a ?l ?r WHERE { ?a p:e0/p:e0* ?l . ?a p:e1/p:e1* ?r . "
-    "?l p:val ?lv . ?r p:val ?rv . FILTER (?lv != ?rv) }",
-]
-
-_edges = st.lists(
-    st.tuples(st.integers(0, 5), st.integers(0, 1), st.integers(0, 5)),
-    max_size=14,
+from tests.sparql.test_oracle_differential import (
+    PARSED,
+    build_graph,
+    edges_strategy,
+    engine_rows,
+    policy,
+    spelled,
 )
 
 
-def _graph(edges) -> Graph:
-    g = Graph()
-    seen_nodes = set()
-    for s, p, o in edges:
-        g.add((EX[f"n{s}"], P[f"e{p}"], EX[f"n{o}"]))
-        seen_nodes.update((s, o))
-    for node in seen_nodes:
-        g.add((EX[f"n{node}"], P.val, Literal(str(node))))
-    return g
-
-
-def _rows(graph, body):
-    rs = query(graph, PREFIX + body)
-    return sorted(
-        tuple((v, rs[i].text(v)) for v in rs.variables)
-        for i in range(len(rs))
-    )
-
-
-@pytest.fixture(autouse=True)
-def restore_flags():
-    yield
-    evaluator.JOIN_REORDERING = True
-    evaluator.CLOSURE_CACHING = True
-
-
 @settings(max_examples=25, deadline=None)
-@given(edges=_edges, query_index=st.integers(0, len(_QUERIES) - 1))
+@given(edges=edges_strategy, query_index=st.integers(0, len(PARSED) - 1))
 def test_reordering_never_changes_results(edges, query_index):
-    g = _graph(edges)
-    body = _QUERIES[query_index]
-    evaluator.JOIN_REORDERING = True
-    optimized = _rows(g, body)
-    evaluator.JOIN_REORDERING = False
-    naive = _rows(g, body)
-    evaluator.JOIN_REORDERING = True
-    assert optimized == naive
+    graph = build_graph(edges)
+    parsed = PARSED[query_index]
+    optimized = engine_rows(graph, parsed)
+    with policy(reordering=False, caching=True):
+        naive = engine_rows(graph, parsed)
+    assert Counter(optimized) == Counter(naive)
 
 
 @settings(max_examples=25, deadline=None)
-@given(edges=_edges, query_index=st.integers(0, len(_QUERIES) - 1))
+@given(edges=edges_strategy, query_index=st.integers(0, len(PARSED) - 1))
 def test_closure_cache_never_changes_results(edges, query_index):
-    g = _graph(edges)
-    body = _QUERIES[query_index]
-    evaluator.CLOSURE_CACHING = True
-    cached = _rows(g, body)
-    evaluator.CLOSURE_CACHING = False
-    uncached = _rows(g, body)
-    evaluator.CLOSURE_CACHING = True
-    assert cached == uncached
+    graph = build_graph(edges)
+    parsed = PARSED[query_index]
+    cached = spelled(engine_rows(graph, parsed))
+    cached_again = spelled(engine_rows(graph, parsed))
+    with policy(reordering=True, caching=False):
+        uncached = spelled(engine_rows(graph, parsed))
+    assert cached == cached_again == uncached

@@ -1,58 +1,51 @@
-"""ID-space BGP join core vs the term-space path: identical results.
+"""The dictionary-encoded (ID-space) evaluator against the term-level
+oracle in ``oracle.py``, on both stores.
 
-The dictionary-encoded join must be an invisible optimization — same
-solutions, same order — including the awkward boundaries: ground query
-terms the graph has never seen (unmatchable), initial bindings carrying
-foreign terms (dead variables), numeric-literal canonicalization inside
-joins, property-path fixpoints, and closure-cache invalidation on graph
+The ID-space join must be invisible: the same solutions as the oracle's
+term-level nested loops, and on the snapshot view that worker processes
+query the same rows, in the same order and with the same spellings, as
+on the mutable graph.  The direct cases are the awkward boundaries:
+ground query terms the graph has never seen (unmatchable), initial
+bindings carrying foreign terms (dead variables), numeric-literal
+canonicalization inside joins, and closure-memo invalidation on graph
 mutation.
 """
+
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.rdf import Graph, Literal, Namespace
+from repro.rdf import Graph, Literal
 from repro.rdf.term import Variable
-from repro.sparql import evaluator, prepare_query, query
+from repro.sparql import prepare_query
 from repro.sparql.evaluator import eval_group
 
-EX = Namespace("http://n/")
-P = Namespace("http://p/")
-PREFIX = "PREFIX n: <http://n/> PREFIX p: <http://p/>\n"
-
-
-@pytest.fixture(autouse=True)
-def restore_flags():
-    yield
-    evaluator.ID_SPACE_JOIN = True
-
-
-def _rows(graph, body):
-    rs = query(graph, PREFIX + body)
-    return [
-        tuple((v, rs[i].text(v)) for v in rs.variables) for i in range(len(rs))
-    ]
-
-
-def _both_paths(graph, body):
-    evaluator.ID_SPACE_JOIN = True
-    id_rows = _rows(graph, body)
-    evaluator.ID_SPACE_JOIN = False
-    term_rows = _rows(graph, body)
-    evaluator.ID_SPACE_JOIN = True
-    return id_rows, term_rows
+from tests.sparql import oracle
+from tests.sparql.test_oracle_differential import (
+    PARSED,
+    PREFIX,
+    N,
+    P,
+    build_graph,
+    check,
+    edges_strategy,
+    engine_rows,
+    snapshot_view,
+    spelled,
+)
 
 
 @pytest.fixture
 def graph():
     g = Graph()
-    g.add((EX.a, P.e, EX.b))
-    g.add((EX.b, P.e, EX.c))
-    g.add((EX.c, P.e, EX.d))
-    g.add((EX.a, P.val, Literal("100")))
-    g.add((EX.b, P.val, Literal("1e2")))  # equal to a's value, other spelling
-    g.add((EX.c, P.val, Literal("7")))
-    g.add((EX.a, P.name, Literal("alpha")))
+    g.add((N.a, P.e, N.b))
+    g.add((N.b, P.e, N.c))
+    g.add((N.c, P.e, N.d))
+    g.add((N.a, P.val, Literal("100")))
+    g.add((N.b, P.val, Literal("1e2")))  # equal to a's value, other spelling
+    g.add((N.c, P.val, Literal("7")))
+    g.add((N.a, P.name, Literal("alpha")))
     return g
 
 
@@ -70,120 +63,89 @@ class TestSameResultsSameOrder:
 
     @pytest.mark.parametrize("body", QUERIES)
     def test_identical_rows_and_order(self, graph, body):
-        id_rows, term_rows = _both_paths(graph, body)
-        assert id_rows == term_rows
+        rows = check(graph, body)
+        view_rows = check(snapshot_view(graph), body)
+        assert spelled(view_rows) == spelled(rows)
 
 
 class TestUnmatchableGroundTerms:
     def test_absent_uri_matches_nothing(self, graph):
-        id_rows, term_rows = _both_paths(
-            graph, "SELECT ?x WHERE { ?x p:e n:never_seen }"
-        )
-        assert id_rows == term_rows == []
+        assert check(graph, "SELECT ?x WHERE { ?x p:e n:never_seen }") == []
 
     def test_absent_predicate_matches_nothing(self, graph):
-        id_rows, term_rows = _both_paths(
-            graph, "SELECT ?x ?y WHERE { ?x p:never ?y }"
-        )
-        assert id_rows == term_rows == []
+        assert check(graph, "SELECT ?x ?y WHERE { ?x p:never ?y }") == []
 
     def test_absent_term_in_multi_pattern_bgp(self, graph):
         # The unmatchable pattern must kill the whole BGP without
-        # disturbing join reordering for the others.
-        id_rows, term_rows = _both_paths(
-            graph,
-            "SELECT ?x ?y WHERE { ?x p:e ?y . ?y p:val n:not_a_value }",
-        )
-        assert id_rows == term_rows == []
+        # disturbing the join order of the others.
+        body = "SELECT ?x ?y WHERE { ?x p:e ?y . ?y p:val n:not_a_value }"
+        assert check(graph, body) == []
 
     def test_numeric_spelling_finds_canonical_value(self, graph):
         # "100.0" is absent as a spelling but equal to the stored "100".
-        id_rows, term_rows = _both_paths(
-            graph, 'SELECT ?x WHERE { ?x p:val "100.0" }'
-        )
-        assert id_rows == term_rows
-        assert {dict(r)["x"] for r in id_rows} == {str(EX.a), str(EX.b)}
+        found = check(graph, 'SELECT ?x WHERE { ?x p:val "100.0" }')
+        assert Counter(found) == Counter([(N.a,), (N.b,)])
+
+
+def _frozen(solution):
+    return frozenset(solution.items())
 
 
 class TestDeadVariableBindings:
     """Initial bindings carrying terms the graph never encoded."""
 
     def _solutions(self, graph, body, bindings):
-        parsed = prepare_query(PREFIX + body)
-        return list(eval_group(parsed.where, graph, bindings))
+        where = prepare_query(PREFIX + body).where
+        got = list(eval_group(where, graph, bindings))
+        expected = oracle.eval_group(where, graph, bindings)
+        assert Counter(map(_frozen, got)) == Counter(map(_frozen, expected))
+        return got
 
     def test_foreign_binding_blocks_patterns_using_it(self, graph):
-        body = "SELECT ?x ?y WHERE { ?x p:e ?y }"
-        foreign = {Variable("x"): EX.not_in_graph}
-        evaluator.ID_SPACE_JOIN = True
-        id_sols = self._solutions(graph, body, foreign)
-        evaluator.ID_SPACE_JOIN = False
-        term_sols = self._solutions(graph, body, foreign)
-        assert id_sols == term_sols == []
+        foreign = {Variable("x"): N.not_in_graph}
+        assert self._solutions(graph, "SELECT * WHERE { ?x p:e ?y }", foreign) == []
 
     def test_foreign_binding_passes_through_untouched_patterns(self, graph):
-        body = "SELECT ?x ?y WHERE { ?x p:e ?y }"
-        foreign = {Variable("unrelated"): EX.not_in_graph}
-        evaluator.ID_SPACE_JOIN = True
-        id_sols = self._solutions(graph, body, foreign)
-        evaluator.ID_SPACE_JOIN = False
-        term_sols = self._solutions(graph, body, foreign)
-        assert id_sols == term_sols
-        assert all(
-            sol[Variable("unrelated")] == EX.not_in_graph for sol in id_sols
-        )
-        assert len(id_sols) == 3
+        foreign = {Variable("unrelated"): N.not_in_graph}
+        sols = self._solutions(graph, "SELECT * WHERE { ?x p:e ?y }", foreign)
+        assert len(sols) == 3
+        assert all(sol[Variable("unrelated")] == N.not_in_graph for sol in sols)
+
+    @pytest.mark.parametrize("view", [False, True], ids=["graph", "view"])
+    def test_foreign_binding_feeds_zero_length_path(self, graph, view):
+        target = snapshot_view(graph) if view else graph
+        foreign = {Variable("x"): N.zzz}
+        sols = self._solutions(target, "SELECT * WHERE { ?x p:e* ?y }", foreign)
+        assert sols == [{Variable("x"): N.zzz, Variable("y"): N.zzz}]
 
 
 class TestClosureCacheInvalidation:
+    """The memo keys closures by path identity, so each test reuses one
+    prepared query: its second run would hit a stale entry."""
+
     def test_mutation_invalidates_path_closure(self, graph):
-        body = "SELECT ?y WHERE { n:a p:e+ ?y }"
-        before = _rows(graph, body)
-        assert len(before) == 3
-        graph.add((EX.d, P.e, EX.e))
-        after = _rows(graph, body)
-        assert len(after) == 4
+        prepared = prepare_query(PREFIX + "SELECT ?y WHERE { n:a p:e+ ?y }")
+        assert len(check(graph, prepared)) == 3
+        graph.add((N.d, P.e, N.e))
+        assert len(check(graph, prepared)) == 4
 
     def test_removal_invalidates_path_closure(self, graph):
-        body = "SELECT ?y WHERE { n:a p:e+ ?y }"
-        assert len(_rows(graph, body)) == 3
-        graph.remove((EX.b, P.e, EX.c))
-        assert len(_rows(graph, body)) == 1
-
-
-_edges = st.lists(
-    st.tuples(st.integers(0, 5), st.integers(0, 1), st.integers(0, 5)),
-    max_size=14,
-)
-
-_PROPERTY_QUERIES = [
-    "SELECT ?a ?c WHERE { ?a p:e0 ?b . ?b p:e1 ?c }",
-    "SELECT ?a ?d WHERE { ?a p:e0+ ?d }",
-    "SELECT ?a ?d WHERE { ?a (p:e0|p:e1)* ?d . ?d p:val ?v }",
-    "SELECT ?a ?x WHERE { ?a p:val ?v . "
-    "OPTIONAL { { ?a p:e0 ?x } UNION { ?a p:e1 ?x } } FILTER (?v >= 0) }",
-]
-
-
-def _random_graph(edges) -> Graph:
-    g = Graph()
-    nodes = set()
-    for s, p, o in edges:
-        g.add((EX[f"n{s}"], P[f"e{p}"], EX[f"n{o}"]))
-        nodes.update((s, o))
-    for node in nodes:
-        g.add((EX[f"n{node}"], P.val, Literal(str(node))))
-    return g
+        prepared = prepare_query(PREFIX + "SELECT ?y WHERE { n:a p:e+ ?y }")
+        assert len(check(graph, prepared)) == 3
+        graph.remove((N.b, P.e, N.c))
+        assert len(check(graph, prepared)) == 1
 
 
 @settings(max_examples=25, deadline=None)
-@given(edges=_edges, query_index=st.integers(0, len(_PROPERTY_QUERIES) - 1))
+@given(edges=edges_strategy, query_index=st.integers(0, len(PARSED) - 1))
 def test_id_space_join_never_changes_results(edges, query_index):
-    g = _random_graph(edges)
-    body = _PROPERTY_QUERIES[query_index]
-    evaluator.ID_SPACE_JOIN = True
-    id_rows = _rows(g, body)
-    evaluator.ID_SPACE_JOIN = False
-    term_rows = _rows(g, body)
-    evaluator.ID_SPACE_JOIN = True
-    assert id_rows == term_rows
+    """The ID-space join over the snapshot view's own indexes gives the
+    oracle's term-level answer over the graph it was taken from."""
+    graph = build_graph(edges)
+    parsed = PARSED[query_index]
+    expected = oracle.select(parsed, graph)[1]
+    got = engine_rows(snapshot_view(graph), parsed)
+    if parsed.order_by:
+        assert got == expected
+    else:
+        assert Counter(got) == Counter(expected)

@@ -1,129 +1,84 @@
 """The cost-based planner must be invisible in results.
 
-Differential suite over a hypothesis-generated graph corpus:
+Planned join order against written order (``JOIN_REORDERING`` off),
+engine against engine:
 
-* planner on vs. off — identical result *sets* always, and identical
-  result *sequences* for ORDER BY queries (where the order is part of
-  the answer);
-* ID-space vs. term-space join cores with the planner on — bit-identical
-  rows *including order* (both cores consult the same static plan, so
-  their emission order must stay in lock-step).
+* identical solution *sets* for every corpus query, also when the group
+  starts from an initial binding: the planner orders a BGP per set of
+  already-bound variables, so one query gets a different plan per bound
+  set.  Sets compare as terms: a variable that two patterns bind to one
+  numeric value under two spellings keeps the spelling of the pattern
+  that bound it first, which the join order decides;
+* identical result *sequences*, spelling for spelling, for the ORDER BY
+  queries (where the order is part of the answer), on the graph and on
+  its snapshot view, whose statistics the planner reads separately.
 """
 
-import pytest
+from collections import Counter
+
 from hypothesis import given, settings, strategies as st
 
-from repro.rdf import Graph, Literal, Namespace
-from repro.sparql import evaluator, query
+from repro.rdf import Literal
+from repro.rdf.term import Variable
+from repro.sparql.evaluator import eval_group
 
-EX = Namespace("http://n/")
-P = Namespace("http://p/")
-PREFIX = "PREFIX n: <http://n/> PREFIX p: <http://p/>\n"
+from tests.sparql.test_oracle_differential import (
+    PARSED,
+    N,
+    build_graph,
+    edges_strategy,
+    engine_rows,
+    policy,
+    snapshot_view,
+    spelled,
+)
 
-_QUERIES = [
-    # multi-pattern BGP where planned order will differ from written
-    "SELECT ?a ?c WHERE { ?a p:e0 ?b . ?b p:e1 ?c . ?a p:val ?v }",
-    # both-free closure (exercises the direction/seeding planner)
-    "SELECT ?a ?d WHERE { ?a p:e0+ ?d }",
-    # closure joined against a BGP
-    "SELECT ?a ?d WHERE { ?a p:e0+ ?d . ?d p:val ?v }",
-    # both-bound closure membership (the contains fast path)
-    "SELECT ?a ?b WHERE { ?a p:e1 ?b . ?a p:e0+ ?b }",
-    # optional + union around a planned BGP
-    "SELECT ?a ?x WHERE { ?a p:val ?v . "
-    "OPTIONAL { { ?a p:e0 ?x } UNION { ?a p:e1 ?x } } }",
-    # zero-capable closure (planner must fall back to the full scan)
-    "SELECT ?a ?d WHERE { ?a p:e0* ?d . ?d p:val ?v }",
-]
+_ORDERED = [parsed for parsed in PARSED if parsed.order_by]
 
-_ORDERED_QUERIES = [
-    "SELECT ?a ?c WHERE { ?a p:e0 ?b . ?b p:e1 ?c . ?a p:val ?v } "
-    "ORDER BY ?a ?c",
-    "SELECT ?a ?d WHERE { ?a p:e0+ ?d } ORDER BY ?d ?a",
-]
-
-_edges = st.lists(
-    st.tuples(st.integers(0, 5), st.integers(0, 1), st.integers(0, 5)),
-    max_size=14,
+#: An initial binding: one or two of the corpus's variable names (or a
+#: name it never uses) to a node or to a p:val literal.
+_bindings = st.dictionaries(
+    st.sampled_from(["a", "b", "d", "x", "y", "v", "unused"]).map(Variable),
+    st.one_of(
+        st.integers(0, 5).map(lambda i: N[f"n{i}"]),
+        st.integers(0, 5).map(lambda i: Literal(str(i))),
+    ),
+    max_size=2,
 )
 
 
-def _graph(edges) -> Graph:
-    g = Graph()
-    seen = set()
-    for s, p, o in edges:
-        g.add((EX[f"n{s}"], P[f"e{p}"], EX[f"n{o}"]))
-        seen.update((s, o))
-    for node in seen:
-        g.add((EX[f"n{node}"], P.val, Literal(str(node))))
-    return g
-
-
-def _ordered_rows(graph, body):
-    rs = query(graph, PREFIX + body)
-    return [
-        tuple((v, rs[i].text(v)) for v in rs.variables) for i in range(len(rs))
-    ]
-
-
-def _rows(graph, body):
-    return sorted(_ordered_rows(graph, body))
-
-
-@pytest.fixture(autouse=True)
-def restore_flags():
-    yield
-    evaluator.COST_PLANNER = True
-    evaluator.ID_SPACE_JOIN = True
+def _solutions(graph, parsed, bindings):
+    return Counter(
+        frozenset(solution.items())
+        for solution in eval_group(parsed.where, graph, bindings)
+    )
 
 
 @settings(max_examples=25, deadline=None)
-@given(edges=_edges, query_index=st.integers(0, len(_QUERIES) - 1))
-def test_planner_never_changes_result_sets(edges, query_index):
-    g = _graph(edges)
-    body = _QUERIES[query_index]
-    evaluator.COST_PLANNER = True
-    planned = _rows(g, body)
-    evaluator.COST_PLANNER = False
-    unplanned = _rows(g, body)
-    assert planned == unplanned
+@given(
+    edges=edges_strategy,
+    query_index=st.integers(0, len(PARSED) - 1),
+    bindings=_bindings,
+)
+def test_planner_never_changes_result_sets(edges, query_index, bindings):
+    graph = build_graph(edges)
+    parsed = PARSED[query_index]
+    # Plan the unbound group first so the bound one is a second entry
+    # of the plan memo, not the only one.
+    planned_unbound = _solutions(graph, parsed, {})
+    planned = _solutions(graph, parsed, bindings)
+    with policy(reordering=False, caching=True):
+        assert _solutions(graph, parsed, {}) == planned_unbound
+        assert _solutions(graph, parsed, bindings) == planned
 
 
 @settings(max_examples=25, deadline=None)
-@given(edges=_edges, query_index=st.integers(0, len(_ORDERED_QUERIES) - 1))
+@given(edges=edges_strategy, query_index=st.integers(0, len(_ORDERED) - 1))
 def test_planner_preserves_ordered_results_bit_identically(edges, query_index):
-    g = _graph(edges)
-    body = _ORDERED_QUERIES[query_index]
-    evaluator.COST_PLANNER = True
-    planned = _ordered_rows(g, body)
-    evaluator.COST_PLANNER = False
-    unplanned = _ordered_rows(g, body)
-    assert planned == unplanned
-
-
-@settings(max_examples=25, deadline=None)
-@given(edges=_edges, query_index=st.integers(0, len(_QUERIES) - 1))
-def test_join_cores_agree_on_order_under_planner(edges, query_index):
-    g = _graph(edges)
-    body = _QUERIES[query_index]
-    evaluator.COST_PLANNER = True
-    evaluator.ID_SPACE_JOIN = True
-    id_rows = _ordered_rows(g, body)
-    evaluator.ID_SPACE_JOIN = False
-    term_rows = _ordered_rows(g, body)
-    assert id_rows == term_rows
-
-
-@settings(max_examples=15, deadline=None)
-@given(edges=_edges)
-def test_planner_off_matches_legacy_greedy_exactly(edges):
-    """COST_PLANNER=False must be byte-for-byte the legacy evaluator:
-    same sets for every corpus query (order checked via ORDER BY above)."""
-    g = _graph(edges)
-    evaluator.COST_PLANNER = False
-    for body in _QUERIES:
-        rows_off = _rows(g, body)
-        evaluator.COST_PLANNER = True
-        rows_on = _rows(g, body)
-        evaluator.COST_PLANNER = False
-        assert rows_on == rows_off
+    graph = build_graph(edges)
+    parsed = _ORDERED[query_index]
+    for store in (graph, snapshot_view(graph)):
+        planned = spelled(engine_rows(store, parsed))
+        with policy(reordering=False, caching=True):
+            written = spelled(engine_rows(store, parsed))
+        assert planned == written
