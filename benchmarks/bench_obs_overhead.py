@@ -7,10 +7,10 @@ children are pre-bound.  This module measures that claim on the Fig-9
 workload and asserts the disabled path stays within 2% of the
 uninstrumented serial baseline recorded in ``BENCH_matching.json``.
 
-Like the speedup assertion in ``bench_parallel_matching``, the 2% gate
-is report-only under ``OPTIMATCH_PERF_SMOKE=1`` — CI runners are too
-noisy for hard perf thresholds, but the numbers still land in the JSON
-report so the trajectory is visible per PR.
+Like the process scale-out threshold in ``bench_parallel_matching``,
+the 2% gate is report-only under ``OPTIMATCH_PERF_SMOKE=1`` — CI
+runners are too noisy for hard perf thresholds, but the numbers still
+land in the JSON report so the trajectory is visible per PR.
 """
 
 import json

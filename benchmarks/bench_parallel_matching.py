@@ -1,15 +1,10 @@
-"""Parallel + cached matching engine on the Fig-9 synthetic workload.
+"""Cached and process-parallel matching engine on the Fig-9 workload.
 
 Demonstrates the scaling claims of ``repro.core.engine``:
 
 * **cache**: an identical repeated search over an unchanged workload is
   served from the per-plan match cache — the hit rate is asserted to be
   >= 90% and the warm pass is asserted faster than the cold pass;
-* **fan-out**: plan evaluation spreads over the worker pool; the report
-  records the speedup per worker count.  The speedup assertion only
-  applies on multi-core hosts — on a single CPU (or a GIL-bound build)
-  threads cannot beat the serial path on CPU-bound evaluation, which
-  the report states instead of hiding;
 * **process scale-out**: ``mode="process"`` escapes the GIL entirely by
   evaluating plans in pool workers over zero-copy shared-memory graph
   snapshots (``docs/scale-out.md``).  The ``process_scaleout`` JSON
@@ -19,7 +14,8 @@ Demonstrates the scaling claims of ``repro.core.engine``:
   ``OPTIMATCH_PERF_SMOKE=1``) — elsewhere it is report-only with an
   explicit note.
 
-Parallel and serial paths must return identical matches (asserted).
+Engine and bare serial matcher must return identical matches
+(asserted).
 """
 
 import os
@@ -49,29 +45,27 @@ def sparql():
 
 def test_parallel_identical_to_serial(workload, sparql):
     serial = find_matches(sparql, workload)
-    for workers in WORKER_COUNTS:
-        with MatchingEngine(workers=workers) as engine:
-            assert _signatures(engine.search(sparql, workload)) == _signatures(
-                serial
-            ), f"workers={workers} diverged from the serial matcher"
+    with MatchingEngine() as engine:
+        assert _signatures(engine.search(sparql, workload)) == _signatures(
+            serial
+        ), "the engine diverged from the serial matcher"
 
 
 def test_serial_baseline(benchmark, workload, sparql):
     benchmark(find_matches, sparql, workload)
 
 
-@pytest.mark.parametrize("workers", WORKER_COUNTS)
-def test_engine_cold(benchmark, workload, sparql, workers):
-    """Uncached evaluation cost per worker count (cache off so every
-    benchmark round measures real evaluation, not a cache hit)."""
-    engine = MatchingEngine(workers=workers, cache=False)
+def test_engine_cold(benchmark, workload, sparql):
+    """Uncached evaluation cost (cache off so every benchmark round
+    measures real evaluation, not a cache hit)."""
+    engine = MatchingEngine(cache=False)
     benchmark(engine.search, sparql, workload)
     engine.close()
 
 
 def test_engine_warm_cache(benchmark, workload, sparql):
     """Repeated identical search: served from the match cache."""
-    engine = MatchingEngine(workers=1)
+    engine = MatchingEngine()
     engine.search(sparql, workload)  # warm
     engine.reset_stats()  # count only the repeated (cached) searches
     benchmark(engine.search, sparql, workload)
@@ -82,7 +76,7 @@ def test_engine_warm_cache(benchmark, workload, sparql):
 
 
 def test_parallel_matching_report(workload, sparql):
-    """Timed sweep: serial vs workers x {cold, warm}; writes the report."""
+    """Timed sweep: serial vs engine {cold, warm}; writes the report."""
 
     def once(fn, *args, **kwargs):
         start = time.perf_counter()
@@ -91,22 +85,19 @@ def test_parallel_matching_report(workload, sparql):
 
     serial_s = min(once(find_matches, sparql, workload) for _ in range(3))
     lines = [
-        "Parallel + cached matching engine "
+        "Cached matching engine "
         f"({len(workload)} plans, host cpus={os.cpu_count()})",
         f"  serial find_matches:        {serial_s * 1e3:8.1f} ms",
     ]
-    cold_by_workers = {}
-    for workers in WORKER_COUNTS:
-        engine = MatchingEngine(workers=workers, cache=False)
-        cold = min(once(engine.search, sparql, workload) for _ in range(3))
-        engine.close()
-        cold_by_workers[workers] = cold
-        lines.append(
-            f"  engine workers={workers} (cold): {cold * 1e3:8.1f} ms "
-            f"(speedup vs serial: {serial_s / cold:4.2f}x)"
-        )
+    engine = MatchingEngine(cache=False)
+    cold = min(once(engine.search, sparql, workload) for _ in range(3))
+    engine.close()
+    lines.append(
+        f"  engine cold:                {cold * 1e3:8.1f} ms "
+        f"(speedup vs serial: {serial_s / cold:4.2f}x)"
+    )
 
-    engine = MatchingEngine(workers=1)
+    engine = MatchingEngine()
     engine.search(sparql, workload)  # warm the cache
     engine.reset_stats()  # measure the repeated searches, not the warm-up
     warm = min(once(engine.search, sparql, workload) for _ in range(3))
@@ -118,12 +109,6 @@ def test_parallel_matching_report(workload, sparql):
         f"(speedup vs serial: {serial_s / max(warm, 1e-9):4.2f}x, "
         f"hit rate {hit_rate:.1%})"
     )
-    if (os.cpu_count() or 1) < 2:
-        lines.append(
-            "  note: single-CPU host — thread fan-out cannot exceed the "
-            "serial path on CPU-bound evaluation; the cache provides the "
-            "speedup here"
-        )
     write_report("parallel_matching", "\n".join(lines))
     write_json_report(
         "parallel_matching",
@@ -133,13 +118,10 @@ def test_parallel_matching_report(workload, sparql):
                 "totalSeconds": round(serial_s, 6),
                 "plansPerSecond": round(len(workload) / serial_s, 2),
             },
-            "engineColdByWorkers": {
-                str(workers): {
-                    "totalSeconds": round(cold, 6),
-                    "plansPerSecond": round(len(workload) / cold, 2),
-                    "speedupVsSerial": round(serial_s / cold, 3),
-                }
-                for workers, cold in cold_by_workers.items()
+            "engineCold": {
+                "totalSeconds": round(cold, 6),
+                "plansPerSecond": round(len(workload) / cold, 2),
+                "speedupVsSerial": round(serial_s / cold, 3),
             },
             "engineWarmCache": {
                 "totalSeconds": round(warm, 6),
@@ -153,14 +135,6 @@ def test_parallel_matching_report(workload, sparql):
     # The cache claims hold everywhere.
     assert hit_rate >= 0.9
     assert warm < serial_s, "a fully cached search must beat serial"
-    # The fan-out claim is only physical on a multi-core host.
-    if (os.cpu_count() or 1) >= 2:
-        best = min(cold_by_workers[w] for w in WORKER_COUNTS if w > 1)
-        assert best < serial_s * 1.10, (
-            "expected workers>1 to be at least competitive with serial "
-            f"on a {os.cpu_count()}-cpu host (best {best:.3f}s vs "
-            f"serial {serial_s:.3f}s)"
-        )
 
 
 @pytest.mark.skipif(
@@ -209,7 +183,7 @@ def test_process_scaleout_report(workload, sparql):
             "totalSeconds": round(cold, 6),
             "plansPerSecond": round(len(workload) / cold, 2),
             "speedupVsSerial": round(serial_s / cold, 3),
-            "mode": stats["mode"],  # "thread" = fell back to serial path
+            "mode": stats["mode"],  # "serial" = fell back to serial path
             "snapshotBuilds": snap["builds"],
             "snapshotBuildSeconds": round(snap["buildSeconds"], 6),
             "snapshotAttaches": snap["attaches"],

@@ -16,12 +16,12 @@ import json
 
 from repro import generate_workload, write_plan
 from repro.kb.builtin import make_pattern
-from repro.server import OptImatchServer
+from repro.server import AsyncOptImatchServer
 
 # ----------------------------------------------------------------------
 # Server side: start on an ephemeral port.
 # ----------------------------------------------------------------------
-server = OptImatchServer(port=0).start()
+server = AsyncOptImatchServer(port=0).start()
 host, port = server.address
 print(f"server up at http://{host}:{port}")
 

@@ -69,16 +69,15 @@ def _cmd_compile(args) -> int:
 
 
 def _engine_kwargs(args) -> dict:
-    """Map ``--workers`` / ``--mp-workers`` onto engine arguments.
+    """Map ``--mp-workers`` onto engine arguments.
 
     ``--mp-workers N`` selects the multiprocess tier with N worker
-    processes (``0`` = auto, one per CPU); otherwise the thread tier
-    with ``--workers`` threads.
+    processes (``0`` = auto, one per CPU); otherwise matching runs
+    serially in-process.
     """
-    mp_workers = getattr(args, "mp_workers", None)
-    if mp_workers is not None:
-        return {"mode": "process", "workers": mp_workers or None}
-    return {"mode": None, "workers": args.workers}
+    if args.mp_workers is not None:
+        return {"mode": "process", "workers": args.mp_workers or None}
+    return {}
 
 
 def _engine_stats_line(tool: OptImatch) -> str:
@@ -87,7 +86,7 @@ def _engine_stats_line(tool: OptImatch) -> str:
     match_cache = stats["matchCache"]
     timings = stats["timings"]
     mode = ""
-    if stats.get("mode", "thread") != "thread":
+    if stats["mode"] != "serial":
         mode = f", mode {stats['mode']}"
     return (
         f"engine: {stats['workers']} worker(s), cache "
@@ -318,15 +317,14 @@ def _cmd_serve(args) -> int:
     import signal
     import threading
 
-    from repro.server import FRONTS
+    from repro.server import AsyncOptImatchServer
 
     kb = None
     if args.extended:
         from repro.kb import extended_knowledge_base
 
         kb = extended_knowledge_base()
-    server_cls = FRONTS[args.front]
-    server = server_cls(
+    server = AsyncOptImatchServer(
         host=args.host,
         port=args.port,
         knowledge_base=kb,
@@ -375,7 +373,6 @@ def _cmd_serve(args) -> int:
         server.start()
         host, port = server.address
         print(f"OptImatch server listening on http://{host}:{port} "
-              f"[{args.front} front] "
               f"({server.state.tool.plan_count} plans, "
               f"{len(server.state.kb)} KB entries); Ctrl-C to stop")
         while not stop_requested.wait(0.5):
@@ -385,8 +382,8 @@ def _cmd_serve(args) -> int:
     finally:
         signal.signal(signal.SIGTERM, previous)
         # Full graceful shutdown: drain in-flight requests, flush the
-        # journal + final checkpoint, release worker pools and (in
-        # process mode) the shared-memory segment.
+        # journal + final checkpoint, release (in process mode) the
+        # worker pool and the shared-memory segment.
         server.stop()
     return 0
 
@@ -486,18 +483,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     def add_engine_flags(sub_parser):
         sub_parser.add_argument(
-            "--workers",
-            type=int,
-            default=None,
-            help="matching-engine threads (default: one per CPU)",
-        )
-        sub_parser.add_argument(
             "--mp-workers",
             type=int,
             default=None,
             metavar="N",
             help="run matching on N worker processes over shared-memory "
-                 "graph snapshots (0 = one per CPU); overrides --workers",
+                 "graph snapshots (0 = one per CPU; default: serial)",
         )
         sub_parser.add_argument(
             "--no-cache",
@@ -589,14 +580,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("serve", help="start the HTTP server (Figure 4 role)")
     p.add_argument("--host", default="127.0.0.1")
     p.add_argument("--port", type=int, default=8080)
-    p.add_argument("--front", choices=["threaded", "async"],
-                   default="threaded",
-                   help="service front: thread-per-connection or asyncio "
-                        "event loop with keep-alive + streaming ingest")
-    p.add_argument("--async", dest="front", action="store_const",
-                   const="async", help="shorthand for --front async")
-    p.add_argument("--threaded", dest="front", action="store_const",
-                   const="threaded", help="shorthand for --front threaded")
+    p.add_argument("--async", action="store_true",
+                   help="accepted for compatibility; changes nothing (the "
+                        "asyncio front is the only front)")
     p.add_argument("--stream-batch", type=int,
                    default=server_defaults.DEFAULT_STREAM_BATCH,
                    help="plans committed per micro-batch on /plans/stream")

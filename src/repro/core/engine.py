@@ -1,4 +1,4 @@
-"""Parallel, cached workload matching engine.
+"""Cached workload matching engine.
 
 The paper's headline evaluation (Figures 9-11) matches expert patterns
 against a 1000-QEP customer workload.  :func:`repro.core.matcher.
@@ -13,12 +13,7 @@ workload-scale path fast:
   ``(plan_id, graph.version, query_key)``: re-running a search over an
   unchanged workload is near-free, and mutating a plan's graph bumps
   :attr:`repro.rdf.Graph.version` which transparently invalidates only
-  that plan's entries;
-* **fan-out** of the per-plan evaluations over a
-  :class:`concurrent.futures.ThreadPoolExecutor` with a configurable
-  worker count and chunked scheduling.  Results always come back in
-  workload order and are identical to the serial path (each plan is
-  still evaluated by :func:`repro.core.matcher.search_plan`).
+  that plan's entries.
 
 Instrumentation (per-stage timings, cache hit/miss counters,
 matches-per-plan) is recorded into a
@@ -27,20 +22,19 @@ the server's ``GET /metrics``) and, in the same atomic commit per
 search, into :class:`EngineStats` — which backs the
 :meth:`MatchingEngine.stats` compatibility view.  Snapshots from
 ``stats()`` are always internally consistent (e.g. ``matchCache.hits ==
-plansFromCache`` between searches); see ``tests/core/test_engine.py``
-for the torn-read regression test.  Pass an enabled
-:class:`repro.obs.tracing.Tracer` to get hierarchical spans
-(``search → plan → compile → bgp-join → closure-bfs → tag-rebind``)
-that parent correctly across the worker pool.
+plansFromCache`` between searches) even while other threads search the
+same engine; see ``tests/core/test_engine.py`` for the torn-read
+regression test.  Pass an enabled :class:`repro.obs.tracing.Tracer` to
+get hierarchical spans
+(``search → plan → compile → bgp-join → closure-bfs → tag-rebind``).
 
-Execution modes: serial, threads, processes
--------------------------------------------
+Execution modes: serial and processes
+-------------------------------------
 Per-plan evaluation is pure Python, so on a standard (GIL) CPython build
-*threads* cannot run it in parallel — they only interleave, and extra
-workers add scheduling overhead and lock contention on the caches
-without any speedup (measured flat on the Fig-9 workload).  Thread mode
-therefore defaults to **one** worker (serial) on GIL builds and to
-``os.cpu_count()`` only on free-threaded builds.
+threads cannot run it in parallel (a thread pool measured flat on the
+Fig-9 workload).  The default ``"serial"`` mode therefore evaluates
+every uncached plan on the calling thread; an engine is still safe to
+share between threads (the HTTP front runs several searches at once).
 
 ``mode="process"`` is the tier that actually uses the cores: the
 workload's dictionary-encoded graphs are serialized once into a
@@ -61,14 +55,12 @@ attach lifecycle and when to pick each mode.
 
 from __future__ import annotations
 
-import contextvars
 import multiprocessing
 import os
-import sys
 import threading
 import time
 from collections import OrderedDict
-from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
+from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
@@ -194,11 +186,11 @@ class EngineStats:
     evaluate_seconds: float = 0.0
     total_seconds: float = 0.0
     matches_per_plan: Dict[str, int] = field(default_factory=dict)
-    #: Effective execution mode ("thread" or "process"); lets /stats and
+    #: Effective execution mode ("serial" or "process"); lets /stats and
     #: /metrics consumers tell which tier produced these numbers.
-    mode: str = "thread"
-    #: Chunk tasks per worker — thread names in thread mode, pids in
-    #: process mode.
+    mode: str = "serial"
+    #: Chunk tasks per worker — "serial" for in-process evaluation,
+    #: "p0"/"p1"... slots in process mode.
     worker_tasks: Dict[str, int] = field(default_factory=dict)
     snapshot_builds: int = 0
     snapshot_build_seconds: float = 0.0
@@ -250,48 +242,35 @@ def _chunked(items: Sequence, size: int) -> Iterable[Sequence]:
         yield items[start:start + size]
 
 
-def default_worker_count(mode: str = "thread") -> int:
-    """Sane worker-count default for this interpreter and *mode*.
+def default_worker_count() -> int:
+    """Default process-pool size: one worker per CPU.
 
-    ``mode="process"`` workers are separate interpreters, so the GIL is
-    irrelevant and every core helps: the default is ``os.cpu_count()``.
-    (On a 1-CPU host that is 1, which makes ``mode="process"`` degrade
-    gracefully to the serial path — processes cannot beat serial there.)
-
-    ``mode="thread"`` evaluation is GIL-bound: on a standard CPython
-    build the pool can only interleave, so more than one worker is pure
-    overhead (see the module docstring).  Only a free-threaded build can
-    use the cores with threads.
+    Process-mode workers are separate interpreters, so the GIL is
+    irrelevant and every core helps.  (On a 1-CPU host that is 1, which
+    makes ``mode="process"`` degrade gracefully to the serial path —
+    processes cannot beat serial there.)
     """
-    if mode == "process":
-        return os.cpu_count() or 1
-    gil_enabled = getattr(sys, "_is_gil_enabled", lambda: True)()
-    if gil_enabled:
-        return 1
     return os.cpu_count() or 1
 
 
 class MatchingEngine:
-    """Workload-scale pattern matching with caching and a worker pool.
+    """Workload-scale pattern matching with caching.
 
     Parameters
     ----------
     workers:
-        Number of evaluation workers.  ``None`` uses
-        :func:`default_worker_count` for the selected mode —
-        ``os.cpu_count()`` in process mode; ``1`` on GIL builds /
-        ``os.cpu_count()`` on free-threaded builds in thread mode.
-        ``1`` evaluates serially on the calling thread (still cached).
+        Process-pool size; only ``mode="process"`` accepts more than
+        one.  ``None`` uses :func:`default_worker_count` in process mode.
     cache:
         Enable the two cache levels.  With ``False`` every search
         re-parses and re-evaluates, exactly like the bare
         :func:`repro.core.matcher.find_matches`.
     chunk_size:
-        Plans per scheduled task.  ``None`` picks a size that gives each
-        worker a few chunks (amortizes task overhead while keeping the
-        pool load-balanced).
+        Plans per process-pool task.  ``None`` picks a size that gives
+        each worker a few chunks (amortizes task overhead while keeping
+        the pool load-balanced).
     mode:
-        ``"thread"`` (default) or ``"process"``.  Process mode fans the
+        ``"serial"`` (default) or ``"process"``.  Process mode fans the
         per-plan evaluations out over a spawn-context process pool
         attached to shared-memory graph snapshots (see the module
         docstring); it degrades to the serial path when the effective
@@ -313,20 +292,24 @@ class MatchingEngine:
         tracer: Optional[Tracer] = None,
         mode: Optional[str] = None,
     ):
-        requested = (mode or "thread").lower()
-        if requested not in ("thread", "process"):
-            raise ValueError(f"mode must be 'thread' or 'process', not {mode!r}")
-        resolved = (
-            workers if workers is not None else default_worker_count(requested)
-        )
+        requested = (mode or "serial").lower()
+        if requested not in ("serial", "process"):
+            raise ValueError(f"mode must be 'serial' or 'process', not {mode!r}")
+        if requested == "serial" and workers is not None and workers > 1:
+            raise ValueError(
+                f"workers={workers} needs mode='process'; serial mode "
+                "evaluates on the calling thread"
+            )
         self.mode = requested
         self.mode_fallback: Optional[str] = None
+        resolved = 1
         if requested == "process":
+            resolved = workers if workers is not None else default_worker_count()
             if resolved <= 1:
-                self.mode = "thread"
+                self.mode = "serial"
                 self.mode_fallback = "single worker (1 CPU?); using serial path"
             elif not mpexec.available():
-                self.mode = "thread"
+                self.mode = "serial"
                 self.mode_fallback = "shared memory unavailable; using serial path"
                 resolved = 1
         self.workers = max(1, resolved)
@@ -336,7 +319,6 @@ class MatchingEngine:
         self._matches = LRUCache(match_cache_size)
         self._lock = threading.Lock()
         self._stats = EngineStats(mode=self.mode)
-        self._pool: Optional[ThreadPoolExecutor] = None
         self._mp_pool: Optional[ProcessPoolExecutor] = None
         self._snapshot = None  # repro.core.shm.WorkloadSnapshot
         # Worker pids mapped to "p0"/"p1"... slots in first-seen order:
@@ -397,7 +379,7 @@ class MatchingEngine:
             "Active execution mode of the matching engine (1 = active)",
             ("mode",),
         )
-        for known_mode in ("thread", "process"):
+        for known_mode in ("serial", "process"):
             mode_info.labels(known_mode).set(
                 1.0 if known_mode == self.mode else 0.0
             )
@@ -452,7 +434,7 @@ class MatchingEngine:
             self._m_stage_prepare.observe(elapsed)
 
     # ------------------------------------------------------------------
-    # Search (cache level 2 + fan-out)
+    # Search (cache level 2)
     # ------------------------------------------------------------------
     def search(
         self,
@@ -639,13 +621,12 @@ class MatchingEngine:
     ) -> Tuple[
         List[Tuple[int, TransformedPlan, Union[PlanMatches, "PlanError"]]], dict
     ]:
-        """Evaluate the uncached plans, fanning out when it pays off.
+        """Evaluate the uncached plans: over the process pool in process
+        mode, otherwise one after another on the calling thread.
 
         With *isolate*, per-plan failures become :class:`PlanError`
         entries instead of propagating; *budget* is installed as the
-        active evaluation budget around each plan (per worker thread —
-        :func:`repro.core.limits.activate` is context-local, so pool
-        threads each arm their own context).  Returns the per-plan
+        active evaluation budget around each plan.  Returns the per-plan
         outcomes plus an execution-meta dict (worker task counts and
         snapshot build/attach timings) committed into the stats by the
         caller.
@@ -713,40 +694,8 @@ class MatchingEngine:
                 ),
             )
 
-        def eval_chunk(chunk):
-            results = [
-                eval_one(index, transformed) for index, transformed in chunk
-            ]
-            return threading.current_thread().name, results
-
-        worker_tasks = meta["workerTasks"]
-        if self.workers <= 1 or len(pending) <= 1:
-            # Inline on the calling thread; label it "serial" rather than
-            # the caller's thread name (request-handler thread names are
-            # not stable label values).
-            _, out = eval_chunk(pending)
-            worker_tasks["serial"] = worker_tasks.get("serial", 0) + 1
-        else:
-            size = self.chunk_size or max(
-                1, len(pending) // (self.workers * 4) or 1
-            )
-            chunks = list(_chunked(list(pending), size))
-            # Pool threads do not inherit the submitter's contextvars,
-            # so the current span (and any active probe) would be lost
-            # and worker "plan" spans would orphan.  Capture the context
-            # once and run each chunk inside a copy — a Context object
-            # cannot be entered concurrently, hence ``.copy()`` per task.
-            ctx = contextvars.copy_context()
-            pool = self._executor()
-            futures = [
-                pool.submit(ctx.copy().run, eval_chunk, chunk)
-                for chunk in chunks
-            ]
-            out = []
-            for future in futures:
-                worker, results = future.result()
-                worker_tasks[worker] = worker_tasks.get(worker, 0) + 1
-                out.extend(results)
+        out = [eval_one(index, transformed) for index, transformed in pending]
+        meta["workerTasks"]["serial"] = 1
         return out, meta
 
     # ------------------------------------------------------------------
@@ -930,15 +879,6 @@ class MatchingEngine:
         if pool is not None:
             pool.shutdown(wait=False, cancel_futures=True)
 
-    def _executor(self) -> ThreadPoolExecutor:
-        with self._lock:
-            if self._pool is None:
-                self._pool = ThreadPoolExecutor(
-                    max_workers=self.workers,
-                    thread_name_prefix="optimatch-match",
-                )
-            return self._pool
-
     # ------------------------------------------------------------------
     # Instrumentation / lifecycle
     # ------------------------------------------------------------------
@@ -993,7 +933,7 @@ class MatchingEngine:
             self._matches.clear()
 
     def close(self) -> None:
-        """Shut the pools down and release the shared-memory snapshot.
+        """Shut the process pool down and release the shared-memory snapshot.
 
         Idempotent.  After this returns no ``/dev/shm`` segment created
         by this engine survives (the snapshot also has a
@@ -1001,11 +941,8 @@ class MatchingEngine:
         for engines that are never closed explicitly).
         """
         with self._lock:
-            pool, self._pool = self._pool, None
             mp_pool, self._mp_pool = self._mp_pool, None
             snapshot, self._snapshot = self._snapshot, None
-        if pool is not None:
-            pool.shutdown(wait=True)
         if mp_pool is not None:
             mp_pool.shutdown(wait=True)
         if snapshot is not None:

@@ -19,8 +19,8 @@ increment and a compare.
 Threading the budget through the recursive evaluator would touch every
 signature, so the active budget travels in a :mod:`contextvars` context
 variable instead: :func:`activate` installs it for a ``with`` block (and
-only for the current thread — worker pools set it per task), and the
-evaluator picks it up with :func:`active_budget` once per loop setup.
+only for the current thread/context), and the evaluator picks it up
+with :func:`active_budget` once per loop setup.
 
 Typed failures:
 

@@ -185,7 +185,7 @@ def find_matches(
     :func:`search_plan`, so the dedup-by-signature semantics are defined
     in exactly one place.  For repeated or parallel workload-scale runs
     use :class:`repro.core.engine.MatchingEngine`, which wraps the same
-    per-plan primitive with caching and a thread pool.
+    per-plan primitive with caching and an optional process pool.
     """
     ast = _prepare(sparql_or_pattern)
     matches: List[PlanMatches] = []

@@ -3,7 +3,7 @@
 This is the top-level entry point a downstream user interacts with::
 
     from repro import OptImatch
-    tool = OptImatch(workers=4)               # parallel matching engine
+    tool = OptImatch()                        # cached matching engine
     tool.load_workload_dir("explains/")       # or add_plan / load files
     matches = tool.search(pattern)            # ad-hoc pattern search
     report = tool.run_knowledge_base(kb)      # routinized plan checks
@@ -14,7 +14,7 @@ knowledge-base run reuses the cached graphs, mirroring the architecture
 of Figure 4 (transformation engine feeding the matching engine).  All
 searches go through a :class:`repro.core.engine.MatchingEngine`, which
 adds a prepared-query cache, a per-plan match cache keyed on the graph
-version, and a configurable thread pool.
+version, and an optional shared-memory process pool.
 
 Workload loads are atomic: ``add_plans`` and ``load_workload_dir`` stage
 the whole batch (parsing, transforming and checking for duplicate ids)
@@ -59,11 +59,11 @@ def _read_text(path: str) -> str:
 class OptImatch:
     """Query performance problem determination over a QEP workload.
 
-    *workers* and *cache* configure the matching engine (defaults: one
-    worker per CPU, caching on); *mode* selects the execution tier —
-    ``"thread"`` (default) or ``"process"`` for the shared-memory
-    multiprocess pool (see ``docs/scale-out.md``).  Pass an *engine* to
-    share one across facades.
+    *mode*, *workers* and *cache* configure the matching engine: *mode*
+    is ``"serial"`` (default) or ``"process"`` for the shared-memory
+    multiprocess pool of *workers* processes (see
+    ``docs/scale-out.md``); caching is on by default.  Pass an *engine*
+    to share one across facades.
 
     *data_dir* turns on durability (``docs/durability.md``): mutations
     are journaled with the given *fsync* policy (``fsync`` / ``batch`` /
@@ -113,8 +113,8 @@ class OptImatch:
                 self.recover()
 
     def close(self) -> None:
-        """Release engine resources: worker pools and (in process mode)
-        the shared-memory snapshot segment.  With durability on, flushes
+        """Release engine resources: in process mode, the worker pool
+        and the shared-memory snapshot segment.  With durability on, flushes
         the journal and writes a final checkpoint first (unless recovery
         never completed — closing a still-``recovering`` store must not
         checkpoint an empty workload over real data).  Idempotent."""

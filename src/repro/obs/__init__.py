@@ -9,8 +9,8 @@ The subsystem has four parts (see ``docs/observability.md``):
 * :mod:`repro.obs.prometheus` — the text exposition renderer behind
   ``GET /metrics``;
 * :mod:`repro.obs.tracing` — hierarchical spans
-  (``search → plan → compile → …``) carried across thread-pool workers
-  by contextvars, exportable as JSON or Chrome ``trace_event``;
+  (``search → plan → compile → …``) carried per thread/context by
+  contextvars, exportable as JSON or Chrome ``trace_event``;
 * :mod:`repro.obs.profiler` — the EXPLAIN-style matcher profile behind
   ``OptImatch.explain`` / the CLI ``profile`` subcommand, plus the
   :class:`StageTimer` the experiment reports embed.

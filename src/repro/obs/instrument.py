@@ -29,7 +29,7 @@ class EvalProbe:
     """Base probe: every hook is a no-op; override what you need.
 
     Hook contract (all calls happen on the evaluating thread; a probe
-    used across pool workers must be thread-safe):
+    shared by concurrent searches must be thread-safe):
 
     * ``bgp(patterns, compiled)`` — once per BGP join.  *patterns* are
       the source :class:`~repro.sparql.ast.TriplePattern` objects;

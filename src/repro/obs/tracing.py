@@ -2,18 +2,17 @@
 
 The matching pipeline is a tree of stages — ``search`` fans out to one
 ``plan`` span per workload plan, each of which runs ``compile``,
-``bgp-join``, ``closure-bfs`` and ``tag-rebind`` work — and the engine
-evaluates plans on a thread pool.  A :class:`Tracer` records that tree:
+``bgp-join``, ``closure-bfs`` and ``tag-rebind`` work — and several
+searches may run at once on different threads of the HTTP front.  A
+:class:`Tracer` records that tree:
 
 * :meth:`Tracer.span` is a context manager opening a child of the
   *current* span, carried in a :class:`contextvars.ContextVar` so
   nesting works across function boundaries without threading a span
   argument through every call.
-* Thread-pool workers inherit the submitting context: `MatchingEngine`
-  captures ``contextvars.copy_context()`` at dispatch time and runs each
-  chunk inside a copy, so a worker's ``plan`` spans parent correctly
-  under the ``search`` span that scheduled them (no orphans, no
-  cross-search adoption).
+* Each thread has its own context, so concurrent searches on one
+  engine keep separate span stacks: every ``plan`` span parents under
+  its own ``search`` span (no orphans, no cross-search adoption).
 * A disabled tracer (the default) costs one attribute check per
   ``span()`` call and allocates nothing.
 

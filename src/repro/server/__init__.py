@@ -4,18 +4,17 @@ OptImatch is a web tool (Figure 4: a web-based GUI talking to a server
 holding the transformation and matching engines; Section 3.2.1 even
 notes the client/server communication as an optimization target).  This
 package exposes that architecture over a JSON/HTTP API built on the
-standard library, behind **two interchangeable fronts**:
+standard library:
 
-* :class:`OptImatchServer` (:mod:`repro.server.threaded`) — the
-  thread-per-connection front; simple, sturdy, one thread per request.
 * :class:`AsyncOptImatchServer` (:mod:`repro.server.aserver`) — the
   asyncio front: keep-alive connections, an event loop that never
   blocks on evaluation (CPU work dispatches to executors), and the
-  high-throughput streaming-ingest path.
+  high-throughput streaming-ingest path;
+* :mod:`repro.server.common` — the route table, governance state and
+  JSON encoding behind it;
+* :mod:`repro.server.stream` — the incremental NDJSON ingest session.
 
-Both route through one shared core (:mod:`repro.server.common`), so
-every response body is byte-identical across fronts — a property the
-differential suite enforces.  The API:
+The API:
 
 ======  =====================  ==========================================
 method  path                   body / effect
@@ -42,11 +41,10 @@ graceful drain on ``stop()``, durability (journaled ingest, background
 recovery, ``recovering``/``read_only`` degradation), and streaming
 ingest with per-connection backpressure.
 
-Start one with ``optimatch serve --port 8080`` (``--async`` for the
-asyncio front) or programmatically::
+Start one with ``optimatch serve --port 8080`` or programmatically::
 
-    from repro.server import OptImatchServer
-    server = OptImatchServer(port=0)     # 0 = ephemeral port
+    from repro.server import AsyncOptImatchServer
+    server = AsyncOptImatchServer(port=0)     # 0 = ephemeral port
     server.start()
     ...
     server.stop()
@@ -78,20 +76,10 @@ from repro.server.stream import (
     StreamSession,
     encode_ndjson,
 )
-from repro.server.threaded import OptImatchServer
-
-#: The two fronts, by CLI name (``optimatch serve --front ...``).
-FRONTS = {
-    "threaded": OptImatchServer,
-    "async": AsyncOptImatchServer,
-}
-
 __all__ = [
     "AsyncOptImatchServer",
-    "OptImatchServer",
     "ServerState",
     "Response",
-    "FRONTS",
     "dispatch",
     "encode_json",
     "encode_ndjson",

@@ -1,18 +1,17 @@
-"""The asyncio HTTP front — keep-alive connections, streaming ingest.
+"""The HTTP front — keep-alive connections, streaming ingest.
 
 One event loop owns every socket: requests are parsed with
-:mod:`asyncio` stream readers, routed through the same
-:func:`repro.server.common.dispatch` table as the threaded front (the
-differential suite asserts byte-identical bodies), and written back
-over persistent HTTP/1.1 connections.  The division of labor:
+:mod:`asyncio` stream readers, routed through the
+:func:`repro.server.common.dispatch` table, and written back over
+persistent HTTP/1.1 connections.  The division of labor:
 
 * **event loop** — socket IO, HTTP framing, ``GET /health`` (built
   lock-free by :func:`~repro.server.common.health_payload`, so liveness
   is served inline in microseconds no matter what the executors are
   chewing on);
 * **dispatch executor** — every other route.  CPU-bound matching work
-  (``/search``, ``/kb/run``) runs here via ``run_in_executor``, where
-  the engine's own thread/process pools apply, so the loop never blocks
+  (``/search``, ``/kb/run``) runs here via ``run_in_executor`` (and on
+  the engine's process pool in process mode), so the loop never blocks
   on the GIL-heavy evaluation path;
 * **stream executor** — ``POST /plans/stream`` micro-batch commits.  A
   connection ``await``s its own commit before reading the next chunk,
@@ -27,7 +26,7 @@ Governance composes unchanged: load shedding, budgets, graceful drain
 (``recovering``/``read_only`` 503s with Retry-After) all live in the
 shared :class:`~repro.server.common.ServerState`.
 
-Start one with ``optimatch serve --async`` or programmatically::
+Start one with ``optimatch serve`` or programmatically::
 
     from repro.server import AsyncOptImatchServer
     server = AsyncOptImatchServer(port=0).start()   # daemon thread
@@ -79,13 +78,23 @@ from repro.store import DEFAULT_CHECKPOINT_EVERY
 #: Read streamed request bodies in slices of this many bytes.
 _STREAM_READ_SIZE = 64 * 1024
 #: Cap on one request head line / header line (defense against
-#: unbounded readline buffering).
+#: unbounded readline buffering).  A line past the StreamReader's own
+#: 64 KiB limit never reaches this check; see :func:`_readline`.
 _MAX_LINE = 16 * 1024
 
 #: Lingering-close bounds: how much of a half-dead client's remaining
 #: upload we read (and how long we wait) before closing its socket.
 _LINGER_BYTES = 1024 * 1024
 _LINGER_SECONDS = 1.0
+
+
+async def _readline(reader: asyncio.StreamReader) -> Optional[bytes]:
+    """One line from *reader*, or ``None`` when it overruns the
+    reader's buffer limit (``readline`` raises ``ValueError`` then)."""
+    try:
+        return await reader.readline()
+    except ValueError:
+        return None
 
 
 def _reason(status: int) -> str:
@@ -96,13 +105,15 @@ def _reason(status: int) -> str:
 
 
 class AsyncOptImatchServer:
-    """The asyncio service front over one :class:`OptImatch` instance.
+    """The HTTP service front over one :class:`OptImatch` instance.
 
-    Constructor-compatible with the threaded
-    :class:`repro.server.threaded.OptImatchServer` — same governance,
-    durability and streaming knobs — and exposes the same lifecycle
-    API (``start`` / ``serve_forever`` / ``stop`` / ``address`` /
-    ``url``), so callers can swap fronts without code changes.
+    *max_body_bytes*, *default_timeout_ms*, *max_timeout_ms*,
+    *max_inflight* and *retry_after_seconds* configure the governance
+    layer (see docs/operations.md for tuning guidance); *stream_batch*,
+    *max_streams* and *stream_hwm* configure streaming ingest (see
+    docs/http-api.md); *mode*, *workers* and *cache* configure the
+    matching engine.  Lifecycle: ``start`` / ``stop`` / ``address`` /
+    ``url``.
     """
 
     def __init__(
@@ -199,12 +210,6 @@ class AsyncOptImatchServer:
             raise RuntimeError("async server failed to bind in time")
         return self
 
-    def serve_forever(self) -> None:
-        """Serve on the calling thread (the CLI entry point)."""
-        self._run_loop()
-        if self._startup_error is not None:
-            raise self._startup_error
-
     def _run_loop(self) -> None:
         try:
             asyncio.run(self._main())
@@ -240,10 +245,10 @@ class AsyncOptImatchServer:
     def stop(self, drain_seconds: float = 5.0) -> None:
         """Graceful shutdown: drain in-flight requests, then close.
 
-        Same contract as the threaded front: new heavy work is shed
-        with 503 while draining, in-flight requests get up to
-        *drain_seconds*, then the loop is torn down (open keep-alive
-        connections are dropped) and the engine is closed.
+        New heavy work is shed with 503 while draining, in-flight
+        requests get up to *drain_seconds*, then the loop is torn down
+        (open keep-alive connections are dropped) and the engine is
+        closed.
         """
         self.state.draining = True
         deadline = time.monotonic() + drain_seconds
@@ -275,12 +280,12 @@ class AsyncOptImatchServer:
         self._conn_writers.add(writer)
         try:
             while True:
-                request_line = await reader.readline()
-                if not request_line:
+                request_line = await _readline(reader)
+                if request_line == b"":
                     break
                 if request_line in (b"\r\n", b"\n"):
                     continue  # stray CRLF between pipelined requests
-                if len(request_line) > _MAX_LINE:
+                if request_line is None or len(request_line) > _MAX_LINE:
                     await self._write_response(
                         writer,
                         error_response(400, "request line too long"),
@@ -321,9 +326,11 @@ class AsyncOptImatchServer:
         ):
             pass  # client went away / overran framing; nothing to say
         finally:
-            self._conn_tasks.discard(task)
             self._conn_writers.discard(writer)
+            # Stay in _conn_tasks until the close finishes, so shutdown
+            # waits for it instead of cancelling it mid-close.
             await self._lingering_close(reader, writer)
+            self._conn_tasks.discard(task)
 
     async def _lingering_close(
         self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
@@ -364,10 +371,10 @@ class AsyncOptImatchServer:
     async def _read_headers(self, reader: asyncio.StreamReader):
         headers = {}
         while True:
-            line = await reader.readline()
+            line = await _readline(reader)
             if line in (b"\r\n", b"\n", b""):
                 return headers
-            if len(line) > _MAX_LINE or len(headers) > 256:
+            if line is None or len(line) > _MAX_LINE or len(headers) > 256:
                 return None
             name, sep, value = line.decode("latin-1").partition(":")
             if not sep:
@@ -411,10 +418,12 @@ class AsyncOptImatchServer:
                     )
                     return False
                 body = b""
-                if method == "POST":
+                if method == "POST" or "content-length" in headers:
                     # Read the body before routing, so Content-Length
                     # problems (411/400/413) surface even on unknown
-                    # paths — and close, since the body is unread.
+                    # paths — and close, since the body is unread.  A
+                    # GET/DELETE body is read (to keep the framing) and
+                    # capped like any other; only POST requires one.
                     try:
                         length = validate_content_length(state, headers)
                     except _RequestError as exc:
@@ -431,12 +440,6 @@ class AsyncOptImatchServer:
                         )
                         return False
                     body = await reader.readexactly(length) if length else b""
-                else:
-                    # GET/DELETE bodies are ignored, but must be drained
-                    # to keep the connection framing intact.
-                    stray = headers.get("content-length", "0").strip()
-                    if stray.isdigit() and int(stray):
-                        await reader.readexactly(int(stray))
                 if method == "GET" and route == "/health":
                     # Inline on the event loop: liveness must not queue
                     # behind the executors.
@@ -627,7 +630,11 @@ class AsyncOptImatchServer:
         te = headers.get("transfer-encoding", "")
         if "chunked" in te.lower():
             while True:
-                size_line = await reader.readline()
+                size_line = await _readline(reader)
+                if size_line is None:
+                    raise _RequestError(
+                        400, "bad_chunked_encoding", "chunk size line too long"
+                    )
                 try:
                     size = int(size_line.split(b";")[0].strip() or b"", 16)
                 except ValueError:
@@ -637,7 +644,11 @@ class AsyncOptImatchServer:
                 if size == 0:
                     # Consume trailers up to the terminating blank line.
                     while True:
-                        line = await reader.readline()
+                        line = await _readline(reader)
+                        if line is None:
+                            raise _RequestError(
+                                400, "bad_chunked_encoding", "trailer too long"
+                            )
                         if line in (b"\r\n", b"\n", b""):
                             break
                     return

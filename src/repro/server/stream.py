@@ -30,15 +30,14 @@ status.
 
 Backpressure: each committing batch holds one of
 ``ServerState.stream_commit_slots`` (the ``stream_hwm`` semaphore).
-Fronts drive :class:`StreamSession` synchronously — the threaded front
-on its handler thread, the asyncio front through its executor — so a
-connection whose batch is waiting for a slot simply stops reading its
-socket, and the kernel's TCP window pushes the stall back to the
-sender.  Server memory per connection is bounded by one batch plus one
-max-size line, no matter how fast clients write.
+The front drives :class:`StreamSession` synchronously through its
+stream executor, so a connection whose batch is waiting for a slot
+simply stops reading its socket, and the kernel's TCP window pushes
+the stall back to the sender.  Server memory per connection is bounded
+by one batch plus one max-size line, no matter how fast clients write.
 
-This module is deliberately front-agnostic and blocking; the only
-asyncio- or socket-aware code lives in the fronts.
+This module is deliberately socket-free and blocking; the only
+asyncio- or socket-aware code lives in :mod:`repro.server.aserver`.
 """
 
 from __future__ import annotations
@@ -63,8 +62,7 @@ NDJSON_CONTENT_TYPE = "application/x-ndjson"
 
 
 def encode_ndjson(obj) -> bytes:
-    """One compact, key-sorted NDJSON line — shared by both fronts so
-    ack streams are byte-identical."""
+    """One compact, key-sorted NDJSON line (ack and error records)."""
     return json.dumps(obj, separators=(",", ":"), sort_keys=True).encode(
         "utf-8"
     ) + b"\n"

@@ -1,4 +1,4 @@
-"""Parallel, cached matching engine (repro.core.engine)."""
+"""Cached matching engine (repro.core.engine)."""
 
 import pytest
 
@@ -46,29 +46,27 @@ class TestLRUCache:
 
 
 class TestParallelEqualsSerial:
-    @pytest.mark.parametrize("workers", [1, 2, 4])
-    def test_identical_to_find_matches(self, planted_workload, workers):
+    def test_identical_to_find_matches(self, planted_workload):
         serial = find_matches(builtin_sparql("A"), planted_workload)
-        engine = MatchingEngine(workers=workers)
-        parallel = engine.search(builtin_sparql("A"), planted_workload)
-        assert _signatures(parallel) == _signatures(serial)
-        engine.close()
+        with MatchingEngine() as engine:
+            cached = engine.search(builtin_sparql("A"), planted_workload)
+        assert _signatures(cached) == _signatures(serial)
 
     def test_workload_order_preserved(self, planted_workload):
-        with MatchingEngine(workers=4, chunk_size=1) as engine:
+        with MatchingEngine() as engine:
             matches = engine.search(builtin_sparql("A"), planted_workload)
         order = [t.plan_id for t in planted_workload]
         positions = [order.index(m.plan_id) for m in matches]
         assert positions == sorted(positions)
 
     def test_accepts_pattern_objects(self, planted_workload):
-        with MatchingEngine(workers=2) as engine:
+        with MatchingEngine() as engine:
             by_pattern = engine.search(make_pattern("A"), planted_workload)
             by_text = engine.search(builtin_sparql("A"), planted_workload)
         assert _signatures(by_pattern) == _signatures(by_text)
 
     def test_keep_empty_returns_every_plan(self, planted_workload):
-        with MatchingEngine(workers=2) as engine:
+        with MatchingEngine() as engine:
             all_plans = engine.search(
                 builtin_sparql("A"), planted_workload, keep_empty=True
             )
@@ -149,10 +147,11 @@ class TestPreparedCache:
 
 class TestStatsApi:
     def test_snapshot_shape(self, planted_workload):
-        engine = MatchingEngine(workers=2)
+        engine = MatchingEngine()
         engine.search(builtin_sparql("A"), planted_workload)
         stats = engine.stats()
-        assert stats["workers"] == 2
+        assert stats["workers"] == 1
+        assert stats["mode"] == "serial"
         assert stats["searches"] == 1
         assert stats["plansSeen"] == len(planted_workload)
         assert stats["timings"]["totalSeconds"] >= 0.0
@@ -178,7 +177,7 @@ class TestStatsApi:
 
 class TestFacadeIntegration:
     def test_search_matches_bare_find_matches(self, planted_workload):
-        tool = OptImatch(workers=3)
+        tool = OptImatch()
         tool.add_plans([t.plan for t in planted_workload])
         serial = find_matches(make_pattern("A"), planted_workload)
         assert _signatures(tool.search(make_pattern("A"))) == _signatures(serial)
@@ -188,7 +187,7 @@ class TestFacadeIntegration:
         kb = builtin_knowledge_base()
         serial_report = kb.find_recommendations(planted_workload)
         engine_report = kb.find_recommendations(
-            planted_workload, engine=MatchingEngine(workers=4)
+            planted_workload, engine=MatchingEngine()
         )
         assert engine_report.summary() == serial_report.summary()
         assert (
@@ -206,7 +205,7 @@ class TestFacadeIntegration:
         assert stats["preparedCache"]["misses"] == len(kb)
 
     def test_run_knowledge_base_uses_engine(self, figure1_plan):
-        tool = OptImatch(workers=2)
+        tool = OptImatch()
         tool.add_plan(figure1_plan)
         report = tool.run_knowledge_base(builtin_knowledge_base())
         assert report.for_plan("fig1") is not None
@@ -293,7 +292,7 @@ class TestStatsTornReads:
     def test_engine_snapshots_consistent_under_load(self, planted_workload):
         import threading
 
-        engine = MatchingEngine(workers=4, cache=True)
+        engine = MatchingEngine(cache=True)
         snapshots = []
         stop = threading.Event()
 
@@ -327,7 +326,7 @@ class TestStatsTornReads:
     def test_facade_snapshots_consistent_under_load(self, planted_workload):
         import threading
 
-        tool = OptImatch(workers=4, cache=True)
+        tool = OptImatch(cache=True)
         tool.add_plans([t.plan for t in planted_workload])
         snapshots = []
         stop = threading.Event()

@@ -125,13 +125,13 @@ class TestStatsAndMetrics:
         with MatchingEngine(workers=2, mode="process") as engine:
             text = render_text(engine.registry)
             assert 'optimatch_engine_mode_info{mode="process"} 1' in text
-            assert 'optimatch_engine_mode_info{mode="thread"} 0' in text
+            assert 'optimatch_engine_mode_info{mode="serial"} 0' in text
 
 
 class TestFallbacks:
     def test_single_worker_falls_back_to_serial(self):
         with MatchingEngine(workers=1, mode="process") as engine:
-            assert engine.mode == "thread"
+            assert engine.mode == "serial"
             assert "serial" in engine.mode_fallback
             workload = transformed_experiment_workload(4, seed=5)
             assert engine.search(make_pattern("A"), workload) is not None
@@ -141,11 +141,11 @@ class TestFallbacks:
             "repro.core.engine.mpexec.available", lambda: False
         )
         with MatchingEngine(workers=4, mode="process") as engine:
-            assert engine.mode == "thread"
+            assert engine.mode == "serial"
             assert "unavailable" in engine.mode_fallback
 
     def test_default_worker_count_process_mode(self):
-        assert default_worker_count("process") == (os.cpu_count() or 1)
+        assert default_worker_count() == (os.cpu_count() or 1)
 
     def test_invalid_mode_rejected(self):
         with pytest.raises(ValueError):

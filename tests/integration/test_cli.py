@@ -5,7 +5,8 @@ import os
 
 import pytest
 
-from repro.cli import main
+from repro.cli import build_parser, main
+from repro.core.engine import MatchingEngine
 from repro.kb.builtin import make_pattern
 
 
@@ -54,9 +55,10 @@ def test_search_pattern_json_file(workload_dir, tmp_path, capsys):
 
 
 def test_search_engine_flags_and_stats_line(workload_dir, capsys):
-    assert main(["search", workload_dir, "A", "--workers", "2"]) == 0
+    # One process worker cannot beat serial: the engine falls back.
+    assert main(["search", workload_dir, "A", "--mp-workers", "1"]) == 0
     out = capsys.readouterr().out
-    assert "engine: 2 worker(s), cache on" in out
+    assert "engine: 1 worker(s), cache on" in out
 
 
 def test_search_no_cache(workload_dir, capsys):
@@ -65,9 +67,9 @@ def test_search_no_cache(workload_dir, capsys):
 
 
 def test_kb_engine_stats_line(workload_dir, capsys):
-    assert main(["kb", workload_dir, "--workers", "2"]) == 0
+    assert main(["kb", workload_dir]) == 0
     out = capsys.readouterr().out
-    assert "engine: 2 worker(s)" in out
+    assert "engine: 1 worker(s)" in out
     assert "evaluate" in out
 
 
@@ -214,3 +216,31 @@ def test_experiment_unknown_name(capsys):
 def test_experiment_fig9_tiny(capsys):
     assert main(["experiment", "fig9", "--scale", "0.01"]) == 0
     assert "Figure 9" in capsys.readouterr().out
+
+
+def test_serve_async_flag_still_parses():
+    args = build_parser().parse_args(["serve", "--async", "--port", "0"])
+    assert args.port == 0
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["serve", "--threaded"],
+        ["serve", "--front", "async"],
+        ["search", "wl", "A", "--workers", "2"],
+    ],
+)
+def test_removed_flags_are_argparse_errors(argv, capsys):
+    with pytest.raises(SystemExit) as excinfo:
+        build_parser().parse_args(argv)
+    assert excinfo.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "kwargs", [{"workers": 2}, {"mode": "thread"}], ids=["workers", "thread"]
+)
+def test_engine_rejects_thread_fan_out(kwargs):
+    with pytest.raises(ValueError):
+        MatchingEngine(**kwargs)

@@ -7,13 +7,13 @@ import pytest
 
 from repro.kb.builtin import make_pattern
 from repro.qep import write_plan
-from repro.server import OptImatchServer
+from repro.server import AsyncOptImatchServer
 from tests.conftest import build_figure1_plan
 
 
 @pytest.fixture(scope="module")
 def server():
-    instance = OptImatchServer(port=0).start()
+    instance = AsyncOptImatchServer(port=0).start()
     yield instance
     instance.stop()
 
@@ -124,7 +124,7 @@ class TestSearch:
 
 class TestConcurrency:
     def test_parallel_uploads_and_searches(self, server, client):
-        """The threaded server must stay consistent under concurrent
+        """The server must stay consistent under concurrent
         uploads and searches (the state lock does the serialization)."""
         import threading
 

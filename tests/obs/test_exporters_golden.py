@@ -128,9 +128,9 @@ class TestLiveServerScrape:
 
     @pytest.fixture
     def server(self):
-        from repro.server import OptImatchServer
+        from repro.server import AsyncOptImatchServer
 
-        srv = OptImatchServer(port=0, workers=1).start()
+        srv = AsyncOptImatchServer(port=0, workers=1).start()
         for index in range(2):
             srv.state.tool.add_plan(build_figure1_plan(f"fig1-{index}"))
         yield srv

@@ -91,21 +91,6 @@ class TestTracedEngineDifferential:
         assert _signatures(traced) == _signatures(plain)
         assert traced_engine.tracer.spans(), "tracer recorded nothing"
 
-    @pytest.mark.parametrize("workers", [1, 4])
-    def test_traced_parallel_matches_serial(self, workload, workers):
-        pattern = make_pattern("A")
-        serial = MatchingEngine(workers=1, cache=False)
-        parallel = MatchingEngine(
-            workers=workers, cache=False, tracer=Tracer(enabled=True)
-        )
-        try:
-            expected = serial.search(pattern, workload)
-            got = parallel.search(pattern, workload)
-        finally:
-            serial.close()
-            parallel.close()
-        assert _signatures(got) == _signatures(expected)
-
 
 class TestExplainDifferential:
     def test_explain_reports_search_results_unchanged(self):

@@ -1,6 +1,6 @@
 """Child process for the kill -9 mid-stream harness.
 
-Starts a durable server front on an ephemeral port, waits until
+Starts a durable server on an ephemeral port, waits until
 ``/health`` reports ``ok``, prints ``PORT <port>``, then parks forever —
 the parent streams plans at it over ``POST /plans/stream?ack=sync`` and
 SIGKILLs this process mid-stream.  Every ack the parent received before
@@ -11,7 +11,7 @@ survive recovery of the data directory.
 it finishes ingest answers ``503 recovering``; announcing the port
 before that would let the parent's first streamed line race it.
 
-Usage: ``python _stream_child.py DATA_DIR [threaded|async]``
+Usage: ``python _stream_child.py DATA_DIR``
 """
 
 import http.client
@@ -42,11 +42,10 @@ def wait_until_ok(port: int) -> None:
 
 def main() -> None:
     data_dir = sys.argv[1]
-    front = sys.argv[2] if len(sys.argv) > 2 else "async"
 
-    from repro.server import FRONTS
+    from repro.server import AsyncOptImatchServer
 
-    server = FRONTS[front](
+    server = AsyncOptImatchServer(
         port=0,
         workers=1,
         data_dir=data_dir,

@@ -2,7 +2,7 @@
 
 The recovery matrix drives an injected journal-device fault
 (``ENOSPC`` / ``EIO`` at the WAL append site) through every fsync
-policy × both HTTP fronts and pins the whole failure contract:
+policy and pins the whole failure contract:
 
 * the faulted ingest answers ``503 read_only`` with Retry-After;
 * the store latches — later ingest keeps failing, searches keep
@@ -27,7 +27,7 @@ import json
 
 import pytest
 
-from repro.server import FRONTS
+from repro.server import AsyncOptImatchServer
 from repro.testing import chaos
 
 from tests.robustness.conftest import TRIVIAL_SPARQL
@@ -52,12 +52,12 @@ def raw_request(srv, method, path):
 
 
 @pytest.fixture()
-def front_server(tmp_path):
-    """Factory for either front on a shared durable data dir."""
+def durable_server(tmp_path):
+    """Factory for servers on a shared durable data dir."""
     started = []
 
-    def factory(front, **kwargs):
-        srv = FRONTS[front](
+    def factory(**kwargs):
+        srv = AsyncOptImatchServer(
             port=0,
             workers=1,
             data_dir=str(tmp_path / "data"),
@@ -78,14 +78,13 @@ def front_server(tmp_path):
 # ----------------------------------------------------------------------
 # The ENOSPC/EIO recovery matrix
 # ----------------------------------------------------------------------
-@pytest.mark.parametrize("front", sorted(FRONTS))
 @pytest.mark.parametrize("fsync_mode", ["fsync", "batch", "async"])
 @pytest.mark.parametrize("kind", sorted(FAULTS))
 def test_device_fault_latches_and_acked_data_survives(
-    front_server, front, fsync_mode, kind
+    durable_server, fsync_mode, kind
 ):
     texts = plan_texts(count=3, seed=23)
-    srv = front_server(front, fsync_mode=fsync_mode)
+    srv = durable_server(fsync_mode=fsync_mode)
     wait_for_status(srv, "ok")
 
     # Acked before the fault: these two plans are the durable promise.
@@ -135,19 +134,18 @@ def test_device_fault_latches_and_acked_data_survives(
 
     # Restart on the same data dir: every acked plan recovered.
     srv.stop(drain_seconds=2.0)
-    srv = front_server(front, fsync_mode=fsync_mode)
+    srv = durable_server(fsync_mode=fsync_mode)
     wait_for_status(srv, "ok")
     status, _, payload = request(srv, "GET", "/plans")
     assert status == 200
     assert set(acked) <= set(payload["plans"])
 
 
-@pytest.mark.parametrize("front", sorted(FRONTS))
-def test_fsync_fault_never_acks_unsynced_data(front_server, front):
+def test_fsync_fault_never_acks_unsynced_data(durable_server):
     """An fsync failure on ``?ack=sync`` must answer 503, not a lying
     201: the client retries and at-least-once delivery holds."""
     texts = plan_texts(count=2, seed=29)
-    srv = front_server(front, fsync_mode="fsync")
+    srv = durable_server(fsync_mode="fsync")
     wait_for_status(srv, "ok")
     status, _, _ = request(
         srv, "POST", "/plans?ack=sync", texts[0]
@@ -176,10 +174,9 @@ def test_fsync_fault_never_acks_unsynced_data(front_server, front):
 Usage = collections.namedtuple("Usage", "total used free")
 
 
-@pytest.mark.parametrize("front", sorted(FRONTS))
-def test_disk_preflight_sheds_ingest_with_low_disk(front_server, front):
+def test_disk_preflight_sheds_ingest_with_low_disk(durable_server):
     texts = plan_texts(count=2, seed=31)
-    srv = front_server(front, min_free_bytes=1024)
+    srv = durable_server(min_free_bytes=1024)
     wait_for_status(srv, "ok")
     status, _, _ = request(srv, "POST", "/plans?ack=sync", texts[0])
     assert status == 201
@@ -213,16 +210,13 @@ def test_disk_preflight_sheds_ingest_with_low_disk(front_server, front):
     assert status == 201
 
 
-@pytest.mark.parametrize("front", sorted(FRONTS))
-def test_memory_watermark_sheds_ingest_with_overloaded_memory(
-    front_server, front
-):
+def test_memory_watermark_sheds_ingest_with_overloaded_memory(durable_server):
     texts = plan_texts(count=2, seed=37)
     # A watermark the test process can never actually reach (the server
     # shares this process, so a realistic threshold would depend on how
     # much of the suite ran before this test); the injected probe is
     # what pushes RSS "over".
-    srv = front_server(front, max_rss_bytes=1 << 40)
+    srv = durable_server(max_rss_bytes=1 << 40)
     wait_for_status(srv, "ok")
 
     real_probe = srv.state._rss_probe

@@ -63,17 +63,6 @@ class TestFaultIsolation:
             engine.search_isolated(TRIVIAL_SPARQL, small_transformed)
         assert engine.stats()["planErrors"] == 1
 
-    def test_isolation_with_worker_pool(self, small_transformed):
-        """Errors are contained per task even when fanned out to threads."""
-        bad = small_transformed[3].plan_id
-        engine = MatchingEngine(workers=4)
-        with chaos.injected(
-            "matcher.search_plan", keys={bad}, exc=RuntimeError("boom")
-        ):
-            result = engine.search_isolated(TRIVIAL_SPARQL, small_transformed)
-        assert [e.plan_id for e in result.errors] == [bad]
-        assert len(result.matches) == len(small_transformed) - 1
-
 
 class TestPlanErrorShape:
     def test_to_json_object(self):

@@ -16,7 +16,7 @@ import time
 import pytest
 
 from repro.core import Budget, MatchingEngine
-from repro.server import OptImatchServer
+from repro.server import AsyncOptImatchServer
 
 from tests.robustness.conftest import PATHOLOGICAL_SPARQL
 
@@ -91,7 +91,7 @@ class TestEngineDeadline:
 class TestServerUnderPathologicalLoad:
     @pytest.fixture
     def server(self, mixed_workload):
-        srv = OptImatchServer(port=0, workers=1)
+        srv = AsyncOptImatchServer(port=0, workers=1)
         srv.start()
         # install the transformed workload directly (uploading monster
         # explain files is slow and beside the point here)

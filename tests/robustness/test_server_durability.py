@@ -23,7 +23,7 @@ import time
 import pytest
 
 from repro.qep.writer import write_plan
-from repro.server import OptImatchServer
+from repro.server import AsyncOptImatchServer
 from repro.store.wal import scan_wal
 from repro.testing import chaos
 from repro.workload import generate_workload
@@ -78,7 +78,7 @@ def durable_server(tmp_path):
     started = []
 
     def factory(**kwargs):
-        srv = OptImatchServer(
+        srv = AsyncOptImatchServer(
             port=0,
             workers=1,
             data_dir=str(tmp_path / "data"),
@@ -99,7 +99,7 @@ def durable_server(tmp_path):
 
 class TestRecoveringWindow:
     def test_503_recovering_until_replay_finishes(self, tmp_path):
-        srv = OptImatchServer(
+        srv = AsyncOptImatchServer(
             port=0, workers=1, data_dir=str(tmp_path / "data"),
             fsync_mode="async",
         )
@@ -144,7 +144,7 @@ class TestRecoveringWindow:
             srv.stop(drain_seconds=2.0)
 
     def test_failed_recovery_latches_read_only(self, tmp_path):
-        srv = OptImatchServer(
+        srv = AsyncOptImatchServer(
             port=0, workers=1, data_dir=str(tmp_path / "data"),
             fsync_mode="async",
         )

@@ -2,13 +2,15 @@
 
 import http.client
 import json
+import logging
+import socket
 import threading
 import time
 
 import pytest
 
 from repro.qep.writer import write_plan
-from repro.server import OptImatchServer
+from repro.server import AsyncOptImatchServer
 from repro.testing import chaos
 from repro.workload import generate_workload
 
@@ -17,7 +19,7 @@ from tests.robustness.conftest import PATHOLOGICAL_SPARQL, TRIVIAL_SPARQL
 
 @pytest.fixture
 def server():
-    srv = OptImatchServer(port=0, workers=1)
+    srv = AsyncOptImatchServer(port=0, workers=1)
     srv.start()
     yield srv
     srv.stop(drain_seconds=2.0)
@@ -45,6 +47,34 @@ def raw_request(srv, method, path, headers=None, body=None):
         )
     finally:
         conn.close()
+
+
+def raw_exchange(srv, payload, timeout=10):
+    """Write *payload* on one connection; return every response the
+    server sends before closing it (or before a ``Connection: close``
+    reply) as ``(status, headers, body)`` tuples."""
+    sock = socket.create_connection(srv.address, timeout=timeout)
+    try:
+        sock.sendall(payload)
+        reader = sock.makefile("rb")
+        responses = []
+        while True:
+            status_line = reader.readline()
+            if not status_line:
+                return responses
+            headers = {}
+            while True:
+                line = reader.readline()
+                if line in (b"\r\n", b"\n", b""):
+                    break
+                name, _, value = line.decode("latin-1").partition(":")
+                headers[name.strip().lower()] = value.strip()
+            body = reader.read(int(headers.get("content-length", 0)))
+            responses.append((int(status_line.split()[1]), headers, body))
+            if headers.get("connection") == "close":
+                return responses
+    finally:
+        sock.close()
 
 
 def post(srv, path, body=b"", headers=None):
@@ -80,6 +110,87 @@ class TestBodyValidation:
         status, _, payload = post(server, "/plans", body)
         assert status == 413
         assert payload["code"] == "body_too_large"
+
+    def test_get_body_over_cap_is_413(self, server):
+        """A GET may not declare an unbounded body: the cap applies to
+        every method, before a byte of the body is read."""
+        server.state.max_body_bytes = 1024
+        responses = raw_exchange(
+            server,
+            b"GET /health HTTP/1.1\r\nContent-Length: 209715200\r\n\r\n",
+        )
+        [(status, headers, body)] = responses
+        assert status == 413
+        assert json.loads(body)["code"] == "body_too_large"
+        assert headers["connection"] == "close"
+
+    def test_get_malformed_content_length_is_400(self, server):
+        """A non-decimal length must not leave the body on the wire to
+        be parsed as a second request."""
+        smuggled = b"GET /nope HTTP/1.1\r\n\r\n"
+        responses = raw_exchange(
+            server,
+            b"GET /health HTTP/1.1\r\nContent-Length: 0x%x\r\n\r\n"
+            % len(smuggled) + smuggled,
+        )
+        [(status, _, body)] = responses
+        assert status == 400
+        assert json.loads(body)["code"] == "bad_content_length"
+
+    def test_small_get_body_keeps_connection_framed(self, server):
+        responses = raw_exchange(
+            server,
+            b"GET /health HTTP/1.1\r\nContent-Length: 5\r\n\r\nhello"
+            b"GET /plans HTTP/1.1\r\nConnection: close\r\n\r\n",
+        )
+        assert [status for status, _, _ in responses] == [200, 200]
+        assert json.loads(responses[0][2])["status"] == "ok"
+        assert json.loads(responses[1][2]) == {"plans": []}
+
+
+class TestOverlongLines:
+    """Lines past the StreamReader's 64 KiB limit get a 400, not a
+    dropped connection (and no unhandled-exception log)."""
+
+    LONG = b"a" * (70 * 1024)
+
+    def _assert_rejected(self, server, caplog, payload, code):
+        [(status, _, body)] = raw_exchange(server, payload)
+        assert status == 400
+        assert json.loads(body)["code"] == code
+        status, _, health = raw_request(server, "GET", "/health")
+        assert status == 200 and health["status"] == "ok"
+        assert not [
+            r
+            for r in caplog.records
+            if r.name == "asyncio" and r.levelno >= logging.ERROR
+        ]
+
+    def test_request_line(self, server, caplog):
+        self._assert_rejected(
+            server,
+            caplog,
+            b"GET /" + self.LONG + b" HTTP/1.1\r\n\r\n",
+            "bad_request",
+        )
+
+    def test_header_line(self, server, caplog):
+        self._assert_rejected(
+            server,
+            caplog,
+            b"GET /health HTTP/1.1\r\nX-Long: " + self.LONG + b"\r\n\r\n",
+            "bad_request",
+        )
+
+    def test_chunk_size_line(self, server, caplog):
+        self._assert_rejected(
+            server,
+            caplog,
+            b"POST /plans/stream HTTP/1.1\r\n"
+            b"Transfer-Encoding: chunked\r\n\r\n"
+            b"1;ext=" + self.LONG + b"\r\n",
+            "bad_chunked_encoding",
+        )
 
 
 class TestErrorTaxonomy:
@@ -228,7 +339,7 @@ class TestShedding:
 
 class TestGracefulShutdown:
     def test_stop_drains_inflight_requests(self):
-        srv = OptImatchServer(port=0, workers=1)
+        srv = AsyncOptImatchServer(port=0, workers=1)
         srv.start()
         load_small_workload(srv)
         chaos.inject("kb.entry", delay=0.6, times=1)
@@ -243,3 +354,25 @@ class TestGracefulShutdown:
         srv.stop(drain_seconds=5.0)  # must wait for the in-flight run
         thread.join(timeout=10)
         assert results["slow"][0] == 200
+
+    def test_stop_waits_for_lingering_close(self, caplog):
+        """A connection still draining a rejected upload when stop()
+        lands is closed, not cancelled mid-close."""
+        srv = AsyncOptImatchServer(port=0, max_body_bytes=64).start()
+        sock = socket.create_connection(srv.address, timeout=10)
+        try:
+            sock.sendall(
+                b"POST /plans HTTP/1.1\r\nContent-Length: 100000\r\n\r\n"
+            )
+            reader = sock.makefile("rb")
+            assert b" 413 " in reader.readline()
+            # The upload is unfinished, so the server is now draining.
+            srv.stop(drain_seconds=1.0)
+            reader.close()
+        finally:
+            sock.close()
+        assert not [
+            r
+            for r in caplog.records
+            if r.name == "asyncio" and r.levelno >= logging.ERROR
+        ]

@@ -2,7 +2,7 @@
 
 Two regressions pinned here:
 
-* ``OptImatchServer.stop()`` must release the process-mode
+* ``AsyncOptImatchServer.stop()`` must release the process-mode
   shared-memory snapshot segment — an earlier CLI path leaked
   ``/dev/shm/psm_*`` segments on SIGTERM because it tore the process
   down without closing the engine;
@@ -20,7 +20,7 @@ import pytest
 
 from repro.core.optimatch import OptImatch
 from repro.qep.writer import write_plan
-from repro.server import OptImatchServer
+from repro.server import AsyncOptImatchServer
 from repro.workload import generate_workload
 
 
@@ -35,7 +35,7 @@ class TestSharedMemoryRelease:
         before = shm_segments()
         if before is None:
             pytest.skip("/dev/shm not available on this platform")
-        srv = OptImatchServer(port=0, workers=2, mode="process")
+        srv = AsyncOptImatchServer(port=0, workers=2, mode="process")
         try:
             if srv.state.tool.engine.mode != "process":
                 pytest.skip("process mode unavailable (fork/posix shm)")
@@ -64,7 +64,6 @@ class TestCliSigterm:
             [
                 sys.executable, "-u", "-m", "repro.cli", "serve",
                 "--port", "0",
-                "--workers", "1",
                 "--workload", str(workload),
                 "--data-dir", str(data_dir),
                 "--fsync-mode", "async",
