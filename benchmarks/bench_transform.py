@@ -47,43 +47,6 @@ def test_write_explain(benchmark, plans, size):
     assert "Plan Details:" in text
 
 
-class TestRdfSidecarCache:
-    """Persisting transformed graphs (the DB2 RDF Store role): loading
-    through the .nt sidecar vs. re-running the transform."""
-
-    @pytest.fixture(scope="class")
-    def explain_dir(self, tmp_path_factory, plans):
-        from repro.qep.writer import write_plan_file
-
-        directory = tmp_path_factory.mktemp("cache-bench")
-        write_plan_file(plans["typical"], str(directory / "typ.exfmt"))
-        return str(directory)
-
-    def test_cold_load_transforms(self, benchmark, explain_dir):
-        from repro.core.store import load_transformed, rdf_cache_path
-        import os
-
-        explain = os.path.join(explain_dir, "typ.exfmt")
-
-        def cold():
-            cache = rdf_cache_path(explain)
-            if os.path.exists(cache):
-                os.remove(cache)
-            return load_transformed(explain)
-
-        transformed = benchmark(cold)
-        assert transformed.pop_resources
-
-    def test_warm_load_reads_sidecar(self, benchmark, explain_dir):
-        from repro.core.store import load_transformed
-        import os
-
-        explain = os.path.join(explain_dir, "typ.exfmt")
-        load_transformed(explain)  # ensure the sidecar exists
-        transformed = benchmark(load_transformed, explain)
-        assert transformed.pop_resources
-
-
 def test_end_to_end_file_to_match(benchmark, texts, queries):
     """Explain text in, Pattern #1 occurrences out — the whole pipeline."""
 

@@ -71,12 +71,12 @@ def _cmd_compile(args) -> int:
 def _engine_kwargs(args) -> dict:
     """Map ``--mp-workers`` onto engine arguments.
 
-    ``--mp-workers N`` selects the multiprocess tier with N worker
-    processes (``0`` = auto, one per CPU); otherwise matching runs
-    serially in-process.
+    ``--mp-workers N`` runs matching on N worker processes (``0`` = one
+    per CPU); without it, or with ``1``, matching runs serially
+    in-process.
     """
     if args.mp_workers is not None:
-        return {"mode": "process", "workers": args.mp_workers or None}
+        return {"workers": args.mp_workers}
     return {}
 
 
@@ -382,7 +382,7 @@ def _cmd_serve(args) -> int:
     finally:
         signal.signal(signal.SIGTERM, previous)
         # Full graceful shutdown: drain in-flight requests, flush the
-        # journal + final checkpoint, release (in process mode) the
+        # journal + final checkpoint, release (with --mp-workers) the
         # worker pool and the shared-memory segment.
         server.stop()
     return 0

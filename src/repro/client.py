@@ -33,7 +33,7 @@ import time
 from typing import Any, Callable, Dict, Iterable, List, Optional, Tuple
 from urllib.parse import urlencode, urlsplit
 
-from repro.obs.metrics import MetricsRegistry, default_registry
+from repro.obs.metrics import MetricsRegistry
 
 
 class ClientError(RuntimeError):
@@ -113,7 +113,7 @@ class OptImatchClient:
         # backoff with a fake ``sleep`` pair it with a fake clock so the
         # observed latencies stay deterministic too.
         self._clock = clock if clock is not None else time.perf_counter
-        self.registry = registry or default_registry()
+        self.registry = registry if registry is not None else MetricsRegistry()
         self._m_requests = self.registry.counter(
             "optimatch_client_requests_total",
             "Client requests by terminal outcome "

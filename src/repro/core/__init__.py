@@ -19,18 +19,12 @@ from repro.core.limits import (
     EvaluationTimeout,
     LimitError,
 )
-from repro.core.engine import (
-    EngineStats,
-    MatchingEngine,
-    PlanError,
-    SearchResult,
-)
+from repro.core.engine import MatchingEngine, PlanError, SearchResult
 from repro.core.optimatch import OptImatch
 
 __all__ = [
     "Budget",
     "BudgetExceeded",
-    "EngineStats",
     "EvaluationTimeout",
     "LimitError",
     "PlanError",

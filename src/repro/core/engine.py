@@ -15,30 +15,30 @@ workload-scale path fast:
   :attr:`repro.rdf.Graph.version` which transparently invalidates only
   that plan's entries.
 
-Instrumentation (per-stage timings, cache hit/miss counters,
-matches-per-plan) is recorded into a
-:class:`repro.obs.metrics.MetricsRegistry` (Prometheus-exportable via
-the server's ``GET /metrics``) and, in the same atomic commit per
-search, into :class:`EngineStats` — which backs the
-:meth:`MatchingEngine.stats` compatibility view.  Snapshots from
-``stats()`` are always internally consistent (e.g. ``matchCache.hits ==
-plansFromCache`` between searches) even while other threads search the
-same engine; see ``tests/core/test_engine.py`` for the torn-read
-regression test.  Pass an enabled :class:`repro.obs.tracing.Tracer` to
-get hierarchical spans
+Instrumentation (per-stage timings, cache hit/miss counters, worker
+tasks, snapshot builds) lives in one place: the engine's
+:class:`repro.obs.metrics.MetricsRegistry`, exported by the server's
+``GET /metrics``.  Each search commits its counters once, inside the
+engine lock, and :meth:`MatchingEngine.stats` reads them back under the
+same lock, so its snapshots are always internally consistent (e.g.
+``matchCache.hits == plansFromCache`` between searches) even while
+other threads search the same engine; see ``tests/core/test_engine.py``
+for the torn-read regression test.  Pass an enabled
+:class:`repro.obs.tracing.Tracer` to get hierarchical spans
 (``search → plan → compile → bgp-join → closure-bfs → tag-rebind``).
 
-Execution modes: serial and processes
--------------------------------------
-Per-plan evaluation is pure Python, so on a standard (GIL) CPython build
-threads cannot run it in parallel (a thread pool measured flat on the
-Fig-9 workload).  The default ``"serial"`` mode therefore evaluates
-every uncached plan on the calling thread; an engine is still safe to
-share between threads (the HTTP front runs several searches at once).
+Execution: serial or processes
+------------------------------
+``workers`` is the one execution setting.  Per-plan evaluation is pure
+Python, so on a standard (GIL) CPython build threads cannot run it in
+parallel (a thread pool measured flat on the Fig-9 workload).  With
+``workers`` of ``None`` or 1 the engine therefore evaluates every
+uncached plan on the calling thread; it is still safe to share between
+threads (the HTTP front runs several searches at once).
 
-``mode="process"`` is the tier that actually uses the cores: the
-workload's dictionary-encoded graphs are serialized once into a
-shared-memory segment (:mod:`repro.core.shm`) and a persistent
+More than one worker selects the process tier, which actually uses the
+cores: the workload's dictionary-encoded graphs are serialized once into
+a shared-memory segment (:mod:`repro.core.shm`) and a persistent
 spawn-context process pool evaluates chunks against zero-copy
 :class:`repro.rdf.snapshot.GraphView` attachments
 (:mod:`repro.core.mpexec`).  Results are marshalled back as compact
@@ -47,10 +47,11 @@ the in-process path, so output is bit-identical (values *and* order —
 see ``tests/core/test_mp_engine.py``).  Budget deadlines are re-armed
 in-worker from the remaining milliseconds at dispatch; a worker crash
 surfaces as a ``PlanError(kind="crash")`` under ``search_isolated`` and
-the pool respawns on the next search.  When ``cpus == 1`` or shared
-memory is unavailable (sandboxes) the engine silently degrades to the
-serial path.  ``docs/scale-out.md`` covers the segment layout, the
-attach lifecycle and when to pick each mode.
+the pool respawns on the next search, while a task that merely raises
+fails only its own chunk.  When shared memory is unavailable
+(sandboxes) the engine degrades to the serial path and records why in
+:attr:`MatchingEngine.mode_fallback`.  ``docs/scale-out.md`` covers the
+segment layout and the attach lifecycle.
 """
 
 from __future__ import annotations
@@ -61,6 +62,7 @@ import threading
 import time
 from collections import OrderedDict
 from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 from contextlib import nullcontext
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
@@ -72,16 +74,16 @@ from repro.core.pattern import ProblemPattern
 from repro.core.sparqlgen import pattern_to_sparql
 from repro.core.transform import TransformedPlan
 from repro.obs.instrument import probing
-from repro.obs.metrics import MetricsRegistry, default_registry
+from repro.obs.metrics import MetricsRegistry
 from repro.obs.tracing import Tracer, TracingProbe
 from repro.rdf.graph import Graph
 from repro.sparql import prepare_query
 from repro.testing import chaos
 
-#: Default bound on distinct prepared queries kept in memory.
-DEFAULT_PREPARED_CACHE_SIZE = 128
-#: Default bound on (plan, version, query) match entries kept in memory.
-DEFAULT_MATCH_CACHE_SIZE = 16384
+#: Bound on distinct prepared queries kept in memory.
+PREPARED_CACHE_SIZE = 128
+#: Bound on (plan, version, query) match entries kept in memory.
+MATCH_CACHE_SIZE = 16384
 
 
 @dataclass
@@ -165,90 +167,18 @@ class LRUCache:
         self._data.clear()
 
 
-@dataclass
-class EngineStats:
-    """Cumulative counters and timings for one :class:`MatchingEngine`."""
-
-    searches: int = 0
-    plans_seen: int = 0
-    plans_evaluated: int = 0
-    plans_from_cache: int = 0
-    prepared_hits: int = 0
-    prepared_misses: int = 0
-    match_hits: int = 0
-    match_misses: int = 0
-    #: Entries pre-loaded from a recovered checkpoint (delta-based
-    #: re-arming; see docs/durability.md).  Seeds are neither hits nor
-    #: misses — they only become hits when a later search reuses them.
-    match_seeded: int = 0
-    plan_errors: int = 0
-    prepare_seconds: float = 0.0
-    evaluate_seconds: float = 0.0
-    total_seconds: float = 0.0
-    matches_per_plan: Dict[str, int] = field(default_factory=dict)
-    #: Effective execution mode ("serial" or "process"); lets /stats and
-    #: /metrics consumers tell which tier produced these numbers.
-    mode: str = "serial"
-    #: Chunk tasks per worker — "serial" for in-process evaluation,
-    #: "p0"/"p1"... slots in process mode.
-    worker_tasks: Dict[str, int] = field(default_factory=dict)
-    snapshot_builds: int = 0
-    snapshot_build_seconds: float = 0.0
-    snapshot_attaches: int = 0
-    snapshot_attach_seconds: float = 0.0
-
-    @property
-    def match_hit_rate(self) -> float:
-        lookups = self.match_hits + self.match_misses
-        return self.match_hits / lookups if lookups else 0.0
-
-    def snapshot(self) -> dict:
-        """A plain-dict view (JSON-serializable, for the CLI and server)."""
-        return {
-            "searches": self.searches,
-            "plansSeen": self.plans_seen,
-            "plansEvaluated": self.plans_evaluated,
-            "plansFromCache": self.plans_from_cache,
-            "planErrors": self.plan_errors,
-            "preparedCache": {
-                "hits": self.prepared_hits,
-                "misses": self.prepared_misses,
-            },
-            "matchCache": {
-                "hits": self.match_hits,
-                "misses": self.match_misses,
-                "seeded": self.match_seeded,
-                "hitRate": round(self.match_hit_rate, 4),
-            },
-            "timings": {
-                "prepareSeconds": round(self.prepare_seconds, 6),
-                "evaluateSeconds": round(self.evaluate_seconds, 6),
-                "totalSeconds": round(self.total_seconds, 6),
-            },
-            "matchesPerPlan": dict(self.matches_per_plan),
-            "mode": self.mode,
-            "workerTasks": dict(self.worker_tasks),
-            "snapshot": {
-                "builds": self.snapshot_builds,
-                "buildSeconds": round(self.snapshot_build_seconds, 6),
-                "attaches": self.snapshot_attaches,
-                "attachSeconds": round(self.snapshot_attach_seconds, 6),
-            },
-        }
-
-
 def _chunked(items: Sequence, size: int) -> Iterable[Sequence]:
     for start in range(0, len(items), size):
         yield items[start:start + size]
 
 
 def default_worker_count() -> int:
-    """Default process-pool size: one worker per CPU.
+    """Process-pool size for ``workers=0``: one worker per CPU.
 
-    Process-mode workers are separate interpreters, so the GIL is
-    irrelevant and every core helps.  (On a 1-CPU host that is 1, which
-    makes ``mode="process"`` degrade gracefully to the serial path —
-    processes cannot beat serial there.)
+    Pool workers are separate interpreters, so the GIL is irrelevant
+    and every core helps.  (On a 1-CPU host that is 1, which makes the
+    engine degrade gracefully to the serial path — processes cannot
+    beat serial there.)
     """
     return os.cpu_count() or 1
 
@@ -259,76 +189,71 @@ class MatchingEngine:
     Parameters
     ----------
     workers:
-        Process-pool size; only ``mode="process"`` accepts more than
-        one.  ``None`` uses :func:`default_worker_count` in process mode.
+        The execution setting.  ``None`` or 1 evaluates serially on the
+        calling thread; more than one fans the per-plan evaluations out
+        over a spawn-context process pool of that size, attached to
+        shared-memory graph snapshots (see the module docstring); ``0``
+        means one worker per CPU (:func:`default_worker_count`).  When
+        ``0`` resolves to one worker, or shared memory is unavailable,
+        the engine runs serially and records the reason in
+        :attr:`mode_fallback`.  Searches whose query has no stable text
+        key (pre-parsed ASTs) and plans whose graphs are not
+        snapshot-capable use the in-process path per search.
+        :attr:`mode` reports the tier in effect (``"serial"`` or
+        ``"process"``).
     cache:
         Enable the two cache levels.  With ``False`` every search
         re-parses and re-evaluates, exactly like the bare
         :func:`repro.core.matcher.find_matches`.
-    chunk_size:
-        Plans per process-pool task.  ``None`` picks a size that gives
-        each worker a few chunks (amortizes task overhead while keeping
-        the pool load-balanced).
-    mode:
-        ``"serial"`` (default) or ``"process"``.  Process mode fans the
-        per-plan evaluations out over a spawn-context process pool
-        attached to shared-memory graph snapshots (see the module
-        docstring); it degrades to the serial path when the effective
-        worker count is 1 or shared memory is unavailable, recording
-        the reason in :attr:`mode_fallback`.  Searches whose query has
-        no stable text key (pre-parsed ASTs) and plans whose graphs are
-        not snapshot-capable fall back to the in-process path per
-        search.
+    registry:
+        Where the engine's counters live.  Omitted, the engine builds a
+        private :class:`MetricsRegistry`.  Metrics are get-or-create, so
+        a registry handed to several components (the server shares one
+        between engine, knowledge base and store) holds one set of
+        series; two engines given one registry therefore report the
+        sum of their work in :meth:`stats`.
+    tracer:
+        A :class:`repro.obs.tracing.Tracer`; disabled by default.
     """
 
     def __init__(
         self,
         workers: Optional[int] = None,
         cache: bool = True,
-        prepared_cache_size: int = DEFAULT_PREPARED_CACHE_SIZE,
-        match_cache_size: int = DEFAULT_MATCH_CACHE_SIZE,
-        chunk_size: Optional[int] = None,
         registry: Optional[MetricsRegistry] = None,
         tracer: Optional[Tracer] = None,
-        mode: Optional[str] = None,
     ):
-        requested = (mode or "serial").lower()
-        if requested not in ("serial", "process"):
-            raise ValueError(f"mode must be 'serial' or 'process', not {mode!r}")
-        if requested == "serial" and workers is not None and workers > 1:
-            raise ValueError(
-                f"workers={workers} needs mode='process'; serial mode "
-                "evaluates on the calling thread"
-            )
-        self.mode = requested
+        count = default_worker_count() if workers == 0 else (workers or 1)
+        self.mode = "serial"
         self.mode_fallback: Optional[str] = None
-        resolved = 1
-        if requested == "process":
-            resolved = workers if workers is not None else default_worker_count()
-            if resolved <= 1:
-                self.mode = "serial"
-                self.mode_fallback = "single worker (1 CPU?); using serial path"
-            elif not mpexec.available():
-                self.mode = "serial"
-                self.mode_fallback = "shared memory unavailable; using serial path"
-                resolved = 1
-        self.workers = max(1, resolved)
+        if count > 1 and mpexec.available():
+            self.mode = "process"
+        elif count > 1:
+            self.mode_fallback = "shared memory unavailable; using serial path"
+        elif workers == 0:
+            self.mode_fallback = "single worker (1 CPU?); using serial path"
+        self.workers = count if self.mode == "process" else 1
         self.cache_enabled = bool(cache)
-        self.chunk_size = chunk_size
-        self._prepared = LRUCache(prepared_cache_size)
-        self._matches = LRUCache(match_cache_size)
+        self._prepared = LRUCache(PREPARED_CACHE_SIZE)
+        self._matches = LRUCache(MATCH_CACHE_SIZE)
         self._lock = threading.Lock()
-        self._stats = EngineStats(mode=self.mode)
+        #: The one per-engine figure without a registry series: a label
+        #: per plan id would make the series set unbounded.
+        self._matches_per_plan: Dict[str, int] = {}
         self._mp_pool: Optional[ProcessPoolExecutor] = None
         self._snapshot = None  # repro.core.shm.WorkloadSnapshot
+        # One snapshot build at a time; searches pin the snapshot their
+        # tasks read so a rebuild never unlinks it under them.
+        self._snapshot_lock = threading.Lock()
+        self._pins: Dict[object, int] = {}
         # Worker pids mapped to "p0"/"p1"... slots in first-seen order:
         # pids are not acceptable metric label values (unbounded, differ
         # every run), and tests need deterministic workerTasks keys.
         self._worker_slots: Dict[int, str] = {}
-        # Observability: metric children are pre-bound here so the
-        # per-search cost is plain counter increments; the tracer
-        # defaults to disabled (a no-op span per stage).
-        self.registry = registry if registry is not None else default_registry()
+        # Metric children are pre-bound here so the per-search cost is
+        # plain counter increments; the tracer defaults to disabled (a
+        # no-op span per stage).
+        self.registry = registry if registry is not None else MetricsRegistry()
         self.tracer = tracer if tracer is not None else Tracer(enabled=False)
         self._m_searches = self.registry.counter(
             "optimatch_engine_searches_total", "Workload searches executed"
@@ -367,6 +292,8 @@ class MatchingEngine:
             "Chunk tasks executed, by execution mode and worker",
             ("mode", "worker"),
         )
+        # One observation per build and per worker attach.  The help
+        # text still says "per search": the scrape golden pins it.
         snap = self.registry.histogram(
             "optimatch_engine_snapshot_seconds",
             "Shared-memory snapshot build/attach seconds, per search",
@@ -424,14 +351,11 @@ class MatchingEngine:
             # hit/miss counters and the timing out of step.
             elapsed = time.perf_counter() - started
             with self._lock:
-                self._stats.prepared_hits += hits
-                self._stats.prepared_misses += misses
-                self._stats.prepare_seconds += elapsed
-            if hits:
-                self._m_prepared_hit.inc()
-            elif misses:
-                self._m_prepared_miss.inc()
-            self._m_stage_prepare.observe(elapsed)
+                if hits:
+                    self._m_prepared_hit.inc()
+                elif misses:
+                    self._m_prepared_miss.inc()
+                self._m_stage_prepare.observe(elapsed)
 
     # ------------------------------------------------------------------
     # Search (cache level 2)
@@ -516,13 +440,12 @@ class MatchingEngine:
                 pending = list(enumerate(plans))
 
             evaluate_started = time.perf_counter()
-            evaluated, exec_meta = self._evaluate(
+            evaluated = self._evaluate(
                 ast, pending, budget=budget, isolate=isolate, key=key
             )
             evaluate_seconds = time.perf_counter() - evaluate_started
             error_count = 0
             match_count = 0
-            total_seconds = 0.0
             with self._lock:
                 for index, transformed, result in evaluated:
                     results[index] = result
@@ -534,55 +457,26 @@ class MatchingEngine:
                             transformed.plan_id, transformed.graph.version, key,
                         )
                         self._matches.put(cache_key, result)
-                # The one atomic stats commit for this search: every
-                # counter a snapshot invariant relates (match_hits vs
-                # plans_from_cache, plans_seen vs evaluated+cached) moves
-                # in the same critical section.
-                self._stats.searches += 1
-                self._stats.plans_seen += len(plans)
-                self._stats.plans_evaluated += len(evaluated)
-                self._stats.plans_from_cache += len(plans) - len(evaluated)
-                self._stats.plan_errors += error_count
-                self._stats.match_hits += match_hits
-                self._stats.match_misses += match_misses
+                per_plan = self._matches_per_plan
                 for result in results:
                     if isinstance(result, PlanMatches) and result.count:
                         match_count += result.count
-                        per_plan = self._stats.matches_per_plan
                         per_plan[result.plan_id] = (
                             per_plan.get(result.plan_id, 0) + result.count
                         )
-                worker_tasks = self._stats.worker_tasks
-                for worker, count in exec_meta["workerTasks"].items():
-                    worker_tasks[worker] = worker_tasks.get(worker, 0) + count
-                self._stats.snapshot_builds += exec_meta["snapshotBuilds"]
-                self._stats.snapshot_build_seconds += exec_meta["snapshotBuildSeconds"]
-                self._stats.snapshot_attaches += exec_meta["snapshotAttaches"]
-                self._stats.snapshot_attach_seconds += exec_meta["snapshotAttachSeconds"]
-                total_seconds = time.perf_counter() - started
-                self._stats.evaluate_seconds += evaluate_seconds
-                self._stats.total_seconds += total_seconds
-            # Registry mirror (per-metric locks; scrape-consistent per
-            # family, like any Prometheus client).
-            self._m_searches.inc()
-            if match_hits:
+                # The one atomic commit for this search: every counter a
+                # stats() invariant relates (match hits vs cached plans,
+                # plans seen vs evaluated+cached) moves in the same
+                # critical section that stats() reads under.
+                self._m_searches.inc()
                 self._m_match_hit.inc(match_hits)
-            if match_misses:
                 self._m_match_miss.inc(match_misses)
-            self._m_plans_evaluated.inc(len(evaluated) - error_count)
-            self._m_plans_cached.inc(len(plans) - len(evaluated))
-            if error_count:
+                self._m_plans_evaluated.inc(len(evaluated) - error_count)
+                self._m_plans_cached.inc(len(plans) - len(evaluated))
                 self._m_plans_error.inc(error_count)
-            if match_count:
                 self._m_matches.inc(match_count)
-            for worker, count in exec_meta["workerTasks"].items():
-                self._m_worker_tasks.labels(self.mode, worker).inc(count)
-            if exec_meta["snapshotBuilds"]:
-                self._m_snap_build.observe(exec_meta["snapshotBuildSeconds"])
-            if exec_meta["snapshotAttaches"]:
-                self._m_snap_attach.observe(exec_meta["snapshotAttachSeconds"])
-            self._m_stage_evaluate.observe(evaluate_seconds)
-            self._m_stage_total.observe(total_seconds)
+                self._m_stage_evaluate.observe(evaluate_seconds)
+                self._m_stage_total.observe(time.perf_counter() - started)
             search_span.set_attr("plans", len(plans))
             search_span.set_attr("evaluated", len(evaluated))
             search_span.set_attr("cached", len(plans) - len(evaluated))
@@ -601,16 +495,6 @@ class MatchingEngine:
     ) -> List[str]:
         return [m.plan_id for m in self.search(sparql_or_pattern, workload)]
 
-    @staticmethod
-    def _fresh_meta() -> dict:
-        return {
-            "workerTasks": {},
-            "snapshotBuilds": 0,
-            "snapshotBuildSeconds": 0.0,
-            "snapshotAttaches": 0,
-            "snapshotAttachSeconds": 0.0,
-        }
-
     def _evaluate(
         self,
         ast: object,
@@ -618,26 +502,22 @@ class MatchingEngine:
         budget: Optional[Budget] = None,
         isolate: bool = False,
         key: Optional[str] = None,
-    ) -> Tuple[
-        List[Tuple[int, TransformedPlan, Union[PlanMatches, "PlanError"]]], dict
-    ]:
+    ) -> List[Tuple[int, TransformedPlan, Union[PlanMatches, "PlanError"]]]:
         """Evaluate the uncached plans: over the process pool in process
         mode, otherwise one after another on the calling thread.
 
         With *isolate*, per-plan failures become :class:`PlanError`
         entries instead of propagating; *budget* is installed as the
-        active evaluation budget around each plan.  Returns the per-plan
-        outcomes plus an execution-meta dict (worker task counts and
-        snapshot build/attach timings) committed into the stats by the
-        caller.
+        active evaluation budget around each plan.  Each path records
+        its own worker tasks (and snapshot builds/attaches) in the
+        registry as they happen.
         """
-        meta = self._fresh_meta()
         if not pending:
-            return [], meta
+            return []
         if self.mode == "process" and key is not None and len(pending) > 1:
-            out = self._evaluate_process(key, pending, budget, isolate, meta)
+            out = self._evaluate_process(key, pending, budget, isolate)
             if out is not None:
-                return out, meta
+                return out
         tracing = self.tracer.enabled
         tracer = self.tracer if tracing else None
 
@@ -695,40 +575,60 @@ class MatchingEngine:
             )
 
         out = [eval_one(index, transformed) for index, transformed in pending]
-        meta["workerTasks"]["serial"] = 1
-        return out, meta
+        with self._lock:
+            self._m_worker_tasks.labels(self.mode, "serial").inc()
+        return out
 
     # ------------------------------------------------------------------
     # Process-mode dispatch
     # ------------------------------------------------------------------
-    def _ensure_snapshot(self, plans: Sequence[TransformedPlan], meta: dict):
-        """The current shared-memory snapshot, rebuilt if any pending
-        plan is missing or its graph mutated since the last build."""
+    def _pin_snapshot(self, plans: Sequence[TransformedPlan]):
+        """The shared-memory snapshot covering *plans*, pinned until
+        :meth:`_unpin_snapshot`.
+
+        One build at a time: concurrent searches that need the same
+        plan versions share one snapshot, and a rebuild (a plan missing
+        or its graph mutated) retires the old segment only once no
+        search still has it pinned — their tasks may not have attached
+        it yet.
+        """
         from repro.core.shm import WorkloadSnapshot
 
         needed = {t.plan_id: t.graph.version for t in plans}
-        with self._lock:
+        retired = None
+        with self._snapshot_lock:
             snapshot = self._snapshot
-        if snapshot is not None and snapshot.covers(needed):
-            return snapshot
-        started = time.perf_counter()
-        fresh = WorkloadSnapshot(plans)
-        build_seconds = time.perf_counter() - started
-        meta["snapshotBuilds"] += 1
-        meta["snapshotBuildSeconds"] += build_seconds
-        if self.tracer.enabled:
-            self.tracer.event(
-                "snapshot-build",
-                segment=fresh.name,
-                plans=len(plans),
-                bytes=fresh.total_bytes,
-                seconds=round(build_seconds, 6),
-            )
+            if snapshot is None or not snapshot.covers(needed):
+                started = time.perf_counter()
+                snapshot = WorkloadSnapshot(plans)
+                build_seconds = time.perf_counter() - started
+                if self.tracer.enabled:
+                    self.tracer.event(
+                        "snapshot-build",
+                        segment=snapshot.name,
+                        plans=len(plans),
+                        bytes=snapshot.total_bytes,
+                        seconds=round(build_seconds, 6),
+                    )
+                with self._lock:
+                    self._m_snap_build.observe(build_seconds)
+                    retired, self._snapshot = self._snapshot, snapshot
+                    if retired in self._pins:
+                        retired = None  # its last unpin closes it
+            with self._lock:
+                self._pins[snapshot] = self._pins.get(snapshot, 0) + 1
+        if retired is not None:
+            retired.close()
+        return snapshot
+
+    def _unpin_snapshot(self, snapshot) -> None:
         with self._lock:
-            old, self._snapshot = self._snapshot, fresh
-        if old is not None:
-            old.close()
-        return fresh
+            left = self._pins.pop(snapshot) - 1
+            if left:
+                self._pins[snapshot] = left
+            retired = not left and snapshot is not self._snapshot
+        if retired:
+            snapshot.close()
 
     def _evaluate_process(
         self,
@@ -736,7 +636,6 @@ class MatchingEngine:
         pending: Sequence[Tuple[int, TransformedPlan]],
         budget: Optional[Budget],
         isolate: bool,
-        meta: dict,
     ) -> Optional[List[Tuple[int, TransformedPlan, Union[PlanMatches, "PlanError"]]]]:
         """Fan the pending plans out over the process pool.
 
@@ -748,20 +647,32 @@ class MatchingEngine:
         if not all(isinstance(t.graph, Graph) for _, t in pending):
             return None
         try:
-            snapshot = self._ensure_snapshot([t for _, t in pending], meta)
+            snapshot = self._pin_snapshot([t for _, t in pending])
         except Exception:  # noqa: BLE001 — degrade, never fail the search
             return None
+        try:
+            return self._run_chunks(snapshot, key, pending, budget, isolate)
+        finally:
+            self._unpin_snapshot(snapshot)
+
+    def _run_chunks(
+        self,
+        snapshot,
+        key: str,
+        pending: Sequence[Tuple[int, TransformedPlan]],
+        budget: Optional[Budget],
+        isolate: bool,
+    ) -> List[Tuple[int, TransformedPlan, Union[PlanMatches, "PlanError"]]]:
         chaos_spec = chaos.export_spec() if chaos.active else None
         budget_spec = None
         if budget is not None:
             budget_spec = (
                 budget.remaining_ms(), budget.max_rows, budget.max_bindings,
             )
-        size = self.chunk_size or max(1, len(pending) // (self.workers * 4) or 1)
-        chunks = list(_chunked(list(pending), size))
+        size = max(1, len(pending) // (self.workers * 4))
         pool = self._mp_executor()
         submissions = []
-        for chunk in chunks:
+        for chunk in _chunked(list(pending), size):
             task = {
                 "segment": snapshot.name,
                 "chunk": [
@@ -774,94 +685,108 @@ class MatchingEngine:
             }
             submissions.append((chunk, pool.submit(mpexec.worker_run_chunk, task)))
         tracing = self.tracer.enabled
-        worker_tasks = meta["workerTasks"]
         out: List[Tuple[int, TransformedPlan, Union[PlanMatches, PlanError]]] = []
         crashed = False
         for chunk, future in submissions:
             try:
                 payload = future.result()
-            except Exception as exc:  # noqa: BLE001 — worker process died
+            except BrokenProcessPool as exc:
+                # A worker process died: the pool is unusable, so every
+                # chunk still on it fails and the pool is replaced.
                 crashed = True
                 if not isolate:
-                    self._discard_mp_pool()
+                    self._discard_mp_pool(pool)
                     raise RuntimeError(
                         f"matching worker process died: {exc}"
                     ) from exc
-                for index, transformed in chunk:
-                    out.append(
-                        (
-                            index,
-                            transformed,
-                            PlanError(
-                                plan_id=transformed.plan_id,
-                                kind="crash",
-                                message=f"worker process died: {exc}",
-                            ),
-                        )
-                    )
+                kind, message = "crash", f"worker process died: {exc}"
+            except Exception as exc:  # noqa: BLE001 — the task raised
+                # The worker survives; only this chunk fails.
+                if not isolate:
+                    raise
+                kind, message = "error", f"{type(exc).__name__}: {exc}"
+            else:
+                out.extend(self._replay(chunk, payload, tracing, isolate))
                 continue
+            out.extend(
+                (
+                    index,
+                    transformed,
+                    PlanError(
+                        plan_id=transformed.plan_id, kind=kind, message=message
+                    ),
+                )
+                for index, transformed in chunk
+            )
+        if crashed:
+            # Drop the broken executor so the next search spawns a fresh
+            # pool (the snapshot segment is still valid).
+            self._discard_mp_pool(pool)
+        return out
+
+    def _replay(
+        self, chunk, payload: dict, tracing: bool, isolate: bool
+    ) -> List[Tuple[int, TransformedPlan, Union[PlanMatches, "PlanError"]]]:
+        """Record one finished task and decode its per-plan outcomes."""
+        with self._lock:
             worker = self._worker_slot(payload["pid"])
-            worker_tasks[worker] = worker_tasks.get(worker, 0) + 1
+            self._m_worker_tasks.labels(self.mode, worker).inc()
             if payload["attachSeconds"]:
-                meta["snapshotAttaches"] += 1
-                meta["snapshotAttachSeconds"] += payload["attachSeconds"]
+                self._m_snap_attach.observe(payload["attachSeconds"])
+        if tracing and payload["attachSeconds"]:
+            self.tracer.event(
+                "snapshot-attach",
+                worker=worker,
+                seconds=round(payload["attachSeconds"], 6),
+            )
+        out = []
+        for (index, transformed), outcome in zip(chunk, payload["outcomes"]):
+            if outcome[0] == "ok":
+                _, rows, eval_seconds = outcome
+                collector = RowCollector(transformed)
+                graph = transformed.graph
+                decode = mpexec.decode_term
+                for row in rows:
+                    collector.add(
+                        (name, decode(graph, value)) for name, value in row
+                    )
                 if tracing:
                     self.tracer.event(
-                        "snapshot-attach",
+                        "mp-plan",
+                        planId=transformed.plan_id,
                         worker=worker,
-                        seconds=round(payload["attachSeconds"], 6),
+                        evalSeconds=round(eval_seconds, 6),
                     )
-            for (index, transformed), outcome in zip(chunk, payload["outcomes"]):
-                if outcome[0] == "ok":
-                    _, rows, eval_seconds = outcome
-                    collector = RowCollector(transformed)
-                    graph = transformed.graph
-                    decode = mpexec.decode_term
-                    for row in rows:
-                        collector.add(
-                            (name, decode(graph, value)) for name, value in row
-                        )
-                    if tracing:
-                        self.tracer.event(
-                            "mp-plan",
-                            planId=transformed.plan_id,
-                            worker=worker,
-                            evalSeconds=round(eval_seconds, 6),
-                        )
-                    out.append((index, transformed, collector.result))
-                    continue
-                _, kind, message, eval_seconds = outcome
-                if not isolate:
-                    if kind == "timeout":
-                        raise EvaluationTimeout(message)
-                    if kind == "budget":
-                        raise BudgetExceeded(message)
-                    raise RuntimeError(message)
-                out.append(
-                    (
-                        index,
-                        transformed,
-                        PlanError(
-                            plan_id=transformed.plan_id,
-                            kind=kind,
-                            message=message,
-                            elapsed_seconds=eval_seconds,
-                        ),
-                    )
+                out.append((index, transformed, collector.result))
+                continue
+            _, kind, message, eval_seconds = outcome
+            if not isolate:
+                if kind == "timeout":
+                    raise EvaluationTimeout(message)
+                if kind == "budget":
+                    raise BudgetExceeded(message)
+                raise RuntimeError(message)
+            out.append(
+                (
+                    index,
+                    transformed,
+                    PlanError(
+                        plan_id=transformed.plan_id,
+                        kind=kind,
+                        message=message,
+                        elapsed_seconds=eval_seconds,
+                    ),
                 )
-        if crashed:
-            # The executor is broken; drop it so the next search spawns
-            # a fresh pool (the snapshot segment is still valid).
-            self._discard_mp_pool()
+            )
         return out
 
     def _worker_slot(self, pid: int) -> str:
-        with self._lock:
-            slot = self._worker_slots.get(pid)
-            if slot is None:
-                slot = f"p{len(self._worker_slots)}"
-                self._worker_slots[pid] = slot
-            return slot
+        """The ``p<n>`` slot for a worker pid (caller holds the lock)."""
+        slot = self._worker_slots.get(pid)
+        if slot is None:
+            slot = f"p{len(self._worker_slots)}"
+            self._worker_slots[pid] = slot
+        return slot
 
     def _mp_executor(self) -> ProcessPoolExecutor:
         with self._lock:
@@ -873,25 +798,78 @@ class MatchingEngine:
                 )
             return self._mp_pool
 
-    def _discard_mp_pool(self) -> None:
+    def _discard_mp_pool(self, pool: ProcessPoolExecutor) -> None:
+        """Shut a broken *pool* down; the next search spawns a new one.
+
+        Only *pool* is dropped: when several searches see the same
+        crash, a later discard must not take down a replacement pool
+        another search has already started on.
+        """
         with self._lock:
-            pool, self._mp_pool = self._mp_pool, None
-        if pool is not None:
-            pool.shutdown(wait=False, cancel_futures=True)
+            if self._mp_pool is pool:
+                self._mp_pool = None
+        pool.shutdown(wait=False, cancel_futures=True)
 
     # ------------------------------------------------------------------
     # Instrumentation / lifecycle
     # ------------------------------------------------------------------
     def stats(self) -> dict:
-        """Snapshot of counters, timings and cache occupancy."""
+        """Counters, timings and cache occupancy, read from the registry.
+
+        Read under the engine lock that every search commits under, so
+        a snapshot never shows a half-committed search.  Reading creates
+        no series.  With a registry shared by several engines the
+        counters are their sum (``matchesPerPlan`` stays per engine).
+        """
         with self._lock:
-            data = self._stats.snapshot()
-            data["workers"] = self.workers
-            data["cacheEnabled"] = self.cache_enabled
-            data["modeFallback"] = self.mode_fallback
-            data["preparedCache"]["size"] = len(self._prepared)
-            data["matchCache"]["size"] = len(self._matches)
-            return data
+            evaluated = int(self._m_plans_evaluated.value)
+            cached = int(self._m_plans_cached.value)
+            errors = int(self._m_plans_error.value)
+            hits = int(self._m_match_hit.value)
+            misses = int(self._m_match_miss.value)
+            lookups = hits + misses
+            worker_tasks: Dict[str, int] = {}
+            for sample in self._m_worker_tasks.snapshot().samples:
+                worker = dict(sample.labels)["worker"]
+                worker_tasks[worker] = worker_tasks.get(worker, 0) + int(
+                    sample.value
+                )
+            return {
+                "searches": int(self._m_searches.value),
+                "plansSeen": evaluated + errors + cached,
+                "plansEvaluated": evaluated + errors,
+                "plansFromCache": cached,
+                "planErrors": errors,
+                "preparedCache": {
+                    "hits": int(self._m_prepared_hit.value),
+                    "misses": int(self._m_prepared_miss.value),
+                    "size": len(self._prepared),
+                },
+                "matchCache": {
+                    "hits": hits,
+                    "misses": misses,
+                    "seeded": int(self._m_match_seeded.value),
+                    "hitRate": round(hits / lookups if lookups else 0.0, 4),
+                    "size": len(self._matches),
+                },
+                "timings": {
+                    "prepareSeconds": round(self._m_stage_prepare.sum, 6),
+                    "evaluateSeconds": round(self._m_stage_evaluate.sum, 6),
+                    "totalSeconds": round(self._m_stage_total.sum, 6),
+                },
+                "matchesPerPlan": dict(self._matches_per_plan),
+                "mode": self.mode,
+                "workerTasks": worker_tasks,
+                "snapshot": {
+                    "builds": self._m_snap_build.count,
+                    "buildSeconds": round(self._m_snap_build.sum, 6),
+                    "attaches": self._m_snap_attach.count,
+                    "attachSeconds": round(self._m_snap_attach.sum, 6),
+                },
+                "workers": self.workers,
+                "cacheEnabled": self.cache_enabled,
+                "modeFallback": self.mode_fallback,
+            }
 
     def export_match_cache(
         self,
@@ -919,13 +897,8 @@ class MatchingEngine:
             return False
         with self._lock:
             self._matches.put(key, matches)
-            self._stats.match_seeded += 1
-        self._m_match_seeded.inc()
+            self._m_match_seeded.inc()
         return True
-
-    def reset_stats(self) -> None:
-        with self._lock:
-            self._stats = EngineStats(mode=self.mode)
 
     def clear_caches(self) -> None:
         with self._lock:

@@ -1,6 +1,6 @@
 """Spawn-safe multiprocess execution tier for the matching engine.
 
-The parent (``MatchingEngine`` with ``mode="process"``) packs the
+The parent (a ``MatchingEngine`` with more than one worker) packs the
 workload's plan graphs into one shared-memory segment
 (:class:`repro.core.shm.WorkloadSnapshot`) and submits chunk tasks to a
 persistent spawn-context :class:`~concurrent.futures.ProcessPoolExecutor`.
@@ -28,6 +28,11 @@ deadline milliseconds at dispatch time and the worker constructs a
 fresh :class:`~repro.core.limits.Budget` per chunk.  Row/binding caps
 therefore apply per chunk rather than shared across the whole batch —
 a documented divergence (`docs/scale-out.md`).
+
+Per-plan failures travel back as outcome tuples.  An exception that
+escapes :func:`worker_run_chunk` itself (an attach that fails, say)
+leaves the worker alive and fails only that chunk in the parent; only
+a worker that dies breaks the pool, which the parent then replaces.
 
 Everything in this module must stay importable and picklable under the
 ``spawn`` start method: top-level functions only, no closures.

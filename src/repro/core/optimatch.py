@@ -14,7 +14,8 @@ knowledge-base run reuses the cached graphs, mirroring the architecture
 of Figure 4 (transformation engine feeding the matching engine).  All
 searches go through a :class:`repro.core.engine.MatchingEngine`, which
 adds a prepared-query cache, a per-plan match cache keyed on the graph
-version, and an optional shared-memory process pool.
+version, and — with ``workers`` above one — a shared-memory process
+pool (``OptImatch(workers=4)``; see docs/scale-out.md).
 
 Workload loads are atomic: ``add_plans`` and ``load_workload_dir`` stage
 the whole batch (parsing, transforming and checking for duplicate ids)
@@ -59,11 +60,10 @@ def _read_text(path: str) -> str:
 class OptImatch:
     """Query performance problem determination over a QEP workload.
 
-    *mode*, *workers* and *cache* configure the matching engine: *mode*
-    is ``"serial"`` (default) or ``"process"`` for the shared-memory
-    multiprocess pool of *workers* processes (see
-    ``docs/scale-out.md``); caching is on by default.  Pass an *engine*
-    to share one across facades.
+    *workers*, *cache*, *registry* and *tracer* configure the matching
+    engine: more than one worker evaluates on a shared-memory pool of
+    that many processes, ``0`` on one per CPU, and anything else
+    serially (see ``docs/scale-out.md``); caching is on by default.
 
     *data_dir* turns on durability (``docs/durability.md``): mutations
     are journaled with the given *fsync* policy (``fsync`` / ``batch`` /
@@ -79,10 +79,8 @@ class OptImatch:
         self,
         workers: Optional[int] = None,
         cache: bool = True,
-        engine: Optional[MatchingEngine] = None,
         registry=None,
         tracer=None,
-        mode: Optional[str] = None,
         data_dir: Optional[str] = None,
         fsync: str = "batch",
         checkpoint_every: int = DEFAULT_CHECKPOINT_EVERY,
@@ -95,9 +93,8 @@ class OptImatch:
         #: never collide with a stale match-cache entry.
         self._revisions: Dict[str, int] = {}
         self._recovered_kb: List[dict] = []
-        self._engine = engine or MatchingEngine(
-            workers=workers, cache=cache, registry=registry, tracer=tracer,
-            mode=mode,
+        self._engine = MatchingEngine(
+            workers=workers, cache=cache, registry=registry, tracer=tracer
         )
         self._store: Optional[DurableStore] = None
         self._recovery_pending = False
@@ -113,8 +110,8 @@ class OptImatch:
                 self.recover()
 
     def close(self) -> None:
-        """Release engine resources: in process mode, the worker pool
-        and the shared-memory snapshot segment.  With durability on, flushes
+        """Release engine resources: with more than one worker, the
+        process pool and the shared-memory snapshot segment.  With durability on, flushes
         the journal and writes a final checkpoint first (unless recovery
         never completed — closing a still-``recovering`` store must not
         checkpoint an empty workload over real data).  Idempotent."""
@@ -350,37 +347,23 @@ class OptImatch:
         :meth:`load_explain_text` over its contents."""
         return self.load_explain_text(_read_text(path))
 
-    def load_workload_dir(
-        self,
-        directory: str,
-        suffix: str = ".exfmt",
-        use_rdf_cache: bool = False,
-    ) -> int:
+    def load_workload_dir(self, directory: str, suffix: str = ".exfmt") -> int:
         """Load every ``*.exfmt`` explain file under *directory*.
 
-        With *use_rdf_cache* the transformed RDF is persisted as ``.nt``
-        sidecar files and reused on subsequent loads (the DB2 RDF Store
-        role; see :mod:`repro.core.store`).  Returns the number of plans
-        loaded.  The load is atomic: a parse failure or duplicate plan
-        id anywhere in the directory raises without mutating the
-        workload.
+        Returns the number of plans loaded.  The load is atomic: a parse
+        failure or duplicate plan id anywhere in the directory raises
+        without mutating the workload.  (Persisting the workload is the
+        *data_dir*'s job: see docs/durability.md.)
         """
-        paths = [
-            os.path.join(directory, name)
+        texts = [
+            _read_text(os.path.join(directory, name))
             for name in sorted(os.listdir(directory))
             if name.endswith(suffix)
         ]
-        texts = [_read_text(path) for path in paths]
         plans = [self._parse_explain(text) for text in texts]
-        if use_rdf_cache:
-            from repro.core.store import transform_cached
-
-            staged = [
-                transform_cached(path, plan) for path, plan in zip(paths, plans)
-            ]
-        else:
-            staged = [transform_plan(plan) for plan in plans]
-        return self._commit(zip(staged, texts))
+        return self._commit(
+            (transform_plan(plan), text) for plan, text in zip(plans, texts)
+        )
 
     @property
     def workload(self) -> List[TransformedPlan]:
@@ -597,10 +580,10 @@ class OptImatch:
     def stats(self) -> dict:
         """Engine instrumentation: cache hit/miss counters and timings.
 
-        A thin compatibility view over the engine's atomically-committed
-        stats; the same counters are exported through
-        :attr:`registry` (see ``docs/observability.md``).  With
-        durability on, a ``durability`` section carries the store's
+        The engine's :meth:`~repro.core.engine.MatchingEngine.stats`, a
+        read of the counters it exports through :attr:`registry` (see
+        ``docs/observability.md``).  With durability on, a
+        ``durability`` section carries the store's
         :meth:`durability_status`.
         """
         stats = self._engine.stats()
@@ -689,8 +672,8 @@ class OptImatch:
 
         Delegates to :meth:`repro.kb.KnowledgeBase.find_recommendations`
         with this facade's matching engine, so entry queries are parsed
-        once, fanned out over the worker pool and match-cached across
-        runs; accepting the KB as a parameter keeps the core free of a
+        once, fanned out over the process pool when the engine has one,
+        and match-cached across runs; accepting the KB as a parameter keeps the core free of a
         kb dependency.  *budget* and *isolate* turn on resource limits
         and per-entry/per-plan fault containment (errors surface in
         ``report.errors`` instead of aborting the run).

@@ -11,7 +11,6 @@ RDF structure describing this pattern").
 from __future__ import annotations
 
 import json
-import threading
 import time
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Sequence
@@ -204,29 +203,18 @@ class KnowledgeBase:
     """A library of expert patterns and recommendations.
 
     Run instrumentation goes to *registry* (a
-    :class:`repro.obs.metrics.MetricsRegistry`; the process default when
+    :class:`repro.obs.metrics.MetricsRegistry`; a private one when
     omitted): run counts/durations, per-(entry, plan) evaluation
-    outcomes and rendered-recommendation counts.  :meth:`stats` is the
-    dict-shaped compatibility view over the same numbers, committed
-    atomically per run.
+    outcomes and rendered-recommendation counts.
     """
 
     def __init__(self, registry=None):
         self._entries: Dict[str, KBEntry] = {}
         if registry is None:
-            from repro.obs.metrics import default_registry
+            from repro.obs.metrics import MetricsRegistry
 
-            registry = default_registry()
+            registry = MetricsRegistry()
         self.registry = registry
-        self._stats_lock = threading.Lock()
-        self._stats = {
-            "runs": 0,
-            "entriesEvaluated": 0,
-            "entryHits": 0,
-            "entryErrors": 0,
-            "recommendations": 0,
-            "totalSeconds": 0.0,
-        }
         self._m_runs = registry.counter(
             "optimatch_kb_runs_total", "Knowledge-base runs executed"
         )
@@ -245,14 +233,6 @@ class KnowledgeBase:
         self._m_run_seconds = registry.histogram(
             "optimatch_kb_run_seconds", "Wall-clock seconds per KB run"
         )
-
-    def stats(self) -> dict:
-        """Consistent snapshot of cumulative KB-run instrumentation."""
-        with self._stats_lock:
-            data = dict(self._stats)
-        data["entries"] = len(self._entries)
-        data["totalSeconds"] = round(data["totalSeconds"], 6)
-        return data
 
     # ------------------------------------------------------------------
     # Algorithm 4: SavingRecommendationsKB
@@ -316,12 +296,11 @@ class KnowledgeBase:
         With an *engine* (a :class:`repro.core.engine.MatchingEngine`,
         duck-typed to keep the kb package decoupled from it) each
         entry's SPARQL text is searched over the whole workload in one
-        call, so the evaluation fans out over the engine's worker pool
-        (threads, or the shared-memory process tier when the engine was
-        built with ``mode="process"``) and repeated KB runs over an
-        unchanged workload hit its match cache.  Results are identical
-        to the serial path: both evaluate each (entry, plan) pair
-        through ``search_plan``.
+        call, so the evaluation runs on the engine's tier (serial, or
+        the shared-memory process pool when the engine has more than
+        one worker) and repeated KB runs over an unchanged workload hit
+        its match cache.  Results are identical to the serial path:
+        both evaluate each (entry, plan) pair through ``search_plan``.
 
         Fault containment: with *isolate*, a broken entry (bad SPARQL,
         exploding template, any unexpected exception) is skipped and
@@ -455,16 +434,7 @@ class KnowledgeBase:
                 key=lambda r: (-r.confidence, r.entry_name)
             )
             report.plans.append(plan_result)
-        # One atomic stats commit per run, mirrored into the registry.
         elapsed = time.perf_counter() - run_started
-        errors = len(report.errors)
-        with self._stats_lock:
-            self._stats["runs"] += 1
-            self._stats["entriesEvaluated"] += evaluations
-            self._stats["entryHits"] += hits
-            self._stats["entryErrors"] += errors
-            self._stats["recommendations"] += rendered_count
-            self._stats["totalSeconds"] += elapsed
         self._m_runs.inc()
         if hits:
             self._m_eval_hit.inc(hits)

@@ -29,7 +29,6 @@ from .metrics import (
     Gauge,
     Histogram,
     MetricsRegistry,
-    default_registry,
 )
 from .prometheus import render_text
 from .tracing import Span, Tracer, current_span
@@ -44,7 +43,6 @@ __all__ = [
     "Tracer",
     "active_probe",
     "current_span",
-    "default_registry",
     "probing",
     "render_text",
     # lazy (see __getattr__):

@@ -6,9 +6,10 @@ a contextvar carries an optional probe, the evaluator fetches it **once
 per BGP join / closure call** (never per binding) and threads it down
 the recursion as a parameter defaulting to ``None``.  With no probe
 installed every hook site is a single ``probe is not None`` check —
-the same cost class as the existing budget checks — which is what keeps
-the disabled path under the 2% overhead guard in
-``benchmarks/bench_obs_overhead.py``.
+the same cost class as the existing budget checks.  The engine installs
+a probe only while tracing, so with its default (disabled) tracer every
+:func:`active_probe` call returns ``None`` — pinned by
+``tests/obs/test_disabled_path.py``.
 
 This module is imported by the evaluator, so it must not import
 anything from :mod:`repro.sparql` or :mod:`repro.core`; the concrete

@@ -6,7 +6,8 @@ plan and KB size scale), and the ROADMAP's production north star needs
 those numbers **exported**, not printed.  This module is the substrate:
 a :class:`MetricsRegistry` of named metrics that every layer (engine,
 knowledge base, server, client) records into, rendered for scraping by
-:mod:`repro.obs.prometheus`.
+:mod:`repro.obs.prometheus`.  The engine keeps no second copy: its
+``stats()`` dict is a read of its registry series.
 
 Design constraints (this sits next to hot paths):
 
@@ -47,7 +48,6 @@ __all__ = [
     "MetricSample",
     "MetricSnapshot",
     "MetricsRegistry",
-    "default_registry",
     "DEFAULT_BUCKETS",
 ]
 
@@ -364,11 +364,13 @@ class MetricsRegistry:
     """A named collection of metrics with get-or-create semantics.
 
     ``counter`` / ``gauge`` / ``histogram`` return the existing metric
-    when one with the same name is already registered — so independent
-    components (two engines, a server and its client in one process)
-    can share series without coordination — and raise :class:`ValueError`
-    when the existing registration disagrees on type, label names or
-    buckets (a silent mismatch would corrupt the export).
+    when one with the same name is already registered — so components
+    handed one registry (the server gives its engine, knowledge base
+    and store the same one) share series without coordination — and
+    raise :class:`ValueError` when the existing registration disagrees
+    on type, label names or buckets (a silent mismatch would corrupt
+    the export).  There is no process-wide default: a component built
+    without a registry records into a private one.
     """
 
     def __init__(self):
@@ -440,15 +442,3 @@ class MetricsRegistry:
         with self._lock:
             metrics = [self._metrics[name] for name in sorted(self._metrics)]
         return [metric.snapshot() for metric in metrics]
-
-
-#: The process-wide default registry.  Library components (engine, KB,
-#: client) record here unless handed an explicit registry; the server
-#: builds a private registry per instance so its scrape reflects exactly
-#: one service.
-_DEFAULT_REGISTRY = MetricsRegistry()
-
-
-def default_registry() -> MetricsRegistry:
-    """The process-wide default :class:`MetricsRegistry`."""
-    return _DEFAULT_REGISTRY

@@ -133,8 +133,8 @@ class Tracer:
     ``Tracer(enabled=False)`` (the default construction in the engine)
     short-circuits ``span()`` to a shared no-op context manager; the
     differential tests prove enabled vs. disabled never changes results,
-    and ``benchmarks/bench_obs_overhead.py`` holds the disabled path to
-    <2% overhead.
+    and ``tests/obs/test_disabled_path.py`` proves a default-engine
+    search constructs no :class:`Span` at all.
     """
 
     def __init__(self, enabled: bool = True, max_spans: int = 100_000):

@@ -11,8 +11,8 @@ persistent HTTP/1.1 connections.  The division of labor:
   chewing on);
 * **dispatch executor** — every other route.  CPU-bound matching work
   (``/search``, ``/kb/run``) runs here via ``run_in_executor`` (and on
-  the engine's process pool in process mode), so the loop never blocks
-  on the GIL-heavy evaluation path;
+  the engine's process pool when it has several workers), so the loop
+  never blocks on the GIL-heavy evaluation path;
 * **stream executor** — ``POST /plans/stream`` micro-batch commits.  A
   connection ``await``s its own commit before reading the next chunk,
   and commits queue behind the shared
@@ -111,9 +111,9 @@ class AsyncOptImatchServer:
     *max_inflight* and *retry_after_seconds* configure the governance
     layer (see docs/operations.md for tuning guidance); *stream_batch*,
     *max_streams* and *stream_hwm* configure streaming ingest (see
-    docs/http-api.md); *mode*, *workers* and *cache* configure the
-    matching engine.  Lifecycle: ``start`` / ``stop`` / ``address`` /
-    ``url``.
+    docs/http-api.md); *workers* and *cache* configure the matching
+    engine (more than one worker evaluates on a process pool).
+    Lifecycle: ``start`` / ``stop`` / ``address`` / ``url``.
     """
 
     def __init__(
@@ -129,7 +129,6 @@ class AsyncOptImatchServer:
         max_inflight: int = DEFAULT_MAX_INFLIGHT,
         retry_after_seconds: int = DEFAULT_RETRY_AFTER_SECONDS,
         registry: Optional[MetricsRegistry] = None,
-        mode: Optional[str] = None,
         data_dir: Optional[str] = None,
         fsync_mode: str = "batch",
         checkpoint_every: int = DEFAULT_CHECKPOINT_EVERY,
@@ -150,7 +149,6 @@ class AsyncOptImatchServer:
             max_inflight=max_inflight,
             retry_after_seconds=retry_after_seconds,
             registry=registry,
-            mode=mode,
             data_dir=data_dir,
             fsync_mode=fsync_mode,
             checkpoint_every=checkpoint_every,

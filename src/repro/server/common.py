@@ -149,6 +149,11 @@ class ServerState:
     *clock* is the monotonic clock used for request budgets — injectable
     so time-sensitive tests run on a fake clock
     (:mod:`repro.testing.clock`) instead of sleeping.
+
+    One *registry* (private to this server when omitted) is handed to
+    the engine, knowledge base and durable store, so ``/metrics`` and
+    ``/stats`` read the same series.  *workers* is the engine's
+    execution setting (more than one: a process pool).
     """
 
     def __init__(
@@ -162,7 +167,6 @@ class ServerState:
         max_inflight: int = DEFAULT_MAX_INFLIGHT,
         retry_after_seconds: int = DEFAULT_RETRY_AFTER_SECONDS,
         registry: Optional[MetricsRegistry] = None,
-        mode: Optional[str] = None,
         data_dir: Optional[str] = None,
         fsync_mode: str = "batch",
         checkpoint_every: int = DEFAULT_CHECKPOINT_EVERY,
@@ -173,9 +177,9 @@ class ServerState:
         max_rss_bytes: int = 0,
         clock: Optional[Callable[[], float]] = None,
     ):
-        # One registry per server (not the process default) so a scrape
-        # of this instance sees only its own traffic, and tests/goldens
-        # start from a clean slate.
+        # One registry per server, shared by its engine, knowledge base
+        # and store, so a scrape of this instance sees only its own
+        # traffic, and tests/goldens start from a clean slate.
         self.registry = registry or MetricsRegistry()
         # With a data_dir, recovery is deferred: the server binds and
         # answers /health immediately in a ``recovering`` state while a
@@ -184,7 +188,6 @@ class ServerState:
             workers=workers,
             cache=cache,
             registry=self.registry,
-            mode=mode,
             data_dir=data_dir,
             fsync=fsync_mode,
             checkpoint_every=checkpoint_every,
@@ -757,7 +760,7 @@ def _dispatch_get(state: ServerState, route: str) -> Response:
             names = [e.name for e in state.kb.entries]
         return json_response(200, {"entries": names})
     if route == "/stats":
-        # The engine snapshot has its own internal lock.
+        # A read of the engine's registry series under its own lock.
         return json_response(200, state.tool.stats())
     if route == "/metrics":
         # Prometheus text exposition over the server's registry:

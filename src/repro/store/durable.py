@@ -210,9 +210,9 @@ class DurableStore:
         self.last_checkpoint_seconds = 0.0
         self.last_recovery: Optional[dict] = None
 
-        from repro.obs.metrics import default_registry
+        from repro.obs.metrics import MetricsRegistry
 
-        self.registry = registry if registry is not None else default_registry()
+        self.registry = registry if registry is not None else MetricsRegistry()
         self._m_records = self.registry.counter(
             "optimatch_wal_records_total",
             "Journal records appended, by mutation op.",

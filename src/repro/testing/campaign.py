@@ -271,12 +271,10 @@ def run_child(spec_path: str) -> int:
 
     from repro.server.common import ServerState
 
-    # The pool-worker site only exists in process mode; every other arm
-    # runs the in-process engine (1 worker keeps the arm deterministic).
-    mode = "process" if site == "mpexec.worker_plan" else None
+    # The pool-worker site only exists on the process tier; every other
+    # arm runs the in-process engine (1 worker keeps it deterministic).
     state = ServerState(
-        workers=2 if mode == "process" else 1,
-        mode=mode,
+        workers=2 if site == "mpexec.worker_plan" else 1,
         data_dir=spec["data_dir"],
         # Per-append fsync: the wal.fsync site then trips at a fixed
         # point in the script instead of whenever the batch clock says.

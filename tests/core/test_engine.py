@@ -159,20 +159,28 @@ class TestStatsApi:
         matched = {m.plan_id: m.count for m in find_matches(builtin_sparql("A"), planted_workload)}
         assert stats["matchesPerPlan"] == matched
 
-    def test_reset_stats(self, planted_workload):
-        engine = MatchingEngine(workers=1)
-        engine.search(builtin_sparql("A"), planted_workload)
-        engine.reset_stats()
-        stats = engine.stats()
-        assert stats["searches"] == 0
-        assert stats["matchesPerPlan"] == {}
-
     def test_stats_json_serializable(self, planted_workload):
         import json
 
         engine = MatchingEngine(workers=1)
         engine.search(builtin_sparql("A"), planted_workload)
         json.dumps(engine.stats())
+
+
+class TestExecutionSetting:
+    def test_workers_is_the_only_execution_setting(self):
+        # No mode switch: the worker count alone picks the tier.
+        with pytest.raises(TypeError):
+            MatchingEngine(mode="serial")
+        with MatchingEngine(workers=1) as engine:
+            assert (engine.mode, engine.mode_fallback) == ("serial", None)
+        with MatchingEngine(workers=2) as engine:
+            if engine.mode == "process":
+                assert engine.workers == 2
+                assert engine.mode_fallback is None
+            else:
+                assert engine.workers == 1
+                assert "shared memory unavailable" in engine.mode_fallback
 
 
 class TestFacadeIntegration:
@@ -258,17 +266,6 @@ class TestAtomicLoads:
         assert tool.plan_count == 1
         with pytest.raises(KeyError):
             tool.plan("other")
-
-    def test_load_workload_dir_atomic_with_rdf_cache(self, tmp_path):
-        from repro.qep.writer import write_plan_file
-        from tests.conftest import build_figure1_plan
-
-        write_plan_file(build_figure1_plan("dup"), str(tmp_path / "a.exfmt"))
-        tool = OptImatch()
-        tool.add_plan(build_figure1_plan("dup"))
-        with pytest.raises(ValueError, match="duplicate"):
-            tool.load_workload_dir(str(tmp_path), use_rdf_cache=True)
-        assert tool.plan_count == 1
 
 
 class TestStatsTornReads:

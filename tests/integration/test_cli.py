@@ -6,7 +6,6 @@ import os
 import pytest
 
 from repro.cli import build_parser, main
-from repro.core.engine import MatchingEngine
 from repro.kb.builtin import make_pattern
 
 
@@ -237,10 +236,3 @@ def test_removed_flags_are_argparse_errors(argv, capsys):
     assert excinfo.value.code == 2
     assert "unrecognized arguments" in capsys.readouterr().err
 
-
-@pytest.mark.parametrize(
-    "kwargs", [{"workers": 2}, {"mode": "thread"}], ids=["workers", "thread"]
-)
-def test_engine_rejects_thread_fan_out(kwargs):
-    with pytest.raises(ValueError):
-        MatchingEngine(**kwargs)

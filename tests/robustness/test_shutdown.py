@@ -35,7 +35,7 @@ class TestSharedMemoryRelease:
         before = shm_segments()
         if before is None:
             pytest.skip("/dev/shm not available on this platform")
-        srv = AsyncOptImatchServer(port=0, workers=2, mode="process")
+        srv = AsyncOptImatchServer(port=0, workers=2)
         try:
             if srv.state.tool.engine.mode != "process":
                 pytest.skip("process mode unavailable (fork/posix shm)")
