@@ -168,19 +168,9 @@ class TestStatsApi:
 
 
 class TestExecutionSetting:
-    def test_workers_is_the_only_execution_setting(self):
-        # No mode switch: the worker count alone picks the tier.
-        with pytest.raises(TypeError):
-            MatchingEngine(mode="serial")
+    def test_single_worker_is_serial_without_fallback(self):
         with MatchingEngine(workers=1) as engine:
             assert (engine.mode, engine.mode_fallback) == ("serial", None)
-        with MatchingEngine(workers=2) as engine:
-            if engine.mode == "process":
-                assert engine.workers == 2
-                assert engine.mode_fallback is None
-            else:
-                assert engine.workers == 1
-                assert "shared memory unavailable" in engine.mode_fallback
 
 
 class TestFacadeIntegration:

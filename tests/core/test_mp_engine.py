@@ -155,6 +155,11 @@ class TestFallbacks:
     def test_default_worker_count_process_mode(self):
         assert default_worker_count() == (os.cpu_count() or 1)
 
+    def test_invalid_mode_rejected(self):
+        # mode= is not a setting: the worker count alone picks the tier.
+        with pytest.raises(TypeError):
+            MatchingEngine(mode="fibers")
+
 
 class TestWorkerCrash:
     def test_kill_degrades_and_respawns(self):

@@ -6,6 +6,7 @@ import os
 import pytest
 
 from repro.cli import build_parser, main
+from repro.core.engine import MatchingEngine
 from repro.kb.builtin import make_pattern
 
 
@@ -236,3 +237,22 @@ def test_removed_flags_are_argparse_errors(argv, capsys):
     assert excinfo.value.code == 2
     assert "unrecognized arguments" in capsys.readouterr().err
 
+
+
+@pytest.mark.parametrize(
+    "kwargs", [{"workers": 2}, {"mode": "thread"}], ids=["workers", "thread"]
+)
+def test_engine_rejects_thread_fan_out(kwargs):
+    # There is no thread tier: mode= is not a setting, and more than one
+    # worker runs in processes (serially where shared memory is missing).
+    if "mode" in kwargs:
+        with pytest.raises(TypeError):
+            MatchingEngine(**kwargs)
+        return
+    with MatchingEngine(**kwargs) as engine:
+        if engine.mode == "process":
+            assert engine.workers == 2
+            assert engine.mode_fallback is None
+        else:
+            assert (engine.mode, engine.workers) == ("serial", 1)
+            assert "shared memory unavailable" in engine.mode_fallback
