@@ -15,9 +15,9 @@ import time
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Sequence
 
-from repro.core import limits
-from repro.core.limits import Budget, EvaluationTimeout, LimitError
-from repro.core.matcher import Match, search_plan
+from repro.core.engine import MatchingEngine, PlanError
+from repro.core.limits import Budget
+from repro.core.matcher import Match
 from repro.core.pattern import ProblemPattern
 from repro.core.sparqlgen import pattern_to_sparql
 from repro.core.transform import TransformedPlan
@@ -44,13 +44,8 @@ class KBEntry:
     def __post_init__(self):
         if not self.sparql:
             self.sparql = pattern_to_sparql(self.pattern)
-        self._compiled = prepare_query(self.sparql)
+        prepare_query(self.sparql)  # a bad query fails here, not mid-run
         self._validate_recommendations()
-
-    @property
-    def compiled(self):
-        """The parsed query AST (compiled once at entry creation)."""
-        return self._compiled
 
     def _validate_recommendations(self) -> None:
         """Fail fast on broken entries: every ``@alias`` a recommendation
@@ -293,14 +288,13 @@ class KnowledgeBase:
     ) -> KBReport:
         """Match every entry against every plan; rank by confidence.
 
-        With an *engine* (a :class:`repro.core.engine.MatchingEngine`,
-        duck-typed to keep the kb package decoupled from it) each
-        entry's SPARQL text is searched over the whole workload in one
-        call, so the evaluation runs on the engine's tier (serial, or
-        the shared-memory process pool when the engine has more than
-        one worker) and repeated KB runs over an unchanged workload hit
-        its match cache.  Results are identical to the serial path:
-        both evaluate each (entry, plan) pair through ``search_plan``.
+        Each entry's SPARQL text is searched over the whole workload in
+        one call to a :class:`repro.core.engine.MatchingEngine`.  With
+        *engine* the evaluation runs on that engine's tier (serial, or
+        the shared-memory process pool when it has more than one
+        worker) and repeated KB runs over an unchanged workload hit its
+        match cache; without one, the run builds a private uncached
+        serial engine.
 
         Fault containment: with *isolate*, a broken entry (bad SPARQL,
         exploding template, any unexpected exception) is skipped and
@@ -310,74 +304,71 @@ class KnowledgeBase:
         the whole run) turns over-limit evaluations into ``timeout`` /
         ``budget`` error records while the in-limit portion of the
         report is still produced.
+
+        Counting: each (entry, plan) pair the run evaluates counts once
+        in ``optimatch_kb_entry_evaluations_total``, as a hit, a miss or
+        an error, and ``error`` grows by one per :class:`KBEntryError`
+        in the report.  An entry that fails as a whole, or whose
+        recommendations fail to render for a plan, counts one error and
+        is skipped for the rest of the run.
         """
         run_started = time.perf_counter()
         workload = list(workload)
+        if engine is None:
+            engine = MatchingEngine(cache=False)
         report = KBReport()
-        evaluations = hits = eval_errors = rendered_count = 0
-        matches_by_entry = None
-        skipped: set = set()
-        if engine is not None:
-            matches_by_entry = {}
-            for entry in self.entries:
-                try:
-                    if chaos.active:
-                        chaos.trip("kb.entry", entry.name)
-                    if isolate or budget is not None:
-                        result = engine.search_isolated(
-                            entry.sparql, workload, budget=budget
-                        )
-                        for plan_error in result.errors:
-                            report.errors.append(
-                                KBEntryError(
-                                    entry_name=entry.name,
-                                    kind=plan_error.kind,
-                                    message=plan_error.message,
-                                    plan_id=plan_error.plan_id,
-                                )
-                            )
-                        matches = list(result)
-                    else:
-                        matches = engine.search(entry.sparql, workload)
-                except Exception as exc:  # noqa: BLE001 — entry isolation
-                    if not isolate:
-                        raise
-                    report.errors.append(
-                        KBEntryError(
-                            entry_name=entry.name,
-                            kind="error",
-                            message=f"{type(exc).__name__}: {exc}",
-                        )
+        # entry name -> plan id -> its matches or its PlanError; an entry
+        # that failed as a whole (or later failed to render) is absent.
+        outcomes: Dict[str, Dict[str, object]] = {}
+        for entry in self.entries:
+            try:
+                if chaos.active:
+                    chaos.trip("kb.entry", entry.name)
+                if isolate or budget is not None:
+                    result = engine.search_isolated(
+                        entry.sparql, workload, budget=budget
                     )
-                    matches = []
-                matches_by_entry[entry.name] = {
-                    m.plan_id: m for m in matches
-                }
+                    matches, plan_errors = result.matches, result.errors
+                else:
+                    matches = engine.search(entry.sparql, workload)
+                    plan_errors = []
+            except Exception as exc:  # noqa: BLE001 — entry isolation
+                if not isolate:
+                    raise
+                report.errors.append(
+                    KBEntryError(
+                        entry_name=entry.name,
+                        kind="error",
+                        message=f"{type(exc).__name__}: {exc}",
+                    )
+                )
+                continue
+            by_plan: Dict[str, object] = {m.plan_id: m for m in matches}
+            for plan_error in plan_errors:
+                report.errors.append(
+                    KBEntryError(
+                        entry_name=entry.name,
+                        kind=plan_error.kind,
+                        message=plan_error.message,
+                        plan_id=plan_error.plan_id,
+                    )
+                )
+                by_plan[plan_error.plan_id] = plan_error
+            outcomes[entry.name] = by_plan
+        hits = misses = rendered_count = 0
         for transformed in workload:
             plan_result = PlanRecommendations(plan_id=transformed.plan_id)
             for entry in self.entries:
-                if entry.name in skipped:
+                by_plan = outcomes.get(entry.name)
+                if by_plan is None:
                     continue
-                evaluations += 1
+                matches = by_plan.get(transformed.plan_id)
+                if isinstance(matches, PlanError):
+                    continue  # counted with its report record
+                if not matches:
+                    misses += 1
+                    continue
                 try:
-                    if matches_by_entry is not None:
-                        matches = matches_by_entry[entry.name].get(
-                            transformed.plan_id
-                        )
-                    else:
-                        # Reuse the entry's precompiled query AST:
-                        # re-parsing the SPARQL per plan x entry
-                        # dominates small-pattern runs.
-                        if budget is not None and budget.expired():
-                            raise EvaluationTimeout(
-                                "deadline expired before evaluation"
-                            )
-                        if chaos.active:
-                            chaos.trip("kb.entry", entry.name)
-                        with limits.activate(budget):
-                            matches = search_plan(entry.compiled, transformed)
-                    if not matches:
-                        continue
                     occurrences: List[Match] = matches.occurrences
                     confidence = max(
                         confidence_score(
@@ -390,26 +381,12 @@ class KnowledgeBase:
                     rendered: List[RenderedRecommendation] = []
                     for recommendation in entry.recommendations:
                         rendered.extend(recommendation.render(occurrences))
-                except LimitError as exc:
-                    if not isolate and budget is None:
-                        raise
-                    eval_errors += 1
-                    report.errors.append(
-                        KBEntryError(
-                            entry_name=entry.name,
-                            kind=exc.kind,
-                            message=str(exc),
-                            plan_id=transformed.plan_id,
-                        )
-                    )
-                    continue
                 except Exception as exc:  # noqa: BLE001 — entry isolation
                     if not isolate:
                         raise
-                    # A non-limit failure means the entry itself is
-                    # broken — report once and skip it for the rest of
-                    # the run rather than repeating the error per plan.
-                    eval_errors += 1
+                    # The entry itself is broken: report it once and
+                    # skip it for the rest of the run rather than
+                    # repeating the error per plan.
                     report.errors.append(
                         KBEntryError(
                             entry_name=entry.name,
@@ -418,7 +395,7 @@ class KnowledgeBase:
                             plan_id=transformed.plan_id,
                         )
                     )
-                    skipped.add(entry.name)
+                    del outcomes[entry.name]
                     continue
                 hits += 1
                 rendered_count += len(rendered)
@@ -438,11 +415,10 @@ class KnowledgeBase:
         self._m_runs.inc()
         if hits:
             self._m_eval_hit.inc(hits)
-        misses = evaluations - hits - eval_errors
-        if misses > 0:
+        if misses:
             self._m_eval_miss.inc(misses)
-        if eval_errors:
-            self._m_eval_error.inc(eval_errors)
+        if report.errors:
+            self._m_eval_error.inc(len(report.errors))
         if rendered_count:
             self._m_recommendations.inc(rendered_count)
         self._m_run_seconds.observe(elapsed)

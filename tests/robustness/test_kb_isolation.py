@@ -94,3 +94,59 @@ class TestSerialRuns:
         assert report.degraded
         assert {e.kind for e in report.errors} == {"timeout"}
         assert all(e.plan_id for e in report.errors)
+
+
+def evaluation_counts(kb):
+    """``optimatch_kb_entry_evaluations_total`` by outcome."""
+    counts = {"hit": 0.0, "miss": 0.0, "error": 0.0}
+    for snapshot in kb.registry.collect():
+        if snapshot.name == "optimatch_kb_entry_evaluations_total":
+            for sample in snapshot.samples:
+                counts[dict(sample.labels)["outcome"]] = sample.value
+    return counts
+
+
+ENGINES = {
+    "engine-given": lambda: MatchingEngine(workers=1),
+    "engine-omitted": lambda: None,
+}
+
+
+class TestEvaluationCounting:
+    """Every evaluated (entry, plan) pair counts once as a hit, a miss or
+    an error, and errors match the report's error records one for one."""
+
+    @pytest.mark.parametrize("engine", list(ENGINES))
+    def test_timeouts_count_as_errors_not_misses(self, kb, engine):
+        from repro.core.transform import transform_workload
+        from repro.workload import generate_workload
+
+        plans = transform_workload(generate_workload(6, seed=7))
+        before = evaluation_counts(kb)
+        report = kb.find_recommendations(
+            plans, engine=ENGINES[engine](), budget=expired_budget()
+        )
+        after = evaluation_counts(kb)
+        assert len(report.errors) == len(kb) * len(plans)
+        assert after["error"] - before["error"] == len(report.errors)
+        assert after["miss"] - before["miss"] == 0
+        assert after["hit"] - before["hit"] == 0
+
+    @pytest.mark.parametrize("engine", list(ENGINES))
+    def test_entry_failed_by_chaos_counts_one_error(
+        self, kb, small_transformed, engine
+    ):
+        bad = entry_names(kb)[0]
+        before = evaluation_counts(kb)
+        with chaos.injected("kb.entry", keys={bad}, exc=RuntimeError("boom")):
+            report = kb.find_recommendations(
+                small_transformed, engine=ENGINES[engine](), isolate=True
+            )
+        after = evaluation_counts(kb)
+        delta = {k: after[k] - before[k] for k in after}
+        assert len(report.errors) == 1
+        assert delta["error"] == 1
+        # the broken entry's plans are skipped, every other pair counts once
+        assert delta["hit"] + delta["miss"] == (len(kb) - 1) * len(
+            small_transformed
+        )
