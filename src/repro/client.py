@@ -35,6 +35,10 @@ from urllib.parse import urlencode, urlsplit
 
 from repro.obs.metrics import MetricsRegistry
 
+#: Send failures a plain request retries: nothing reached the server, or
+#: the reply never arrived.
+_TRANSPORT_ERRORS = (ConnectionError, OSError, http.client.HTTPException)
+
 
 class ClientError(RuntimeError):
     """A non-retryable HTTP error response from the server.
@@ -53,6 +57,13 @@ class ClientError(RuntimeError):
 class _StreamConnectError(ConnectionError):
     """Internal: the stream failed before any plan byte left the client
     (so replaying it cannot duplicate plans)."""
+
+
+def _nothing_ingested(payload) -> bool:
+    """True when a stream's 503 reply says no plan was committed, so
+    replaying the stream cannot duplicate plans."""
+    ingested = payload.get("ingested", 0) if isinstance(payload, dict) else 0
+    return ingested == 0
 
 
 class ServerUnavailable(ClientError):
@@ -181,42 +192,7 @@ class OptImatchClient:
             return None
         return min(delay, remaining)
 
-    def _budget_exhausted(
-        self, method: str, path: str, tried: int, last: Optional[BaseException]
-    ) -> "ServerUnavailable":
-        return ServerUnavailable(
-            f"{method} {path} failed after {tried} attempts "
-            f"(retry budget of {self.retry_budget_s}s exhausted)",
-            attempts=tried,
-            last=last,
-        )
-
     def _request(
-        self,
-        method: str,
-        path: str,
-        body: Any = None,
-        params: Optional[Dict[str, Any]] = None,
-    ) -> dict:
-        """Instrumented wrapper: one latency sample and one terminal
-        outcome (ok / error / unavailable) per logical request, however
-        many attempts it took."""
-        started = self._clock()
-        try:
-            result = self._request_attempts(method, path, body, params)
-        except ServerUnavailable:
-            self._m_requests.labels(method, "unavailable").inc()
-            raise
-        except ClientError:
-            self._m_requests.labels(method, "error").inc()
-            raise
-        else:
-            self._m_requests.labels(method, "ok").inc()
-            return result
-        finally:
-            self._m_latency.labels(method).observe(self._clock() - started)
-
-    def _request_attempts(
         self,
         method: str,
         path: str,
@@ -236,67 +212,108 @@ class OptImatchClient:
             filtered = {k: v for k, v in params.items() if v is not None}
             if filtered:
                 path = f"{path}?{urlencode(filtered)}"
+        return self._call(
+            method,
+            path,
+            lambda: self._send_once(method, path, body, headers),
+            self._finish_reply,
+            _TRANSPORT_ERRORS,
+            self.retries + 1,
+        )
 
+    def _call(
+        self,
+        method: str,
+        path: str,
+        send: Callable[[], Tuple[int, Dict[str, str], bytes]],
+        finish: Callable[[int, bytes], Any],
+        retry_on: Tuple[type, ...],
+        attempts: int,
+        retry_503: Callable[[Any], bool] = lambda payload: True,
+    ) -> Any:
+        """The one retry loop: *send* until a reply is final.
+
+        A *send* exception in *retry_on*, or a 503 whose decoded payload
+        passes *retry_503*, is retried with backoff while *attempts* and
+        the retry budget last, and then raises
+        :class:`ServerUnavailable`.  Any other 503 raises
+        :class:`ClientError` carrying the payload; any other reply goes
+        to *finish*.  Records one terminal outcome (ok / error /
+        unavailable) and one latency sample per call, however many
+        attempts it took.
+        """
         started = self._clock()
-        attempts = self.retries + 1
-        last_exc: Optional[BaseException] = None
-        for attempt in range(attempts):
-            try:
-                status, resp_headers, data = self._send_once(
-                    method, path, body, headers
-                )
-            except (ConnectionError, OSError, http.client.HTTPException) as exc:
-                last_exc = exc
-                if attempt + 1 < attempts:
-                    delay = self._retry_delay(started, attempt, None)
-                    if delay is None:
-                        raise self._budget_exhausted(
-                            method, path, attempt + 1, last_exc
-                        )
-                    self._m_retries.labels("connection").inc()
-                    self._sleep(delay)
-                continue
-            if status == 503:
-                last_exc = None
-                if attempt + 1 < attempts:
+        outcome = "error"
+        try:
+            last: Optional[BaseException] = None
+            for attempt in range(attempts):
+                retry_after = None
+                try:
+                    status, resp_headers, data = send()
+                except retry_on as exc:
+                    last, reason = exc, "connection"
+                else:
+                    if status != 503:
+                        result = finish(status, data)
+                        outcome = "ok"
+                        return result
+                    payload = self._decode(data)
+                    if not retry_503(payload):
+                        raise self._reply_error(status, data, payload)
                     # Same capped backoff for every transient 503, but
                     # the retry series distinguishes a shedding server
                     # from one that is recovering its journal or
                     # degraded to read-only.
-                    payload = self._decode(data)
-                    code = (
-                        payload.get("code", "")
-                        if isinstance(payload, dict)
-                        else ""
-                    )
+                    code = isinstance(payload, dict) and payload.get("code")
+                    last = None
                     reason = (
                         code if code in ("recovering", "read_only") else "shed"
                     )
                     retry_after = {
                         k.lower(): v for k, v in resp_headers.items()
                     }.get("retry-after")
-                    delay = self._retry_delay(started, attempt, retry_after)
-                    if delay is None:
-                        raise self._budget_exhausted(
-                            method, path, attempt + 1, None
-                        )
-                    self._m_retries.labels(reason).inc()
-                    self._sleep(delay)
-                continue
-            payload = self._decode(data)
-            if 200 <= status < 300:
-                return payload
-            message = (
-                payload.get("error", data.decode("utf-8", "replace"))
-                if isinstance(payload, dict)
-                else str(payload)
+                if attempt + 1 == attempts:
+                    break
+                delay = self._retry_delay(started, attempt, retry_after)
+                if delay is None:
+                    raise ServerUnavailable(
+                        f"{method} {path} failed after {attempt + 1} "
+                        f"attempts (retry budget of {self.retry_budget_s}s "
+                        "exhausted)",
+                        attempts=attempt + 1,
+                        last=last,
+                    )
+                self._m_retries.labels(reason).inc()
+                self._sleep(delay)
+            raise ServerUnavailable(
+                f"{method} {path} failed after {attempts} attempts",
+                attempts=attempts,
+                last=last,
             )
-            code = payload.get("code", "") if isinstance(payload, dict) else ""
-            raise ClientError(status, message, code=code, payload=payload)
-        raise ServerUnavailable(
-            f"{method} {path} failed after {attempts} attempts",
-            attempts=attempts,
-            last=last_exc,
+        except ServerUnavailable:
+            outcome = "unavailable"
+            raise
+        finally:
+            self._m_requests.labels(method, outcome).inc()
+            self._m_latency.labels(method).observe(self._clock() - started)
+
+    def _finish_reply(self, status: int, data: bytes) -> dict:
+        payload = self._decode(data)
+        if 200 <= status < 300:
+            return payload
+        raise self._reply_error(status, data, payload)
+
+    @staticmethod
+    def _reply_error(status: int, data: bytes, payload) -> ClientError:
+        """The :class:`ClientError` for an error reply and its decoded
+        *payload*: the server's ``error`` message and ``code``."""
+        if not isinstance(payload, dict):
+            return ClientError(status, str(payload), payload=payload)
+        return ClientError(
+            status,
+            payload.get("error", data.decode("utf-8", "replace")),
+            code=payload.get("code", ""),
+            payload=payload,
         )
 
     @staticmethod
@@ -394,85 +411,15 @@ class OptImatchClient:
         if params:
             path = f"{path}?{urlencode(params)}"
         reusable = isinstance(plans, (list, tuple))
-        attempts = self.retries + 1 if reusable else 1
-
-        started = self._clock()
-        outcome = "error"
-        try:
-            last_exc: Optional[BaseException] = None
-            for attempt in range(attempts):
-                try:
-                    status, resp_headers, data = self._stream_once(
-                        path, plans
-                    )
-                except (ConnectionError, OSError, http.client.HTTPException) as exc:
-                    last_exc = exc
-                    retryable = (
-                        isinstance(exc, _StreamConnectError)
-                        and attempt + 1 < attempts
-                    )
-                    if not retryable:
-                        if isinstance(exc, _StreamConnectError):
-                            break  # attempts exhausted -> ServerUnavailable
-                        raise  # mid-stream failure: never replay
-                    delay = self._retry_delay(started, attempt, None)
-                    if delay is None:
-                        outcome = "unavailable"
-                        raise self._budget_exhausted(
-                            "POST", path, attempt + 1, last_exc
-                        )
-                    self._m_retries.labels("connection").inc()
-                    self._sleep(delay)
-                    continue
-                if status == 503:
-                    payload = self._decode(data)
-                    ingested = (
-                        payload.get("ingested", 0)
-                        if isinstance(payload, dict)
-                        else 0
-                    )
-                    code = (
-                        payload.get("code", "")
-                        if isinstance(payload, dict)
-                        else ""
-                    )
-                    if ingested == 0 and attempt + 1 < attempts:
-                        last_exc = None
-                        reason = (
-                            code
-                            if code in ("recovering", "read_only")
-                            else "shed"
-                        )
-                        retry_after = {
-                            k.lower(): v for k, v in resp_headers.items()
-                        }.get("retry-after")
-                        delay = self._retry_delay(started, attempt, retry_after)
-                        if delay is None:
-                            outcome = "unavailable"
-                            raise self._budget_exhausted(
-                                "POST", path, attempt + 1, None
-                            )
-                        self._m_retries.labels(reason).inc()
-                        self._sleep(delay)
-                        continue
-                    message = (
-                        payload.get("error", "service unavailable")
-                        if isinstance(payload, dict)
-                        else "service unavailable"
-                    )
-                    raise ClientError(503, message, code=code, payload=payload)
-                result = self._finish_stream(status, data, on_ack)
-                outcome = "ok"
-                return result
-            outcome = "unavailable"
-            raise ServerUnavailable(
-                f"POST {path} failed after {attempts} attempts",
-                attempts=attempts,
-                last=last_exc,
-            )
-        finally:
-            self._m_requests.labels("POST", outcome).inc()
-            self._m_latency.labels("POST").observe(self._clock() - started)
+        return self._call(
+            "POST",
+            path,
+            lambda: self._stream_once(path, plans),
+            lambda status, data: self._finish_stream(status, data, on_ack),
+            (_StreamConnectError,),
+            self.retries + 1 if reusable else 1,
+            retry_503=_nothing_ingested,
+        )
 
     def _stream_once(
         self, path: str, plans: Iterable
@@ -570,14 +517,7 @@ class OptImatchClient:
                 )
             summary["acks"] = acks
             return summary
-        payload = self._decode(data)
-        message = (
-            payload.get("error", data.decode("utf-8", "replace"))
-            if isinstance(payload, dict)
-            else str(payload)
-        )
-        code = payload.get("code", "") if isinstance(payload, dict) else ""
-        raise ClientError(status, message, code=code, payload=payload)
+        raise self._reply_error(status, data, self._decode(data))
 
     def clear_plans(self) -> dict:
         return self._request("DELETE", "/plans")

@@ -83,6 +83,21 @@ def test_unavailable_after_persistent_503():
         client.health()
 
 
+def test_stream_unavailable_after_persistent_503():
+    # A re-iterable stream shed on every attempt exhausts its retries
+    # exactly like a plain request does.
+    shed = json.dumps({"error": "shed", "code": "shed", "ingested": 0})
+    client = make_stream_client(
+        [(503, {}, shed.encode("utf-8"))] * 3, retries=2
+    )
+    with pytest.raises(ServerUnavailable) as info:
+        client.upload_plans_stream(["T1", "T2"])
+    assert info.value.attempts == 3
+    assert len(client.stream_calls) == 3
+    assert _outcome_counts(client) == {("POST", "unavailable"): 1}
+    assert _retry_counts(client) == {"shed": 2}
+
+
 def test_client_errors_are_not_retried():
     client = make_client(
         [(400, {}, {"error": "bad pattern", "code": "parse_error"})]
@@ -179,6 +194,17 @@ def _retry_counts(client):
     for snapshot in client.registry.collect():
         if snapshot.name == "optimatch_client_retries_total":
             return {dict(s.labels)["reason"]: s.value for s in snapshot.samples}
+    return {}
+
+
+def _outcome_counts(client):
+    for snapshot in client.registry.collect():
+        if snapshot.name == "optimatch_client_requests_total":
+            return {
+                (dict(s.labels)["method"], dict(s.labels)["outcome"]): s.value
+                for s in snapshot.samples
+                if s.value
+            }
     return {}
 
 
