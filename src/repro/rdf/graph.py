@@ -14,7 +14,10 @@ Two API levels:
 
 * the **term-level API** (``add``, ``triples``, ``value``, ``objects``,
   ``estimate``, iteration, …) is unchanged from the seed — terms are
-  encoded/decoded at the call boundary;
+  encoded/decoded at the call boundary.  Its reads (``triples``,
+  ``estimate``, ``count``, ``contains``, iteration) live once in
+  :class:`TermReads`, built on the ID-level API, and the snapshot
+  :class:`~repro.rdf.snapshot.GraphView` inherits the same ones;
 * the **ID-level API** (``term_id``, ``id_term``, ``triples_ids``,
   ``estimate_ids``, ``node_ids``) exposes the raw int space to the
   SPARQL evaluator's join core, which carries bindings as ints and
@@ -73,7 +76,109 @@ def _index_remove(index: _Index, a: int, b: int, c: int) -> None:
         pass
 
 
-class Graph:
+class TermReads:
+    """Term-level reads, built once on the ID-level API.
+
+    :class:`Graph` and :class:`repro.rdf.snapshot.GraphView` both
+    inherit these methods and supply what they read: ``term_id``,
+    ``id_term``, ``triples_ids``, ``estimate_ids``, ``has_spellings``,
+    ``spelling`` and ``_size``.  Bound terms are encoded once at the
+    boundary (a term the graph never saw short-circuits to no match),
+    matching happens in ID space, and hits are decoded on the way out,
+    so term-level reads enumerate in the same order as ``triples_ids``.
+    """
+
+    def _pattern_ids(
+        self,
+        subject: Optional[Term],
+        predicate: Optional[Term],
+        obj: Optional[Term],
+    ) -> Optional[Tuple[Optional[int], Optional[int], Optional[int]]]:
+        """IDs of a pattern (``None`` stays a wildcard), or ``None``
+        when a bound term is absent from the graph."""
+        si = pi = oi = None
+        if subject is not None:
+            si = self.term_id(subject)
+            if si is None:
+                return None
+        if predicate is not None:
+            pi = self.term_id(predicate)
+            if pi is None:
+                return None
+        if obj is not None:
+            oi = self.term_id(obj)
+            if oi is None:
+                return None
+        return si, pi, oi
+
+    def triples(
+        self,
+        subject: Optional[Term] = None,
+        predicate: Optional[Term] = None,
+        obj: Optional[Term] = None,
+    ) -> Iterator[Triple]:
+        """Iterate triples matching the pattern; ``None`` is a wildcard.
+
+        Each object comes back in the spelling its triple stored, which
+        may differ from the dictionary representative (see
+        :meth:`Graph.add`).
+        """
+        ids = self._pattern_ids(subject, predicate, obj)
+        if ids is None:
+            return
+        decode = self.id_term
+        if self.has_spellings:
+            spelling = self.spelling
+            for s_, p_, o_ in self.triples_ids(*ids):
+                own = spelling(s_, p_, o_)
+                yield (decode(s_), decode(p_), own if own is not None else decode(o_))
+        else:
+            for s_, p_, o_ in self.triples_ids(*ids):
+                yield (decode(s_), decode(p_), decode(o_))
+
+    def estimate(
+        self,
+        subject: Optional[Term] = None,
+        predicate: Optional[Term] = None,
+        obj: Optional[Term] = None,
+    ) -> int:
+        """Number of triples matching the pattern.
+
+        Exact for every pattern shape and never a scan: ``estimate_ids``
+        reads the permutation indexes and per-predicate totals, which
+        are maintained precisely.
+        """
+        ids = self._pattern_ids(subject, predicate, obj)
+        return 0 if ids is None else self.estimate_ids(*ids)
+
+    def count(
+        self,
+        subject: Optional[Term] = None,
+        predicate: Optional[Term] = None,
+        obj: Optional[Term] = None,
+    ) -> int:
+        """Number of triples matching the pattern (see :meth:`estimate`)."""
+        return self.estimate(subject, predicate, obj)
+
+    def contains(self, triple: Triple) -> bool:
+        s, p, o = triple
+        ids = (self.term_id(s), self.term_id(p), self.term_id(o))
+        return None not in ids and self.estimate_ids(*ids) > 0
+
+    def __contains__(self, triple: Triple) -> bool:
+        return self.contains(triple)
+
+    def __len__(self) -> int:
+        return self._size
+
+    def __iter__(self) -> Iterator[Triple]:
+        return self.triples()
+
+    def __bool__(self) -> bool:
+        return self._size > 0
+
+
+class Graph(TermReads):
     """A set of RDF triples with int-keyed SPO / POS / OSP indexes."""
 
     def __init__(self, identifier: Optional[str] = None):
@@ -132,7 +237,7 @@ class Graph:
 
     def remove(self, triple: Triple) -> None:
         """Remove *triple* if present; removing a missing triple is a no-op."""
-        ids = self._triple_ids(triple)
+        ids = self._pattern_ids(*triple)
         if ids is None:
             return
         si, pi, oi = ids
@@ -381,84 +486,6 @@ class Graph:
         dictionary representative; ``None`` otherwise."""
         return self._spell.get((si, pi, oi))
 
-    def _triple_ids(self, triple: Triple) -> Optional[Tuple[int, int, int]]:
-        """IDs for a ground triple, or ``None`` if any term is unknown."""
-        lookup = self._dict.lookup
-        si = lookup(triple[0])
-        if si is None:
-            return None
-        pi = lookup(triple[1])
-        if pi is None:
-            return None
-        oi = lookup(triple[2])
-        if oi is None:
-            return None
-        return si, pi, oi
-
-    # ------------------------------------------------------------------
-    # Lookup (term-level API)
-    # ------------------------------------------------------------------
-    def contains(self, triple: Triple) -> bool:
-        ids = self._triple_ids(triple)
-        if ids is None:
-            return False
-        si, pi, oi = ids
-        return oi in self._spo.get(si, {}).get(pi, ())
-
-    def __contains__(self, triple: Triple) -> bool:
-        return self.contains(triple)
-
-    def triples(
-        self,
-        subject: Optional[Term] = None,
-        predicate: Optional[Term] = None,
-        obj: Optional[Term] = None,
-    ) -> Iterator[Triple]:
-        """Iterate triples matching the pattern; ``None`` is a wildcard.
-
-        Bound terms are encoded once at the boundary (an unknown term
-        short-circuits to empty), the matching happens in ID space, and
-        every hit is decoded back to terms on the way out.
-        """
-        si = pi = oi = None
-        lookup = self._dict.lookup
-        if subject is not None:
-            si = lookup(subject)
-            if si is None:
-                return
-        if predicate is not None:
-            pi = lookup(predicate)
-            if pi is None:
-                return
-        if obj is not None:
-            oi = lookup(obj)
-            if oi is None:
-                return
-        decode = self._dict.decode
-        spell = self._spell
-        if spell:
-            for s_, p_, o_ in self.triples_ids(si, pi, oi):
-                own = spell.get((s_, p_, o_))
-                yield (decode(s_), decode(p_), own if own is not None else decode(o_))
-        else:
-            for s_, p_, o_ in self.triples_ids(si, pi, oi):
-                yield (decode(s_), decode(p_), decode(o_))
-
-    def count(
-        self,
-        subject: Optional[Term] = None,
-        predicate: Optional[Term] = None,
-        obj: Optional[Term] = None,
-    ) -> int:
-        """Number of triples matching the pattern.
-
-        Delegates to :meth:`estimate`, which is *exact* for this store
-        for every pattern shape (the permutation indexes and the
-        per-predicate totals are maintained precisely), so no binding
-        pattern ever needs to iterate the matching triples.
-        """
-        return self.estimate(subject, predicate, obj)
-
     # ------------------------------------------------------------------
     # Convenience accessors
     # ------------------------------------------------------------------
@@ -512,10 +539,6 @@ class Graph:
         for pi in self._osp.get(oi, {}).get(si, ()):
             yield decode(pi)
 
-    def subject_set(self) -> Set[Term]:
-        decode = self._dict.decode
-        return {decode(si) for si in self._spo}
-
     def predicate_set(self) -> Set[Term]:
         decode = self._dict.decode
         return {decode(pi) for pi in self._pos}
@@ -539,47 +562,9 @@ class Graph:
             raise ValueError(f"graph version must be >= 0, not {version}")
         self._version = int(version)
 
-    def estimate(
-        self,
-        subject: Optional[Term] = None,
-        predicate: Optional[Term] = None,
-        obj: Optional[Term] = None,
-    ) -> int:
-        """Cheap count of matching triples (exact for this store).
-
-        Used by :meth:`count`.  Every case is O(1) or O(distinct
-        predicates of one node) — never a scan — and, because the
-        permutation indexes and per-predicate totals are exact, so is
-        the result.
-        """
-        si = pi = oi = None
-        lookup = self._dict.lookup
-        if subject is not None:
-            si = lookup(subject)
-            if si is None:
-                return 0
-        if predicate is not None:
-            pi = lookup(predicate)
-            if pi is None:
-                return 0
-        if obj is not None:
-            oi = lookup(obj)
-            if oi is None:
-                return 0
-        return self.estimate_ids(si, pi, oi)
-
     # ------------------------------------------------------------------
     # Protocol
     # ------------------------------------------------------------------
-    def __len__(self) -> int:
-        return self._size
-
-    def __iter__(self) -> Iterator[Triple]:
-        return self.triples()
-
-    def __bool__(self) -> bool:
-        return self._size > 0
-
     def snapshot_bytes(self) -> bytes:
         """Serialize this graph into a flat zero-copy snapshot buffer.
 

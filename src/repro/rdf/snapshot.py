@@ -52,7 +52,7 @@ from __future__ import annotations
 
 from typing import Dict, Iterator, List, Optional, Set, Tuple
 
-from repro.rdf.graph import Graph
+from repro.rdf.graph import Graph, TermReads
 from repro.rdf.term import BNode, Literal, Term, URIRef
 
 #: First header word; guards against attaching a foreign buffer.
@@ -294,14 +294,16 @@ class _IndexView:
         return sum(counts[i] for i in range(start, start + self.a_counts[ai]))
 
 
-class GraphView:
+class GraphView(TermReads):
     """Read-only graph over a snapshot buffer; evaluator/planner ready.
 
-    Implements the full ID-level API of :class:`~repro.rdf.graph.Graph`
-    plus the term-level read methods (``triples`` / ``estimate`` /
-    ``subject_set`` / ``contains``), with identical semantics *and
-    identical enumeration order*.  Mutation is not supported — the
-    buffer is shared and immutable by contract.
+    Implements the full ID-level API of :class:`~repro.rdf.graph.Graph`,
+    with identical semantics *and identical enumeration order*, and
+    inherits the term-level reads (``triples`` / ``estimate`` /
+    ``count`` / ``contains`` / iteration) from
+    :class:`~repro.rdf.graph.TermReads`, the same code ``Graph`` runs.
+    Mutation is not supported — the buffer is shared and immutable by
+    contract.
 
     The class intentionally has a ``__dict__`` (no ``__slots__``): the
     evaluator's closure memo and the cost planner's plan memo attach
@@ -581,90 +583,6 @@ class GraphView:
     def version(self) -> int:
         """The source graph's version at snapshot time."""
         return self._version
-
-    # ------------------------------------------------------------------
-    # Term-level read API
-    # ------------------------------------------------------------------
-    def triples(
-        self,
-        subject: Optional[Term] = None,
-        predicate: Optional[Term] = None,
-        obj: Optional[Term] = None,
-    ) -> Iterator[Tuple[Term, Term, Term]]:
-        si = pi = oi = None
-        if subject is not None:
-            si = self.term_id(subject)
-            if si is None:
-                return
-        if predicate is not None:
-            pi = self.term_id(predicate)
-            if pi is None:
-                return
-        if obj is not None:
-            oi = self.term_id(obj)
-            if oi is None:
-                return
-        decode = self.id_term
-        if self.has_spellings:
-            for s_, p_, o_ in self.triples_ids(si, pi, oi):
-                own = self.spelling(s_, p_, o_)
-                yield (decode(s_), decode(p_), own if own is not None else decode(o_))
-        else:
-            for s_, p_, o_ in self.triples_ids(si, pi, oi):
-                yield (decode(s_), decode(p_), decode(o_))
-
-    def estimate(
-        self,
-        subject: Optional[Term] = None,
-        predicate: Optional[Term] = None,
-        obj: Optional[Term] = None,
-    ) -> int:
-        si = pi = oi = None
-        if subject is not None:
-            si = self.term_id(subject)
-            if si is None:
-                return 0
-        if predicate is not None:
-            pi = self.term_id(predicate)
-            if pi is None:
-                return 0
-        if obj is not None:
-            oi = self.term_id(obj)
-            if oi is None:
-                return 0
-        return self.estimate_ids(si, pi, oi)
-
-    def count(self, subject=None, predicate=None, obj=None) -> int:
-        return self.estimate(subject, predicate, obj)
-
-    def contains(self, triple: Tuple[Term, Term, Term]) -> bool:
-        s, p, o = triple
-        si, pi, oi = self.term_id(s), self.term_id(p), self.term_id(o)
-        if si is None or pi is None or oi is None:
-            return False
-        return self.estimate_ids(si, pi, oi) > 0
-
-    def __contains__(self, triple) -> bool:
-        return self.contains(triple)
-
-    def subject_set(self) -> Set[Term]:
-        decode = self.id_term
-        return {decode(si) for si in self._spo.a_keys}
-
-    def predicate_set(self) -> Set[Term]:
-        decode = self.id_term
-        return {decode(pi) for pi in self._pos.a_keys}
-
-    def __len__(self) -> int:
-        return self._size
-
-    def __bool__(self) -> bool:
-        return self._size > 0
-
-    def __iter__(self):
-        return self.triples()
-
-    __hash__ = object.__hash__
 
     def __repr__(self) -> str:
         return f"<GraphView size={self._size} version={self._version}>"

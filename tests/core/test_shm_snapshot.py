@@ -99,6 +99,17 @@ class TestEnumerationOrder:
                 graph.triples_ids(*pattern)
             ), pattern
             assert view.estimate_ids(*pattern) == graph.estimate_ids(*pattern)
+            terms = [None if i is None else graph.id_term(i) for i in pattern]
+            assert [
+                tuple(term.n3() for term in triple)
+                for triple in view.triples(*terms)
+            ] == [
+                tuple(term.n3() for term in triple)
+                for triple in graph.triples(*terms)
+            ], pattern
+            assert view.estimate(*terms) == graph.estimate(*terms)
+            if None not in pattern:
+                assert view.contains(terms) == graph.contains(terms)
 
 
 class TestIdLevelApi:
