@@ -87,37 +87,17 @@ def _format_pattern(tp: Any) -> str:
 
 
 # ----------------------------------------------------------------------
-# Index-choice mirror
+# Index choice
 # ----------------------------------------------------------------------
-def _index_for(s_bound: bool, p_bound: bool, o_bound: bool, is_path: bool) -> str:
-    """Which store index a lookup with this boundness walks.
-
-    Mirrors the branch order of :meth:`Graph.triples_ids`: a bound
-    subject routes through SPO unless only the object joins it (then the
-    OSP cell); otherwise a bound predicate uses POS, a bound object OSP,
-    and nothing bound is a full SPO scan.  Property paths do per-step
-    lookups of their own and are reported as closure work instead.
-    """
-    if is_path:
-        return "path"
-    if s_bound:
-        if not p_bound and o_bound:
-            return "OSP"
-        return "SPO"
-    if p_bound:
-        return "POS"
-    if o_bound:
-        return "OSP"
-    return "SPO-scan"
-
-
-def _boundness(pattern: Any, bindings: Any) -> Tuple[bool, bool, bool, bool]:
-    """(s_bound, p_bound, o_bound, is_path) for a probe ``pattern_input``.
+def _index_for(pattern: Any, bindings: Any) -> str:
+    """The store index a probe ``pattern_input`` lookup walks.
 
     *pattern* is a compiled pattern tuple and *bindings* the current
-    ``Variable -> int`` solution.
+    ``Variable -> int`` solution; the planner's
+    :func:`~repro.sparql.planner._index_for_bounds` maps the observed
+    boundness to the index.
     """
-    from repro.sparql.planner import PATH, VAR
+    from repro.sparql.planner import PATH, VAR, _index_for_bounds
 
     s_spec, p_spec, o_spec = pattern[0], pattern[1], pattern[2]
 
@@ -127,7 +107,9 @@ def _boundness(pattern: Any, bindings: Any) -> Tuple[bool, bool, bool, bool]:
         return spec[0] != VAR or spec[1] in bindings
 
     is_path = p_spec[0] == PATH
-    return bound(s_spec), (not is_path and bound(p_spec)), bound(o_spec), is_path
+    return _index_for_bounds(
+        bound(s_spec), not is_path and bound(p_spec), bound(o_spec), is_path
+    )
 
 
 # ----------------------------------------------------------------------
@@ -217,8 +199,7 @@ class CollectingProbe(EvalProbe):
             self._register(patterns, compiled)
 
     def pattern_input(self, pattern: Any, bindings: Any) -> None:
-        s_bound, p_bound, o_bound, is_path = _boundness(pattern, bindings)
-        index = _index_for(s_bound, p_bound, o_bound, is_path)
+        index = _index_for(pattern, bindings)
         with self._lock:
             profile = self._profile_for(pattern)
             profile.inputs += 1

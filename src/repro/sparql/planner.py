@@ -184,9 +184,12 @@ def _index_for_bounds(
 ) -> str:
     """Store index a lookup with this boundness walks.
 
-    Mirrors the branch order of :meth:`Graph.triples_ids` (kept in sync
-    with ``repro.obs.profiler._index_for``, which derives the same
-    answer from observed bindings at run time).
+    Mirrors the branch order of :meth:`Graph.triples_ids`: a bound
+    subject routes through SPO unless only the object joins it (then the
+    OSP cell); otherwise a bound predicate uses POS, a bound object OSP,
+    and nothing bound is a full SPO scan.  Property paths do per-step
+    lookups of their own and are reported as closure work instead.  The
+    profiler reports the same answer from observed bindings at run time.
     """
     if is_path:
         return "path"
