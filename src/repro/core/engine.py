@@ -292,11 +292,10 @@ class MatchingEngine:
             "Chunk tasks executed, by execution mode and worker",
             ("mode", "worker"),
         )
-        # One observation per build and per worker attach.  The help
-        # text still says "per search": the scrape golden pins it.
+        # One observation per build and per worker attach.
         snap = self.registry.histogram(
             "optimatch_engine_snapshot_seconds",
-            "Shared-memory snapshot build/attach seconds, per search",
+            "Shared-memory snapshot build/attach seconds",
             ("stage",),
         )
         self._m_snap_build = snap.labels("build")
