@@ -78,3 +78,62 @@ def test_clear_all():
     assert chaos.active is False
     chaos.trip("a")
     chaos.trip("b")
+
+
+# ----------------------------------------------------------------------
+# Free when off: with chaos disarmed and the resource guards at their
+# defaults, the hooks on the WAL append and ingest-admission paths are
+# flag reads that never reach the fault machinery or the probes.
+# ----------------------------------------------------------------------
+class _CountingChaos:
+    """Stands in for the chaos module: counts ``active`` reads (always
+    disarmed) and fails the test if a hook is called."""
+
+    def __init__(self):
+        self.active_reads = 0
+
+    @property
+    def active(self):
+        self.active_reads += 1
+        return False
+
+    def trip(self, *args, **kwargs):
+        raise AssertionError("chaos.trip called while disarmed")
+
+    def short_write(self, *args, **kwargs):
+        raise AssertionError("chaos.short_write called while disarmed")
+
+
+@pytest.mark.parametrize("policy, reads", [("async", 1), ("fsync", 2)])
+def test_disarmed_wal_append_reads_the_flag_and_calls_no_hook(
+    tmp_path, monkeypatch, policy, reads
+):
+    from repro.store import wal
+
+    chaos.clear()
+    stand_in = _CountingChaos()
+    monkeypatch.setattr(wal, "chaos", stand_in)
+    writer = wal.WalWriter(str(tmp_path / "journal.log"), fsync=policy)
+    try:
+        writer.append({"op": "add", "plan": "qep-0001", "source": "x" * 64})
+        # one check on append, plus one in the fsync the policy forces
+        assert stand_in.active_reads == reads
+    finally:
+        writer.close()
+
+
+def test_disabled_admission_guards_call_no_probe(tmp_path):
+    from repro.server.common import ServerState
+
+    def probe(*args):
+        raise AssertionError("resource probe called while its guard is off")
+
+    state = ServerState(workers=1, min_free_bytes=0, max_rss_bytes=0)
+    try:
+        # A journal device to probe, so only the zero floor skips it.
+        state.data_dir = str(tmp_path)
+        state._disk_usage = probe
+        state._rss_probe = probe
+        state.check_ingest_allowed(state.retry_after_seconds)
+    finally:
+        state.tool.close()
