@@ -1,22 +1,20 @@
-"""Durability layer cost: ingest per fsync mode, recovery, disabled path.
+"""Durability layer cost: ingest per fsync mode and recovery time.
 
 Measures the claims of ``docs/durability.md`` on the Fig-9 synthetic
 workload and writes the ``durability_overhead`` section of
 ``BENCH_matching.json``:
 
 * **ingest throughput per fsync policy** — plans/second through
-  ``OptImatch(data_dir=...)`` for ``async`` / ``batch`` / ``fsync``,
-  against the in-memory (``data_dir=None``) facade;
+  ``OptImatch(data_dir=...)`` for ``async`` / ``batch`` / ``fsync``;
 * **recovery time vs journal length** — cold-start
   ``OptImatch(data_dir=...)`` over a directory whose journal holds N
   un-checkpointed records (simulated crash: the writer is dropped
   without a final checkpoint), plus the clean-restart case where
-  recovery replays nothing from a checkpoint;
-* **disabled-path overhead** — with ``data_dir=None`` the durability
-  hooks in ``add_plan`` reduce to attribute checks and a dict update;
-  ingest through the facade is asserted within 2% of a raw
-  transform-and-append loop (report-only under
-  ``OPTIMATCH_PERF_SMOKE=1``, like every perf gate in this suite).
+  recovery replays nothing from a checkpoint.
+
+That the ``data_dir=None`` path does no durability work at all is a
+structural test, not a timing:
+``tests/store/test_facade_durability.py::TestDisabledPath``.
 """
 
 import gc
@@ -25,33 +23,8 @@ import time
 
 from benchmarks.conftest import write_json_report, write_report
 from repro.core.optimatch import OptImatch
-from repro.core.transform import transform_plan
-
-OVERHEAD_BUDGET = 0.02  # disabled-path ingest overhead vs raw transform
-REPORT_ONLY = os.environ.get("OPTIMATCH_PERF_SMOKE") == "1"
 
 FSYNC_MODES = ("async", "batch", "fsync")
-
-
-def _best_of(n, fn):
-    best = float("inf")
-    for _ in range(n):
-        start = time.perf_counter()
-        fn()
-        best = min(best, time.perf_counter() - start)
-    return best
-
-
-def _raw_ingest(plans):
-    """The pre-durability ingest loop: transform + duplicate-checked add."""
-    workload, by_id = [], {}
-    for plan in plans:
-        if plan.plan_id in by_id:
-            raise ValueError(plan.plan_id)
-        transformed = transform_plan(plan)
-        workload.append(transformed)
-        by_id[plan.plan_id] = transformed
-    return workload
 
 
 def _facade_ingest(plans, **kwargs):
@@ -71,18 +44,6 @@ def test_durability_overhead_report(workload_plans, tmp_path):
         f"Durability overhead ({n} plans, host cpus={os.cpu_count()})",
     ]
 
-    # Disabled path: facade ingest vs the raw transform loop.
-    _raw_ingest(plans)  # warm parser/transform caches
-    raw_s = _best_of(3, lambda: _raw_ingest(plans))
-    disabled_s = _best_of(3, lambda: _facade_ingest(plans))
-    disabled_overhead = disabled_s / raw_s - 1.0
-    lines += [
-        f"  raw transform+append:       {raw_s * 1e3:8.1f} ms "
-        f"({n / raw_s:7.1f} plans/s)",
-        f"  facade, data_dir=None:      {disabled_s * 1e3:8.1f} ms "
-        f"({n / disabled_s:7.1f} plans/s, {disabled_overhead:+.1%})",
-    ]
-
     # Journaled ingest per fsync policy (checkpointing disabled so the
     # numbers isolate the append/fsync cost, not checkpoint writes).
     by_fsync = {}
@@ -98,12 +59,10 @@ def test_durability_overhead_report(workload_plans, tmp_path):
         by_fsync[mode] = {
             "totalSeconds": round(elapsed, 6),
             "plansPerSecond": round(n / elapsed, 2),
-            "overheadVsDisabled": round(elapsed / disabled_s - 1.0, 4),
         }
         lines.append(
             f"  facade, fsync={mode:5}:       {elapsed * 1e3:8.1f} ms "
-            f"({n / elapsed:7.1f} plans/s, "
-            f"{elapsed / disabled_s - 1.0:+.1%} vs disabled)"
+            f"({n / elapsed:7.1f} plans/s)"
         )
 
     # Recovery time vs journal length.  Ingest without ever
@@ -159,27 +118,12 @@ def test_durability_overhead_report(workload_plans, tmp_path):
         f"(0 records replayed, {n} plans)"
     )
 
-    if REPORT_ONLY:
-        lines.append(
-            "  note: OPTIMATCH_PERF_SMOKE=1 — the <2% disabled-path gate "
-            "is report-only"
-        )
-
     write_report("durability_overhead", "\n".join(lines))
     write_json_report(
         "durability_overhead",
         {
             "workloadPlans": n,
-            "overheadBudget": OVERHEAD_BUDGET,
-            "ingest": {
-                "rawTransformSeconds": round(raw_s, 6),
-                "disabled": {
-                    "totalSeconds": round(disabled_s, 6),
-                    "plansPerSecond": round(n / disabled_s, 2),
-                    "overheadVsRaw": round(disabled_overhead, 4),
-                },
-                "byFsync": by_fsync,
-            },
+            "ingest": {"byFsync": by_fsync},
             "recovery": {
                 "byJournalRecords": recovery,
                 "fromCheckpoint": {
@@ -188,12 +132,5 @@ def test_durability_overhead_report(workload_plans, tmp_path):
                     "plans": n,
                 },
             },
-            "thresholdApplies": not REPORT_ONLY,
         },
     )
-
-    if not REPORT_ONLY:
-        assert disabled_overhead < OVERHEAD_BUDGET, (
-            f"data_dir=None ingest should be within {OVERHEAD_BUDGET:.0%} "
-            f"of the raw transform loop, measured {disabled_overhead:+.1%}"
-        )

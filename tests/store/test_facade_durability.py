@@ -195,6 +195,36 @@ class TestStampingWithoutDurability:
             tool.close()
 
 
+class TestDisabledPath:
+    """With ``data_dir=None`` the durability layer is off the ingest
+    path: no store is built, no journal source is serialized and no
+    graph is encoded for a checkpoint."""
+
+    def test_mutations_touch_no_durability_code(self, texts, monkeypatch):
+        import repro.core.optimatch as facade
+        import repro.qep.writer as writer
+        import repro.rdf.snapshot as snapshot
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("durability work with data_dir=None")
+
+        monkeypatch.setattr(facade, "DurableStore", forbidden)
+        monkeypatch.setattr(writer, "write_plan", forbidden)
+        monkeypatch.setattr(snapshot, "encode_graph", forbidden)
+        tool = OptImatch(workers=1, data_dir=None)
+        try:
+            added = tool.add_plan(parse_plan(texts[0]))
+            tool.load_explain_text(texts[1])
+            assert tool.load_explain_batch([texts[2]]) == 1
+            tool.replace_explain_text(texts[1])
+            tool.remove_plan(added.plan_id)
+            assert tool.plan_count == 2
+            tool.clear()
+            assert tool.plan_count == 0
+        finally:
+            tool.close()
+
+
 class TestEngineSeeding:
     def test_seed_refused_when_cache_disabled(self, texts):
         tool = OptImatch(workers=1, cache=False)
