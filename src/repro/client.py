@@ -390,13 +390,15 @@ class OptImatchClient:
         ``durability``), with the collected ack records under ``acks``
         when an ack mode is set.
 
-        Retry discipline: connection failures *before any plan is sent*
+        Retry discipline: the same loop as every other request, with
+        stricter rules.  Connection failures *before any plan is sent*
         and ``503`` replies reporting ``ingested == 0`` are retried with
         the usual backoff — but only when *plans* is a re-iterable
-        sequence.  A failure after plans may have been committed is
-        never retried (replaying a half-ingested stream would duplicate
-        plans); the raised error carries the server's ``ingested`` count
-        instead.
+        sequence — and raise :class:`ServerUnavailable` once attempts
+        or the retry budget run out.  A failure after plans may have
+        been committed is never retried (replaying a half-ingested
+        stream would duplicate plans); the raised error carries the
+        server's ``ingested`` count instead.
         """
         if ack not in (None, "none", "batch", "sync"):
             raise ValueError(f"invalid ack mode: {ack!r}")
