@@ -247,11 +247,10 @@ class OptImatchClient:
         try:
             last: Optional[BaseException] = None
             for attempt in range(attempts):
-                retry_after = None
                 try:
                     status, resp_headers, data = send()
                 except retry_on as exc:
-                    last, reason = exc, "connection"
+                    last, reason, retry_after = exc, "connection", None
                 else:
                     if status != 503:
                         result = finish(status, data)
