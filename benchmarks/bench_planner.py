@@ -7,10 +7,12 @@ a shared literal, N "right" entries likewise, and a ``p:link`` edge from
 each left to its right.  The query anchors both ends by tag first and
 connects them with ``p:link+`` last.  Written order joins the second
 anchor straight after the first — an N x N cartesian product filtered
-down by the path afterwards.  The cost-based DP sees from the store's
-exact cardinalities that routing through the path costs ~64 N instead
-of N^2 and avoids the trap.  This is the >= 5x acceptance bar (about
-100x at N=400, and it grows with N).
+down by the path afterwards.  The planner's greedy search starts from
+an anchor (the store's exact cardinalities price the free path at
+~2^30) and then prefers patterns connected to what is bound, so it
+routes through the path: order (tag, link+, tag2), which
+``tests/sparql/test_planner.py`` pins.  This is the >= 5x acceptance
+bar (about 100x at N=400, and it grows with N).
 
 **Closure direction & membership** — the robustness suite's pathological
 query (mutual reachability over the cyclic stream-edge alternation,
@@ -75,14 +77,20 @@ STANDALONE_JSON = os.path.join(
 )
 
 
-@pytest.fixture(scope="module")
-def catalog_graph():
+def build_catalog(size: int = CATALOG_SIZE) -> Graph:
+    """The linked catalog: *size* tagged left and right entries, each
+    left linked to its right."""
     g = Graph()
-    for i in range(CATALOG_SIZE):
+    for i in range(size):
         g.add((EX[f"left{i}"], P.tag, Literal("left")))
         g.add((EX[f"right{i}"], P.tag2, Literal("right")))
         g.add((EX[f"left{i}"], P.link, EX[f"right{i}"]))
     return g
+
+
+@pytest.fixture(scope="module")
+def catalog_graph():
+    return build_catalog()
 
 
 @pytest.fixture(scope="module")
@@ -256,8 +264,9 @@ def test_planner_report(
         f"  join ordering (linked catalog, N={CATALOG_SIZE}): "
         f"written {cat_written_s * 1e3:8.1f} ms, "
         f"planned {cat_planned_s * 1e3:6.1f} ms "
-        f"-> {cat_speedup:.1f}x (DP routes through the path; written "
-        "order joins the second anchor into an N x N cartesian)",
+        f"-> {cat_speedup:.1f}x (the planned order routes through the "
+        "path; written order joins the second anchor into an N x N "
+        "cartesian)",
         f"  closure workload ({PLAN_COUNT} plans of {PLAN_SIZE} operators, "
         "both-free mutual reachability): "
         f"planned {clo_planned_s * 1e3:8.1f} ms",

@@ -188,6 +188,16 @@ class ProblemPattern:
             raise PatternError(
                 f"pattern {self.name!r}: no root pop (relationship cycle?)"
             )
+        # Each alias names one result column and one pop for the KB's
+        # tags; a shared one would project two pops under one name.
+        owners: Dict[str, int] = {}
+        for pop_id, alias in self.aliases().items():
+            if alias in owners:
+                raise PatternError(
+                    f"pattern {self.name!r}: pops {owners[alias]} and {pop_id} "
+                    f"share the result alias {alias!r}"
+                )
+            owners[alias] = pop_id
 
     def root_ids(self) -> List[int]:
         """Pop ids that are not the target of any relationship."""

@@ -48,10 +48,12 @@ class EvalProbe:
       property-path closure BFS finished.  *frontier_sizes* lists the
       BFS frontier size per level (``None`` when served from the
       closure memo, in which case ``cached`` is True).
-    * ``bgp_plan(patterns, compiled, plan)`` — the cost-based planner
-      fixed a join order for this BGP.  *plan* is a
+    * ``bgp_plan(patterns, compiled, plan, filters)`` — the cost-based
+      planner fixed a join order for this BGP.  *plan* is a
       ``repro.sparql.planner.BGPPlan``; *compiled* is the compiled
-      pattern list.  Fired once per distinct plan per BGP join.
+      pattern list; *filters* are the FILTERs pushed into the join, in
+      the order of ``plan.filters``.  Fired once per distinct plan per
+      BGP join.
     * ``closure_plan(path, decision)`` — a both-free closure picked its
       direction/seeding.  *decision* is a dict with ``direction``,
       ``mode`` ("seeded" / "full-scan"), ``seeds``, ``totalNodes`` and
@@ -80,7 +82,11 @@ class EvalProbe:
         pass
 
     def bgp_plan(
-        self, patterns: Sequence[Any], compiled: Sequence[Any], plan: Any
+        self,
+        patterns: Sequence[Any],
+        compiled: Sequence[Any],
+        plan: Any,
+        filters: Sequence[Any] = (),
     ) -> None:
         pass
 

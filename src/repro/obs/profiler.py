@@ -12,7 +12,8 @@ bindings, then reports what the evaluator actually did:
   order of :meth:`repro.rdf.graph.Graph.triples_ids`),
 * the **join order** the evaluator settled on, and — when the
   cost-based planner is active — the **planned order with estimated
-  cardinalities** per step next to the actual ones,
+  cardinalities** per step next to the actual ones, and the step after
+  which each FILTER pushed into the join runs, with its selectivity,
 * property-path **closure BFS frontier sizes** and memo hits, plus the
   planner's **closure direction decisions** (forward vs reverse BFS,
   seeded vs full node scan) for both-ends-free closures,
@@ -74,6 +75,41 @@ def _format_path(path: Any) -> str:
     if isinstance(path, ast.PathMod):
         return f"({_format_path(path.path)}){path.modifier}"
     return repr(path)
+
+
+_XSD_NUMERIC = {
+    "http://www.w3.org/2001/XMLSchema#" + name
+    for name in ("integer", "decimal", "double", "float")
+}
+
+
+def _format_expr(expr: Any, nested: bool = False) -> str:
+    """SPARQL-like text of a FILTER expression."""
+    from repro.rdf.term import Literal
+    from repro.sparql import ast
+
+    if isinstance(expr, ast.TermExpr):
+        term = expr.term
+        if isinstance(term, Literal) and term.datatype in _XSD_NUMERIC:
+            return term.lexical
+        return _format_term(term)
+    if isinstance(expr, ast.UnaryExpr):
+        return expr.op + _format_expr(expr.operand, True)
+    if isinstance(expr, ast.BinaryExpr):
+        text = (
+            f"{_format_expr(expr.left, True)} {expr.op} "
+            f"{_format_expr(expr.right, True)}"
+        )
+        return f"({text})" if nested else text
+    if isinstance(expr, ast.FunctionCall):
+        return f"{expr.name}({', '.join(_format_expr(a) for a in expr.args)})"
+    if isinstance(expr, ast.InExpr):
+        options = ", ".join(_format_expr(o) for o in expr.options)
+        keyword = "NOT IN" if expr.negated else "IN"
+        return f"{_format_expr(expr.value, True)} {keyword} ({options})"
+    if isinstance(expr, ast.ExistsExpr):
+        return ("NOT EXISTS" if expr.negated else "EXISTS") + " { … }"
+    return repr(expr)
 
 
 def _format_pattern(tp: Any) -> str:
@@ -236,11 +272,24 @@ class CollectingProbe(EvalProbe):
                 if len(profile.frontier_sizes) < _MAX_FRONTIER_SAMPLES:
                     profile.frontier_sizes.append(list(frontier_sizes))
 
-    def bgp_plan(self, patterns, compiled, plan) -> None:
+    def bgp_plan(self, patterns, compiled, plan, filters=()) -> None:
+        pushed = [
+            {
+                "filter": _format_expr(flt.expr),
+                "afterStep": after,
+                "selectivity": selectivity,
+            }
+            for flt, (after, selectivity) in zip(filters, plan.filters)
+        ]
         with self._lock:
             self._register(patterns, compiled)
             texts = [_format_pattern(patterns[i]) for i in plan.order]
-            dedup = (tuple(texts), plan.method, tuple(plan.indexes))
+            dedup = (
+                tuple(texts),
+                plan.method,
+                tuple(plan.indexes),
+                tuple((f["filter"], f["afterStep"]) for f in pushed),
+            )
             if dedup in self._plan_keys:
                 return
             self._plan_keys.add(dedup)
@@ -253,6 +302,7 @@ class CollectingProbe(EvalProbe):
                     "order": texts,
                     "estimatedRows": list(plan.estimates),
                     "indexes": list(plan.indexes),
+                    "filters": pushed,
                 }
             )
 
@@ -373,9 +423,14 @@ class ExplainReport:
             order = " -> ".join(
                 f"#{i + 1} {text}" for i, text in enumerate(plan.get("order", []))
             )
+            pushed = "".join(
+                f" [FILTER ({f['filter']}) after #{f['afterStep']}, "
+                f"sel {f['selectivity']:.3g}]"
+                for f in plan.get("filters", [])
+            )
             lines.append(
                 f"plan ({plan.get('method')}, est cost {plan.get('cost', 0):.1f}): "
-                f"{order}"
+                f"{order}{pushed}"
             )
         for decision in self.closure_plans:
             seeds = decision.get("seeds")

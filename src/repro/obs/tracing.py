@@ -290,7 +290,7 @@ class TracingProbe:
             frontierSizes=list(frontier_sizes) if frontier_sizes else [],
         )
 
-    def bgp_plan(self, patterns, compiled, plan) -> None:
+    def bgp_plan(self, patterns, compiled, plan, filters=()) -> None:
         pass
 
     def closure_plan(self, path, decision) -> None:

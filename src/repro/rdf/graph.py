@@ -63,6 +63,18 @@ def _index_add(index: _Index, a: int, b: int, c: int) -> bool:
     return True
 
 
+def _sorted_numbers(objects: Iterable[Tuple[Term, int]]) -> Tuple[float, ...]:
+    """Ascending numeric values of ``(object term, triple count)`` pairs,
+    each repeated once per triple; non-numeric objects are skipped."""
+    values: List[float] = []
+    for term, count in objects:
+        number = term.as_number() if isinstance(term, Literal) else None
+        if number is not None:
+            values.extend([number] * count)
+    values.sort()
+    return tuple(values)
+
+
 def _index_remove(index: _Index, a: int, b: int, c: int) -> None:
     try:
         second = index[a]
@@ -201,10 +213,13 @@ class Graph(TermReads):
         self._spell: Dict[Tuple[int, int, int], Term] = {}
         # Lazily computed per-predicate statistics for the cost-based
         # planner (repro/sparql/planner.py): predicate ID -> (total,
-        # distinct subjects, distinct objects), plus the sorted subject
-        # and object ID tuples that seed both-free path closures.
-        # Version-stamped; rebuilt on demand after any mutation.
+        # distinct subjects, distinct objects), the sorted numeric
+        # object values that cost FILTER comparisons, plus the sorted
+        # subject and object ID tuples that seed both-free path
+        # closures.  Version-stamped; rebuilt on demand after any
+        # mutation.
         self._pstats: Dict[int, Tuple[int, int, int]] = {}
+        self._pnums: Dict[int, Tuple[float, ...]] = {}
         self._pseeds: Dict[Tuple[int, bool], Tuple[int, ...]] = {}
         self._pstats_version = -1
 
@@ -397,6 +412,7 @@ class Graph(TermReads):
         """Drop stale planner statistics after a mutation (lazy rebuild)."""
         if self._pstats_version != self._version:
             self._pstats = {}
+            self._pnums = {}
             self._pseeds = {}
             self._pstats_version = self._version
 
@@ -430,6 +446,25 @@ class Graph(TermReads):
             )
         self._pstats[predicate] = stats
         return stats
+
+    def numeric_objects(self, predicate: int) -> Tuple[float, ...]:
+        """Numeric values of a predicate's objects, ascending, one per triple.
+
+        Exact, and cached per graph version like :meth:`predicate_stats`.
+        Objects that are not numeric literals are left out, so the share
+        of the predicate's triples whose object passes ``value < c`` is
+        ``bisect_left(values, c) / total``.  The planner costs FILTER
+        comparisons with it.
+        """
+        self._stats_fresh()
+        cached = self._pnums.get(predicate)
+        if cached is None:
+            decode = self._dict.decode
+            cached = self._pnums[predicate] = _sorted_numbers(
+                (decode(oid), len(subs))
+                for oid, subs in self._pos.get(predicate, {}).items()
+            )
+        return cached
 
     def subject_ids_for(self, predicate: int) -> Tuple[int, ...]:
         """Distinct subject IDs of a predicate, ascending (cached per version).

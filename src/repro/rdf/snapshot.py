@@ -52,7 +52,7 @@ from __future__ import annotations
 
 from typing import Dict, Iterator, List, Optional, Set, Tuple
 
-from repro.rdf.graph import Graph, TermReads
+from repro.rdf.graph import Graph, TermReads, _sorted_numbers
 from repro.rdf.term import BNode, Literal, Term, URIRef
 
 #: First header word; guards against attaching a foreign buffer.
@@ -364,6 +364,7 @@ class GraphView(TermReads):
         self._spell_map: Optional[Dict[Tuple[int, int, int], int]] = None
         self._node_ids: Optional[List[int]] = None
         self._pstats: Dict[int, Tuple[int, int, int]] = {}
+        self._pnums: Dict[int, Tuple[float, ...]] = {}
         self._pseeds: Dict[Tuple[int, bool], Tuple[int, ...]] = {}
 
     # ------------------------------------------------------------------
@@ -525,6 +526,20 @@ class GraphView(TermReads):
             stats = (self._pred_totals[ai], len(subjects), pos.a_counts[ai])
         self._pstats[predicate] = stats
         return stats
+
+    def numeric_objects(self, predicate: int) -> Tuple[float, ...]:
+        """Ascending numeric object values, one per triple, cached."""
+        cached = self._pnums.get(predicate)
+        if cached is None:
+            pos = self._pos
+            ai = pos.a_index(predicate)
+            id_term = self.id_term
+            cached = self._pnums[predicate] = _sorted_numbers(
+                ()
+                if ai is None
+                else ((id_term(oid), len(group)) for oid, group in pos.group_items(ai))
+            )
+        return cached
 
     def subject_ids_for(self, predicate: int) -> Tuple[int, ...]:
         key = (predicate, True)

@@ -13,12 +13,24 @@ ID-level API of :class:`~repro.rdf.graph.Graph` works; the other one is
 :class:`repro.rdf.snapshot.GraphView`, the shared-memory stand-in the
 process pool evaluates against.
 
+FILTERs run inside the join where they can.  A group hands each FILTER
+without EXISTS whose variables all occur in one run of its triple
+patterns to that run's join, which tests it right after the step that
+binds its last variable (before the join when the incoming solution
+binds them all); a rejected extension still counts as visited but goes
+no further.  Numeric orderings (``?v < 3``, ``3 > ?v``, ``?v < ?w``)
+compare the memoized numbers of the bound dictionary terms directly;
+any other pushed FILTER is evaluated on its variables, decoded as the
+solution would be.  FILTERs a group does not hand on apply after it.
+
 Two policies sit on top of the core, as module switches that stay on in
 production (the DESIGN.md §4 ablations and the tests turn them off):
 
 * ``JOIN_REORDERING``: the cost-based planner (:mod:`repro.sparql.
-  planner`) fixes each BGP's join order once per (pattern set, bound
-  variables, graph version).  Off, patterns join in written order.
+  planner`) fixes each BGP's join order and FILTER placement once per
+  (pattern set, pushed FILTERs, bound variables, graph version).  Off,
+  patterns join in written order, and FILTERs are still tested as soon
+  as their variables are bound.
 * ``CLOSURE_CACHING``: transitive closures are memoized per graph
   version.  Off, every closure reruns its BFS.
 
@@ -45,8 +57,11 @@ graph.  Two behaviours depart from the spec on purpose:
 
 from __future__ import annotations
 
+import operator
 import threading
-from typing import Dict, Iterable, Iterator, List, Optional, Set, Tuple
+from typing import (
+    Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple,
+)
 
 from repro.core.limits import active_budget
 from repro.obs.instrument import active_probe
@@ -55,6 +70,7 @@ from repro.rdf.term import Literal, Term, URIRef, Variable
 from repro.sparql import ast, planner
 from repro.sparql.functions import (
     ExprError,
+    compare_terms,
     effective_boolean_value,
     evaluate_expression,
     order_key,
@@ -133,31 +149,71 @@ def eval_group(
 ) -> Iterator[Bindings]:
     """Yield solutions for *group* extending the initial *bindings*.
 
-    SPARQL scopes FILTERs to the whole group, so filters are collected
-    and applied once every non-filter element has been joined.
+    SPARQL scopes FILTERs to the whole group.  Each run of consecutive
+    triple patterns is joined as one BGP.  A FILTER without EXISTS whose
+    variables all occur in a run is handed to the first such run, whose
+    join tests it as soon as those variables are bound: every variable
+    it reads is bound by then and never changes afterwards, so it sees
+    the value it would see at the end of the group.  The other FILTERs
+    apply once every non-filter element has been joined.
     """
-    patterns = [e for e in group.elements if not isinstance(e, ast.Filter)]
-    filters = [e for e in group.elements if isinstance(e, ast.Filter)]
+    steps: List[object] = []
+    filters: List[ast.Filter] = []
+    for element in group.elements:
+        if isinstance(element, ast.Filter):
+            filters.append(element)
+        elif isinstance(element, ast.TriplePattern):
+            if steps and isinstance(steps[-1], list):
+                steps[-1].append(element)
+            else:
+                steps.append([element])
+        else:
+            steps.append(element)
+    pushed: Dict[int, List[ast.Filter]] = {}
+    if filters:
+        runs = [
+            (index, set().union(*map(ast.walk_pattern_variables, step)))
+            for index, step in enumerate(steps)
+            if isinstance(step, list)
+        ]
+        kept = []
+        for flt in filters:
+            target = None
+            if not _has_exists(flt.expr):
+                variables = ast.expression_variables(flt.expr)
+                target = next(
+                    (index for index, run_vars in runs if variables <= run_vars),
+                    None,
+                )
+            if target is None:
+                kept.append(flt)
+            else:
+                pushed.setdefault(target, []).append(flt)
+        filters = kept
     stream: Iterable[Bindings] = iter([dict(bindings)])
-    index = 0
-    while index < len(patterns):
-        element = patterns[index]
-        if isinstance(element, ast.TriplePattern):
-            # Batch this run of consecutive triple patterns into one BGP
-            # so the join planner sees them all.
-            run: List[ast.TriplePattern] = []
-            while index < len(patterns) and isinstance(
-                patterns[index], ast.TriplePattern
-            ):
-                run.append(patterns[index])
-                index += 1
-            stream = _join_bgp(stream, run, graph)
-            continue
-        stream = _apply_element(stream, element, graph)
-        index += 1
+    for index, step in enumerate(steps):
+        if isinstance(step, list):
+            stream = _join_bgp(stream, step, graph, pushed.get(index, ()))
+        else:
+            stream = _apply_element(stream, step, graph)
     for solution in stream:
         if _passes_filters(filters, solution, graph):
             yield solution
+
+
+def _has_exists(expr: ast.Expr) -> bool:
+    """True when *expr* contains an EXISTS / NOT EXISTS."""
+    if isinstance(expr, ast.ExistsExpr):
+        return True
+    if isinstance(expr, ast.UnaryExpr):
+        return _has_exists(expr.operand)
+    if isinstance(expr, ast.BinaryExpr):
+        return _has_exists(expr.left) or _has_exists(expr.right)
+    if isinstance(expr, ast.FunctionCall):
+        return any(_has_exists(arg) for arg in expr.args)
+    if isinstance(expr, ast.InExpr):
+        return _has_exists(expr.value) or any(map(_has_exists, expr.options))
+    return False
 
 
 def _apply_element(
@@ -272,8 +328,12 @@ def _passes_filters(
 # Basic graph patterns: the ID-space join core
 # ----------------------------------------------------------------------
 def _join_bgp(
-    stream: Iterable[Bindings], patterns: List[ast.TriplePattern], graph: Graph
+    stream: Iterable[Bindings],
+    patterns: List[ast.TriplePattern],
+    graph: Graph,
+    filters: Sequence[ast.Filter] = (),
 ) -> Iterator[Bindings]:
+    """Join a run of triple patterns, testing the pushed *filters* in it."""
     budget = active_budget()
     # The probe is fetched once per BGP join (not per binding) and
     # threaded down the recursion; with no probe installed every hook
@@ -282,27 +342,40 @@ def _join_bgp(
     compiled = _compile_bgp(patterns, graph)
     if probe is not None:
         probe.bgp(patterns, compiled)
-    if not JOIN_REORDERING or len(compiled) == 1:
-        for solution in stream:
-            yield from _eval_bgp_encoded(compiled, graph, solution, budget, probe)
-        return
-    # One plan per distinct bound-variable set; within this call the
-    # (tiny) set of orders seen is cached locally so the per-graph memo
-    # is consulted once per bound set, not per solution.
+    planned = JOIN_REORDERING and len(compiled) > 1
+    tests = [_compile_filter(flt, graph) for flt in filters]
+    filter_vars = [frozenset(ast.expression_variables(f.expr)) for f in filters]
+    # One order and filter placement per distinct bound-variable set;
+    # within this call they are cached locally so the per-graph plan
+    # memo is consulted once per bound set, not per solution.
     pattern_vars = frozenset(v for cp in compiled for v in cp[3])
-    orders: Dict[frozenset, list] = {}
+    prepared: Dict[frozenset, tuple] = {}
     reported: Set[int] = set()
     for solution in stream:
         bound = frozenset(solution) & pattern_vars
-        ordered = orders.get(bound)
-        if ordered is None:
-            plan = planner.plan_bgp(patterns, compiled, graph, bound)
-            if probe is not None and id(plan) not in reported:
-                reported.add(id(plan))
-                probe.bgp_plan(patterns, compiled, plan)
-            ordered = [compiled[i] for i in plan.order]
-            orders[bound] = ordered
-        yield from _eval_bgp_encoded(ordered, graph, solution, budget, probe)
+        entry = prepared.get(bound)
+        if entry is None:
+            if planned:
+                plan = planner.plan_bgp(patterns, compiled, graph, bound, filters)
+                if probe is not None and id(plan) not in reported:
+                    reported.add(id(plan))
+                    probe.bgp_plan(patterns, compiled, plan, filters)
+                order = plan.order
+                placement = [after for after, _ in plan.filters]
+            else:
+                order = range(len(compiled))
+                placement = planner.place_filters(compiled, order, bound, filter_vars)
+            checks: List[list] = [[] for _ in range(len(compiled) + 1)]
+            for test, after in zip(tests, placement):
+                checks[after].append(test)
+            entry = prepared[bound] = (
+                [(compiled[i], checks[step] or None)
+                 for step, i in enumerate(order, 1)],
+                checks[0] or None,
+            )
+        yield from _eval_bgp_encoded(
+            entry[0], entry[1], graph, solution, budget, probe
+        )
 
 
 IdBindings = Dict[Variable, int]
@@ -350,7 +423,8 @@ def _compile_bgp(
 
 
 def _eval_bgp_encoded(
-    compiled: List[_CompiledPattern],
+    steps: List[_Step],
+    before: Optional[List["_FilterTest"]],
     graph: Graph,
     bindings: Bindings,
     budget=None,
@@ -358,12 +432,13 @@ def _eval_bgp_encoded(
 ) -> Iterator[Bindings]:
     """Evaluate a compiled BGP in ID space, decoding only at the boundary.
 
-    *compiled* is already in join order.  Incoming term bindings are
-    encoded once; a variable bound to a term the graph's dictionary
-    does not hold goes into *dead*, mapped to that term.  A plain triple
-    pattern using a dead variable matches nothing, while a path pattern
-    can still match it at length zero.  Solutions keep every incoming
-    term binding intact.
+    *steps* are the patterns in join order, each with the FILTER tests
+    placed after it; *before* holds the tests the incoming solution
+    already binds.  Incoming term bindings are encoded once; a variable
+    bound to a term the graph's dictionary does not hold goes into
+    *dead*, mapped to that term.  A plain triple pattern using a dead
+    variable matches nothing, while a path pattern can still match it at
+    length zero.  Solutions keep every incoming term binding intact.
     """
     ids: IdBindings = {}
     dead: Dict[Variable, Term] = {}
@@ -374,9 +449,11 @@ def _eval_bgp_encoded(
             dead[var] = term
         else:
             ids[var] = tid
+    if before is not None and not _passes(before, ids, _NO_SPELL, bindings):
+        return
     id_term = graph.id_term
     for solution_ids, spell in _eval_bgp_ids_ordered(
-        compiled, 0, graph, ids, dead, _NO_SPELL, budget, probe
+        steps, 0, graph, ids, dead, _NO_SPELL, bindings, budget, probe
     ):
         out = dict(bindings)
         for var, tid in solution_ids.items():
@@ -386,41 +463,156 @@ def _eval_bgp_encoded(
         yield out
 
 
+#: A join step: a compiled pattern and the tests of the FILTERs placed
+#: after it (None when there are none).
+_Step = Tuple[_CompiledPattern, Optional[List["_FilterTest"]]]
+
+#: A pushed FILTER compiled for the join: ``test(ids, spell, terms)``
+#: says whether an ID-space solution passes (*terms* are the incoming
+#: term bindings).
+_FilterTest = Callable[[IdBindings, Dict[Variable, Term], Bindings], bool]
+
+_ORDERINGS = {
+    "<": operator.lt, "<=": operator.le, ">": operator.gt, ">=": operator.ge,
+}
+
+
+def _compile_filter(flt: ast.Filter, graph: Graph) -> _FilterTest:
+    """A pushed FILTER as a test on an ID-space solution.
+
+    Numeric orderings (``?v op number``, ``number op ?v``, ``?v op ?w``)
+    compare the memoized ``as_number()`` of the bound terms directly.  A
+    value that is not a numeric literal fails ``?v op number``, as the
+    ``ExprError`` of :func:`compare_terms` would; ``?v op ?w`` then asks
+    :func:`compare_terms` itself (two plain literals compare
+    lexically).  Every other FILTER goes through ``evaluate_expression``
+    on its variables, decoded by the rule for solution output.
+    """
+    id_term = graph.id_term
+    shape = planner.numeric_comparison(flt.expr)
+    if shape is None:
+        expr = flt.expr
+        variables = tuple(ast.expression_variables(expr))
+
+        def test(ids, spell, terms):
+            solution = {
+                var: _decode(var, ids, spell, terms, id_term) for var in variables
+            }
+            try:
+                value = evaluate_expression(expr, solution, graph, group_matches)
+                return effective_boolean_value(value)
+            except ExprError:
+                return False
+
+        return test
+    op, var, other = shape
+    ordered = _ORDERINGS[op]
+
+    def value_of(name, ids, spell, terms):
+        tid = ids.get(name)
+        if tid is not None and tid != UNMATCHABLE:
+            return id_term(tid)
+        return _decode(name, ids, spell, terms, id_term)
+
+    if not isinstance(other, Variable):
+        def test(ids, spell, terms):
+            term = value_of(var, ids, spell, terms)
+            number = term.as_number() if isinstance(term, Literal) else None
+            return number is not None and ordered(number, other)
+
+        return test
+
+    def test(ids, spell, terms):
+        left = value_of(var, ids, spell, terms)
+        right = value_of(other, ids, spell, terms)
+        if isinstance(left, Literal) and isinstance(right, Literal):
+            a, b = left.as_number(), right.as_number()
+            if a is not None and b is not None:
+                return ordered(a, b)
+        try:
+            return compare_terms(op, left, right)
+        except ExprError:
+            return False
+
+    return test
+
+
+def _decode(
+    var: Variable,
+    ids: IdBindings,
+    spell: Dict[Variable, Term],
+    terms: Bindings,
+    id_term,
+) -> Term:
+    """A bound variable's term by the rule for solution output: the
+    incoming binding (which covers dead variables), then the spelling
+    override (which covers variables bound to UNMATCHABLE), then the
+    dictionary."""
+    term = terms.get(var)
+    if term is None:
+        term = spell.get(var)
+        if term is None:
+            term = id_term(ids[var])
+    return term
+
+
+def _passes(
+    checks: List[_FilterTest],
+    ids: IdBindings,
+    spell: Dict[Variable, Term],
+    terms: Bindings,
+) -> bool:
+    for test in checks:
+        if not test(ids, spell, terms):
+            return False
+    return True
+
+
 #: Shared empty spelling-override map — almost every solution carries no
 #: overrides, so they all alias this one dict (copy-on-write on bind).
 _NO_SPELL: Dict[Variable, Term] = {}
 
 
 def _eval_bgp_ids_ordered(
-    ordered: List[_CompiledPattern],
+    steps: List[_Step],
     position: int,
     graph: Graph,
     ids: IdBindings,
     dead: Dict[Variable, Term],
     spell: Dict[Variable, Term],
+    terms: Bindings,
     budget=None,
     probe=None,
 ) -> Iterator[Tuple[IdBindings, Dict[Variable, Term]]]:
     """ID-space BGP recursion over a fixed pattern order.
 
-    The order was decided once per bound-variable set (planned, or the
-    written order), so no step re-ranks the remaining patterns.
+    The order and the FILTER placement were decided once per
+    bound-variable set (planned, or the written order), so no step
+    re-ranks the remaining patterns.  Every extension ticks the budget
+    and counts as the pattern's output; one a FILTER placed at this step
+    rejects goes no further.  *terms* are the incoming term bindings.
     """
-    if position == len(ordered):
+    if position == len(steps):
         yield ids, spell
         return
-    pattern = ordered[position]
+    pattern, checks = steps[position]
     if probe is not None:
         probe.pattern_input(pattern, ids)
     position += 1
+    last = position == len(steps)
     for ext_ids, ext_spell in _match_triple_ids(pattern, graph, ids, dead, spell):
         if budget is not None:
             budget.tick()
         if probe is not None:
             probe.pattern_output(pattern)
-        yield from _eval_bgp_ids_ordered(
-            ordered, position, graph, ext_ids, dead, ext_spell, budget, probe
-        )
+        if checks is not None and not _passes(checks, ext_ids, ext_spell, terms):
+            continue
+        if last:
+            yield ext_ids, ext_spell
+        else:
+            yield from _eval_bgp_ids_ordered(
+                steps, position, graph, ext_ids, dead, ext_spell, terms, budget, probe
+            )
 
 
 def _match_triple_ids(

@@ -1,8 +1,8 @@
 """Ahead-of-time cost-based planning for BGP joins and path closures.
 
 This module plans a whole basic graph pattern **once per (pattern set,
-bound-variable set, graph version)** from the store's exact
-:meth:`~repro.rdf.graph.Graph.estimate_ids` cardinalities, in the
+pushed FILTERs, bound-variable set, graph version)** from the store's
+exact :meth:`~repro.rdf.graph.Graph.estimate_ids` cardinalities, in the
 spirit of *Towards Query Optimization for SPARQL Property Paths*
 (Yakovets et al.): selectivity estimates drive both the join order and
 the direction property-path closures are explored in.
@@ -10,16 +10,16 @@ the direction property-path closures are explored in.
 Three planning products:
 
 * :func:`plan_bgp` — a :class:`BGPPlan` fixing the join order for a
-  compiled BGP.  Small BGPs (``<= DP_MAX_PATTERNS`` patterns) get an
-  exact dynamic program over join orders (minimum total intermediate
-  rows); larger ones fall back to greedy cheapest-next-connected-
-  pattern.  The plan also fixes the store index (SPO/POS/OSP) each
-  pattern will resolve through, given the boundness its prefix implies.
-  Both searches run over integer bitmasks (one bit per BGP variable,
-  one per pattern) and read one per-call estimate table keyed by the
-  bound subset of each pattern's own variables, so a pattern is
-  estimated at most ``2^|vars|`` times however many subsets the DP
-  walks.
+  compiled BGP and the step after which each FILTER the evaluator
+  pushed into the join runs.  One greedy search orders every BGP of two
+  or more patterns: among the patterns connected to what is already
+  bound, take the one that carries the fewest rows into the next step,
+  counting the FILTERs it completes at their exact selectivity (see
+  :func:`filter_selectivity`).  The plan also fixes the store index
+  (SPO/POS/OSP) each pattern will resolve through, given the boundness
+  its prefix implies.  The search reads one per-call estimate table
+  keyed by the bound subset of each pattern's own variables, so a
+  pattern is estimated at most ``2^|vars|`` times per call.
 * :func:`plan_closure` — a :class:`ClosurePlan` for a both-ends-free
   transitive closure (``?x path+ ?y``): instead of seeding a BFS from
   *every* graph node, seed only from nodes that can actually start
@@ -29,37 +29,41 @@ Three planning products:
   version-stamped attribute (the closure-cache idiom) so re-evaluating
   a prepared query against an unchanged graph reuses the plan.  It is
   bounded: past :data:`MAX_PLANS_PER_GRAPH` entries the oldest is
-  evicted, releasing the query objects it pins.  On cost ties the
-  lexicographically-smallest order — i.e. the one closest to the
-  written query — wins, following the memoize-and-prefer-simpler idiom
-  of CozySynthesizer's cost model (see SNIPPETS.md): when two plans are
-  equally cheap, keep the simpler one.
+  evicted, releasing the query objects it pins.  On estimate ties the
+  pattern written first wins, following the memoize-and-prefer-simpler
+  idiom of CozySynthesizer's cost model (see SNIPPETS.md): when two
+  plans are equally cheap, keep the one closest to the written query.
 
 This module is imported by :mod:`repro.sparql.evaluator` (never the
-reverse), so it owns the compiled-pattern position-spec kinds.
+reverse), so it owns the compiled-pattern position-spec kinds and the
+FILTER shapes both modules read (:func:`numeric_comparison`).
 """
 
 from __future__ import annotations
 
 import threading
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
 
 from repro.rdf.graph import Graph
+from repro.rdf.term import Literal, Variable
 from repro.sparql import ast
 
 __all__ = [
     "ABSENT",
     "BGPPlan",
     "ClosurePlan",
-    "DP_MAX_PATTERNS",
     "GROUND",
     "PATH",
     "UNMATCHABLE",
     "VAR",
     "can_be_zero",
+    "filter_selectivity",
     "invalidate",
+    "numeric_comparison",
     "order_bgp",
+    "place_filters",
     "plan_bgp",
     "plan_closure",
 ]
@@ -74,10 +78,6 @@ PATH = 3    # predicate position only: a property-path expression
 #: Sentinel ID for a term the graph dictionary does not hold (real IDs
 #: are >= 0): every store lookup on it finds nothing.
 UNMATCHABLE = -1
-
-#: BGPs up to this many patterns are planned with an exact DP over join
-#: orders (``O(2^n * n)`` states); larger ones use the greedy heuristic.
-DP_MAX_PATTERNS = 8
 
 #: Assumed per-solution result sizes for property-path patterns by
 #: number of bound endpoints (0, 1, 2).  A path with a bound endpoint
@@ -100,16 +100,21 @@ class BGPPlan:
 
     ``order[i]`` is the position (into the compiled/pattern list) of the
     i-th pattern to join; ``estimates[i]`` the expected number of
-    intermediate solutions *after* that join step; ``indexes[i]`` the
+    extensions join step i produces, before any FILTER placed at that
+    step (what EXPLAIN's ``out`` column counts); ``indexes[i]`` the
     store index the pattern resolves through given its prefix; ``cost``
-    the sum of expected intermediate sizes (the DP/greedy objective).
+    the sum of the estimates, i.e. the expected visited bindings.
+    ``filters[j]`` is ``(after, selectivity)`` for the j-th pushed
+    FILTER: it runs after join step ``after`` (1-based; 0 is before the
+    join) and passes that share of the extensions.
     """
 
     order: Tuple[int, ...]
     estimates: Tuple[float, ...]
     indexes: Tuple[str, ...]
     cost: float
-    method: str  # "dp" | "greedy" | "single"
+    method: str  # "greedy" | "single"
+    filters: Tuple[Tuple[int, float], ...] = ()
 
 
 @dataclass(frozen=True)
@@ -210,10 +215,9 @@ class _EstimateTable:
     Every variable of the BGP gets one bit, so a bound-variable set is
     an int.  A pattern's estimate reads only whether each of its own
     s/p/o positions is bound, so it is memoized under ``bound &
-    own[i]`` — the bound subset of pattern *i*'s variables.  The DP, the
-    greedy and the replay all read this one table, so each pattern is
-    estimated at most ``2^|vars|`` times per call however many subsets
-    the search walks.
+    own[i]`` — the bound subset of pattern *i*'s variables.  The
+    greedy and the replay both read this one table, so each pattern is
+    estimated at most ``2^|vars|`` times per call.
 
     An estimate is the expected number of extensions one input solution
     produces:
@@ -222,6 +226,12 @@ class _EstimateTable:
     * a position bound by a *join variable* (value unknown at plan
       time) divides the ground estimate by the predicate's distinct
       subject/object count — the classic uniform-distribution estimate;
+    * a ground predicate with *both* ends join-bound closes a cycle and
+      matches at most one triple per input, so it estimates
+      ``min(1, total / subjects, total / objects)`` instead of the
+      independence estimate ``total / (subjects * objects)``, which made
+      sparqlgen's back-edge checks (``?b hasOutputStream ?pop1`` after
+      ``?pop1 hasInputStream ?b``) look almost free;
     * property paths use the coarse bound-endpoint heuristic
       :data:`PATH_ESTIMATES`;
     * any ``ABSENT`` position makes the pattern unmatchable (0.0).
@@ -298,6 +308,9 @@ class _EstimateTable:
         base = float(graph.estimate_ids(sid, pid, oid))
         if base == 0.0:
             return 0.0
+        if s_bound and o_bound and sid is None and oid is None and pid is not None:
+            _, subjects, objects = graph.predicate_stats(pid)
+            return min(1.0, base / subjects, base / objects)
         if s_bound and sid is None:
             if pid is not None:
                 _, subjects, _ = graph.predicate_stats(pid)
@@ -321,55 +334,169 @@ class _EstimateTable:
 
 
 # ----------------------------------------------------------------------
+# Pushed FILTERs
+# ----------------------------------------------------------------------
+#: The orderings a FILTER comparison is costed and tested on IDs for,
+#: each with its mirror image (``c < ?v`` is ``?v > c``).
+_MIRRORED = {"<": ">", "<=": ">=", ">": "<", ">=": "<="}
+
+
+def _comparison_side(expr: ast.Expr):
+    """A Variable, a float for a numeric literal, or None."""
+    if isinstance(expr, ast.TermExpr):
+        term = expr.term
+        if isinstance(term, Variable):
+            return term
+        if isinstance(term, Literal):
+            return term.as_number()
+    return None
+
+
+def numeric_comparison(expr: ast.Expr) -> Optional[Tuple[str, Variable, object]]:
+    """``(op, var, other)`` when *expr* is ``?v op number``, ``number op
+    ?v`` or ``?v op ?w`` with ``op`` one of ``< <= > >=``, else None.
+
+    *other* is a float or a Variable.  ``number op ?v`` comes back
+    mirrored as ``?v op' number``.
+    """
+    if not isinstance(expr, ast.BinaryExpr) or expr.op not in _MIRRORED:
+        return None
+    left = _comparison_side(expr.left)
+    right = _comparison_side(expr.right)
+    if isinstance(left, Variable) and right is not None:
+        return expr.op, left, right
+    if isinstance(right, Variable) and left is not None:
+        return _MIRRORED[expr.op], right, left
+    return None
+
+
+def filter_selectivity(flt: ast.Filter, compiled: Sequence, graph: Graph) -> float:
+    """Share of extensions a pushed FILTER passes (exact where known).
+
+    ``?v op number`` where ``?v`` is the object of a ground-predicate
+    pattern gets the share of that predicate's triples whose object
+    passes the test, counted with :func:`bisect` on the predicate's
+    sorted numeric object values (``Graph.numeric_objects``, built once
+    per graph version).  Every other FILTER gets 1.0.
+    """
+    shape = numeric_comparison(flt.expr)
+    if shape is None or isinstance(shape[2], Variable):
+        return 1.0
+    op, var, number = shape
+    for cp in compiled:
+        if cp[1][0] == GROUND and cp[2] == (VAR, var):
+            total = graph.predicate_stats(cp[1][1])[0]
+            if not total:
+                return 0.0
+            values = graph.numeric_objects(cp[1][1])
+            if op == "<":
+                passing = bisect_left(values, number)
+            elif op == "<=":
+                passing = bisect_right(values, number)
+            elif op == ">":
+                passing = len(values) - bisect_right(values, number)
+            else:
+                passing = len(values) - bisect_left(values, number)
+            return passing / total
+    return 1.0
+
+
+def place_filters(
+    compiled: Sequence,
+    order: Sequence[int],
+    bound: FrozenSet,
+    filter_vars: Sequence[FrozenSet],
+) -> Tuple[int, ...]:
+    """The join step after which each FILTER runs.
+
+    A FILTER runs right after the first step of *order* that leaves all
+    its variables bound (1-based), or before the join (0) when *bound*
+    already holds them.  Every variable must occur in the BGP.
+    """
+    placement = []
+    for variables in filter_vars:
+        known = set(bound)
+        step = 0
+        while not variables <= known:
+            known.update(compiled[order[step]][3])
+            step += 1
+        placement.append(step)
+    return tuple(placement)
+
+
+# ----------------------------------------------------------------------
 # Join-order search
 # ----------------------------------------------------------------------
 def order_bgp(
     compiled: Sequence,
     graph: Graph,
     bound: FrozenSet,
-    force: Optional[str] = None,
+    filters: Sequence[ast.Filter] = (),
 ) -> BGPPlan:
     """Compute a :class:`BGPPlan` (no memoization; see :func:`plan_bgp`).
 
     *bound* is the set of pattern variables already bound when the BGP
-    starts.  *force* pins the search method for tests ("dp"/"greedy").
+    starts; *filters* are the FILTERs pushed into the join, each of whose
+    variables occurs in the BGP.
     """
-    n = len(compiled)
     table = _EstimateTable(compiled, graph)
     bound0 = table.bits_of(bound)
-    if n == 1:
-        est = table.estimate(0, bound0)
-        index = _index_for_bounds(*table.boundness(0, bound0))
-        return BGPPlan((0,), (est,), (index,), est, "single")
-    if force == "dp" or (force is None and n <= DP_MAX_PATTERNS):
-        order, method = _dp_order(table, bound0), "dp"
+    filter_vars = [frozenset(ast.expression_variables(f.expr)) for f in filters]
+    selectivities = [filter_selectivity(f, compiled, graph) for f in filters]
+    if len(compiled) == 1:
+        order, method = [0], "single"
     else:
-        order, method = _greedy_order(table, bound0), "greedy"
-    estimates, indexes, cost = _replay(table, bound0, order)
-    return BGPPlan(tuple(order), estimates, indexes, cost, method)
+        pending = [
+            (table.bits_of(variables), sel)
+            for variables, sel in zip(filter_vars, selectivities)
+        ]
+        order, method = _greedy_order(table, bound0, pending), "greedy"
+    placement = place_filters(compiled, order, bound, filter_vars)
+    factors = [1.0] * (len(order) + 1)
+    for after, sel in zip(placement, selectivities):
+        factors[after] *= sel
+    estimates, indexes, cost = _replay(table, bound0, order, factors)
+    return BGPPlan(
+        tuple(order), estimates, indexes, cost, method,
+        tuple(zip(placement, selectivities)),
+    )
 
 
 def _replay(
-    table: _EstimateTable, bound: int, order: Sequence[int]
+    table: _EstimateTable, bound: int, order: Sequence[int], factors: List[float]
 ) -> Tuple[Tuple[float, ...], Tuple[str, ...], float]:
-    """Walk *order* accumulating per-step estimates, indexes and cost."""
-    rows = 1.0
+    """Walk *order* accumulating per-step estimates, indexes and cost.
+
+    A step visits rows-in x estimate extensions; it carries that many
+    times ``factors[step]``, the selectivity of the FILTERs placed after
+    it, into the next step (``factors[0]`` applies before the join).
+    """
+    rows = factors[0]
     cost = 0.0
     estimates: List[float] = []
     indexes: List[str] = []
-    for position in order:
+    for step, position in enumerate(order, 1):
         indexes.append(_index_for_bounds(*table.boundness(position, bound)))
-        rows *= table.estimate(position, bound)
-        cost += rows
-        estimates.append(rows)
+        produced = rows * table.estimate(position, bound)
+        cost += produced
+        estimates.append(produced)
+        rows = produced * factors[step]
         bound |= table.own[position]
     return tuple(estimates), tuple(indexes), cost
 
 
-def _greedy_order(table: _EstimateTable, bound: int) -> List[int]:
-    """Cheapest-next-connected-pattern, written order on exact ties."""
+def _greedy_order(
+    table: _EstimateTable, bound: int, pending: List[Tuple[int, float]]
+) -> List[int]:
+    """Fewest-rows-carried next connected pattern, written order on ties.
+
+    *pending* holds ``(variable mask, selectivity)`` per pushed FILTER; a
+    candidate's rows are its estimate times the selectivity of every
+    FILTER it would complete.
+    """
     own = table.own
     estimate = table.estimate
+    pending = [f for f in pending if f[0] & ~bound]
     remaining = list(range(len(own)))
     order: List[int] = []
     while remaining:
@@ -380,61 +507,19 @@ def _greedy_order(table: _EstimateTable, bound: int) -> List[int]:
             # what is already bound (or has nothing left to bind); the
             # first pick and fully-static patterns always qualify.
             connected = not order or not own[i] or bool(own[i] & bound)
-            key = (0 if connected else 1, estimate(i, bound), i)
+            rows = estimate(i, bound)
+            after = bound | own[i]
+            for mask, sel in pending:
+                if not mask & ~after:
+                    rows *= sel
+            key = (0 if connected else 1, rows, i)
             if best_key is None or key < best_key:
                 best, best_key = i, key
         remaining.remove(best)
         order.append(best)
         bound |= own[best]
+        pending = [f for f in pending if f[0] & ~bound]
     return order
-
-
-def _dp_order(table: _EstimateTable, bound0: int) -> Tuple[int, ...]:
-    """Exact minimum-total-intermediate-rows order (Selinger-style DP).
-
-    Pattern subsets are bitmasks.  For each subset ``mask`` the DP keeps
-    the cheapest way to join it (``costs``, ``rows``, ``orders``) and
-    ``bound[mask]``, the variable bits bound once it is joined, built
-    off its lowest set bit.  Each mask walks only its set bits.  Ties on
-    cost prefer the lexicographically smaller order tuple — the plan
-    closest to the written query (the memoize-and-prefer-simpler
-    tie-break) — so a candidate's order tuple is built only when its
-    cost is at most the best so far.
-    """
-    own = table.own
-    memo = table.memo
-    estimate = table.estimate
-    size = 1 << len(own)
-    bound = [bound0] * size
-    costs = [0.0] * size
-    rows = [1.0] * size
-    orders: List[Tuple[int, ...]] = [()] * size
-    for mask in range(1, size):
-        low = mask & -mask
-        bound[mask] = bound[mask ^ low] | own[low.bit_length() - 1]
-        best_cost = best_rows = best_order = None
-        rest = mask
-        while rest:
-            bit = rest & -rest
-            rest ^= bit
-            last = bit.bit_length() - 1
-            prev = mask ^ bit
-            est = memo[last].get(bound[prev] & own[last])
-            if est is None:
-                est = estimate(last, bound[prev])
-            cand_rows = rows[prev] * est
-            cost = costs[prev] + cand_rows
-            if best_order is None or cost < best_cost:
-                best_cost, best_rows = cost, cand_rows
-                best_order = orders[prev] + (last,)
-            elif cost == best_cost:
-                order = orders[prev] + (last,)
-                if order < best_order:
-                    best_cost, best_rows, best_order = cost, cand_rows, order
-        costs[mask] = best_cost
-        rows[mask] = best_rows
-        orders[mask] = best_order
-    return orders[size - 1]
 
 
 def plan_bgp(
@@ -442,26 +527,31 @@ def plan_bgp(
     compiled: Sequence,
     graph: Graph,
     bound: FrozenSet,
+    filters: Sequence[ast.Filter] = (),
 ) -> BGPPlan:
-    """Memoized :func:`order_bgp` keyed on (pattern identities, bound set).
+    """Memoized :func:`order_bgp` keyed on (pattern and FILTER identities,
+    bound set).
 
     *bound* must already be restricted to variables occurring in the
     BGP (solutions differing only in unrelated variables share a plan).
-    Pattern objects of a prepared query are id-stable across
+    Pattern and FILTER objects of a prepared query are id-stable across
     evaluations, so the identity key makes repeat evaluation against an
-    unchanged graph a dictionary hit; each entry pins its pattern tuple
-    so ids cannot be recycled while it lives.  An existing entry always
-    wins — combined with the in-search tie-break this is the
-    memoize-and-prefer-simpler discipline (the first, simplest
+    unchanged graph a dictionary hit; each entry pins its pattern and
+    FILTER tuples so ids cannot be recycled while it lives.  An existing
+    entry always wins — combined with the in-search tie-break this is
+    the memoize-and-prefer-simpler discipline (the first, simplest
     equal-cost plan is kept).  Past :data:`MAX_PLANS_PER_GRAPH` entries
     the oldest is evicted.
     """
     plans: Dict = _plan_state(graph)["plans"]
-    key = (tuple(map(id, patterns)), bound)
+    key = (tuple(map(id, patterns)), tuple(map(id, filters)), bound)
     hit = plans.get(key)
     if hit is not None:
         return hit[1]
-    entry = (tuple(patterns), order_bgp(compiled, graph, bound))
+    entry = (
+        (tuple(patterns), tuple(filters)),
+        order_bgp(compiled, graph, bound, filters),
+    )
     return memo_insert(plans, key, entry, MAX_PLANS_PER_GRAPH, _PLAN_LOCK)[1]
 
 

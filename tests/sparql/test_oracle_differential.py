@@ -114,6 +114,21 @@ QUERIES = [
     "(p:e0|p:e1|p:val))* ?y }",
     "SELECT ?x ?y WHERE { ?x p:val ?v . ?x (p:e0/p:e0)/((p:e0|p:e1|p:val)/"
     "(p:e0|p:e1|p:val))* ?y }",
+    # FILTERs the join tests in place: number op ?v, ?v op ?w, a
+    # fallback expression, a FILTER over two runs (kept after the
+    # group), values that are not numbers (rejected), spelled numerics
+    # and a variable bound to a term the dictionary lacks
+    "SELECT ?x ?v WHERE { ?x p:val ?v . ?x p:e0 ?y FILTER (3 > ?v) }",
+    "SELECT ?x ?y WHERE { ?x p:e0 ?y . ?x p:val ?v . ?y p:val ?w . "
+    "FILTER (?v < ?w) }",
+    "SELECT ?x ?y WHERE { ?x p:e1 ?y . ?y p:val ?w FILTER (STR(?w) != \"2\") }",
+    "SELECT ?a ?b WHERE { ?a p:val ?v . OPTIONAL { ?a p:e0 ?b } ?b p:val ?w "
+    "FILTER (?v <= ?w) FILTER (?v >= 1) }",
+    "SELECT ?x ?y WHERE { ?x p:e0 ?y FILTER (?y < 3) }",
+    "SELECT ?x ?v WHERE { ?x (p:val|p:num) ?v FILTER (?v >= 1e2) }",
+    "SELECT ?x ?v WHERE { ?x p:num ?v FILTER (?v > 99 && CONTAINS(STR(?v), \"e\")) }",
+    'SELECT ?x WHERE { ?x p:e0* "7" FILTER (?x < 10) }',
+    "SELECT ?x WHERE { ?x p:e0* n:zzz FILTER (?x != n:n1) }",
     # numeric canonicalization
     'SELECT ?x WHERE { ?x p:num "100.0" }',
     "SELECT ?x ?y WHERE { ?x p:num ?v . ?y p:num ?v }",

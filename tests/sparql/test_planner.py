@@ -1,12 +1,13 @@
 """Unit tests for the cost-based BGP/closure planner.
 
-Covers the join-order search (DP optimality vs. greedy, tie-breaking
-toward the written order, field-identical plans against a naive
-set-based reference search, the number of estimates one search makes),
-the per-graph plan memo (hits, version invalidation, explicit
-invalidation, bounded size), index selection, and the
-closure-direction planner's seed-safety contract: every node whose
-closure is non-empty must appear in the planned seed set.
+Covers the join-order search (tie-breaking toward the written order,
+field-identical plans against a naive set-based reference search, the
+number of estimates one search makes, the anchor-path-anchor trap),
+FILTER costing and placement (exact selectivities, the step EXPLAIN
+reports), the per-graph plan memo (hits, version invalidation, explicit
+invalidation, bounded size), index selection, and the closure-direction
+planner's seed-safety contract: every node whose closure is non-empty
+must appear in the planned seed set.
 """
 
 import gc
@@ -18,12 +19,20 @@ import weakref
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from benchmarks.bench_planner import CATALOG_SIZE, CATALOG_SPARQL, build_catalog
+from repro.core import limits
 from repro.core.sparqlgen import pattern_to_sparql
-from repro.experiments.workloads import transformed_experiment_workload
+from repro.core.transform import transform_plan
+from repro.experiments.workloads import (
+    controlled_config,
+    transformed_experiment_workload,
+)
 from repro.kb.builtin import make_pattern
+from repro.obs.profiler import explain
 from repro.rdf import Graph, Literal, Namespace, Variable
 from repro.sparql import ast, evaluator, planner
 from repro.sparql.parser import parse_query
+from repro.workload.generator import WorkloadGenerator
 
 EX = Namespace("http://n/")
 P = Namespace("http://p/")
@@ -40,6 +49,12 @@ def patterns_of(body):
 
 def compiled_of(body, graph):
     return evaluator._compile_bgp(patterns_of(body), graph)
+
+
+def filters_of(body):
+    """The FILTERs of a simple one-group WHERE clause."""
+    parsed = parse_query(PREFIX + f"SELECT * WHERE {{ {body} }}")
+    return [el for el in parsed.where.elements if isinstance(el, ast.Filter)]
 
 
 def skewed_graph() -> Graph:
@@ -68,27 +83,13 @@ class TestOrderSearch:
         plan = planner.order_bgp(compiled, g, frozenset())
         assert plan.order[0] == 1  # p:rare (2 rows) before p:common (60)
 
-    def test_dp_never_costs_more_than_greedy(self):
-        g = skewed_graph()
-        bodies = [
-            "?s p:common ?c . ?s p:rare ?o",
-            "?s p:common ?c . ?c p:rare ?o . ?o p:common ?d",
-            "?a p:rare ?b . ?b p:common ?c . ?c p:common ?d . ?d p:rare ?e",
-        ]
-        for body in bodies:
-            compiled = compiled_of(body, g)
-            dp = planner.order_bgp(compiled, g, frozenset(), force="dp")
-            greedy = planner.order_bgp(compiled, g, frozenset(), force="greedy")
-            assert dp.method == "dp" and greedy.method == "greedy"
-            assert dp.cost <= greedy.cost
-            assert sorted(dp.order) == sorted(greedy.order)
-
     def test_dp_and_greedy_agree_on_chain(self):
+        # The subset DP is gone; the greedy still finds the order it did.
         g = skewed_graph()
         compiled = compiled_of("?s p:common ?c . ?s p:rare ?o", g)
-        dp = planner.order_bgp(compiled, g, frozenset(), force="dp")
-        greedy = planner.order_bgp(compiled, g, frozenset(), force="greedy")
-        assert dp.order == greedy.order == (1, 0)
+        plan = planner.order_bgp(compiled, g, frozenset())
+        assert plan.method == "greedy"
+        assert plan.order == (1, 0)
 
     def test_tie_prefers_written_order(self):
         g = Graph()
@@ -96,9 +97,8 @@ class TestOrderSearch:
             g.add((EX[f"a{i}"], P.e0, EX[f"b{i}"]))
             g.add((EX[f"a{i}"], P.e1, EX[f"c{i}"]))
         compiled = compiled_of("?s p:e0 ?x . ?s p:e1 ?y", g)
-        for force in ("dp", "greedy"):
-            plan = planner.order_bgp(compiled, g, frozenset(), force=force)
-            assert plan.order == (0, 1)
+        plan = planner.order_bgp(compiled, g, frozenset())
+        assert plan.order == (0, 1)
 
     def test_bound_variables_shrink_estimates(self):
         g = skewed_graph()
@@ -108,16 +108,6 @@ class TestOrderSearch:
         bound = planner.order_bgp(compiled, g, frozenset([s_var]))
         assert bound.estimates[0] < free.estimates[0]
         assert bound.indexes == ("SPO",)
-
-    def test_large_bgp_falls_back_to_greedy(self):
-        g = skewed_graph()
-        body = " . ".join(
-            f"?v{i} p:common ?v{i + 1}" for i in range(planner.DP_MAX_PATTERNS + 1)
-        )
-        compiled = compiled_of(body, g)
-        plan = planner.order_bgp(compiled, g, frozenset())
-        assert plan.method == "greedy"
-        assert sorted(plan.order) == list(range(len(compiled)))
 
     def test_unmatchable_pattern_estimates_zero(self):
         g = skewed_graph()
@@ -164,6 +154,81 @@ class TestPlanMemo:
         free = planner.plan_bgp(patterns, compiled, g, frozenset())
         bound = planner.plan_bgp(patterns, compiled, g, frozenset([s_var]))
         assert free is not bound
+
+
+def valued_graph() -> Graph:
+    """p:val holds 0..9 on n0..n9 and a string on n10; p:e0 links each
+    of n0..n9 to the next node."""
+    g = Graph()
+    for i in range(10):
+        g.add((EX[f"n{i}"], P.val, Literal(i)))
+        g.add((EX[f"n{i}"], P.e0, EX[f"n{i + 1}"]))
+    g.add((EX.n10, P.val, Literal("x")))
+    return g
+
+
+def plan_with_filters(body, graph, bound=frozenset()):
+    return planner.order_bgp(
+        compiled_of(body, graph), graph, bound, filters_of(body)
+    )
+
+
+class TestFilterCosting:
+    def test_numeric_filter_gets_the_exact_share(self):
+        # 3 of the 11 p:val triples pass; the string never does.
+        plan = plan_with_filters("?s p:val ?v . ?s p:e0 ?t FILTER (?v < 3)",
+                                 valued_graph())
+        assert plan.filters == ((1, 3 / 11),)
+
+    def test_mirrored_comparison_gets_the_same_share(self):
+        g = valued_graph()
+        for body in ("?s p:val ?v FILTER (3 > ?v)", "?s p:val ?v FILTER (?v < 3)",
+                     "?s p:val ?v FILTER (?v <= 2.5)"):
+            assert plan_with_filters(body, g).filters == ((1, 3 / 11),), body
+        plan = plan_with_filters("?s p:val ?v FILTER (?v >= 7)", g)
+        assert plan.filters == ((1, 3 / 11),)
+
+    def test_other_filters_cost_one(self):
+        g = valued_graph()
+        for condition in ("?v != 3", "?v = 3", "?v < ?w", "isLiteral(?v)"):
+            body = f"?s p:val ?v . ?s p:e0 ?t . ?t p:val ?w FILTER ({condition})"
+            sels = [sel for _, sel in plan_with_filters(body, g).filters]
+            assert sels == [1.0], condition
+
+    def test_step_estimate_counts_extensions_before_the_filter(self):
+        plan = plan_with_filters("?s p:val ?v . ?s p:e0 ?t FILTER (?v < 3)",
+                                 valued_graph())
+        assert plan.order == (0, 1)
+        # Step 1 produces all 11 p:val rows; the FILTER passes 3 of them
+        # into step 2, whose subject is bound (one p:e0 edge each).
+        assert plan.estimates == pytest.approx((11.0, 3.0))
+        assert plan.cost == pytest.approx(14.0)
+
+    def test_filter_bound_before_the_join_runs_first(self):
+        body = "?s p:val ?v . ?s p:e0 ?t FILTER (?v < 3)"
+        g = valued_graph()
+        v = Variable("v")
+        plan = plan_with_filters(body, g, frozenset([v]))
+        assert plan.filters == ((0, 3 / 11),)
+        assert plan.estimates[0] == pytest.approx(3 / 11)
+
+    def test_selective_filter_pulls_its_pattern_forward(self):
+        g = valued_graph()
+        assert plan_with_filters("?s p:e0 ?t . ?s p:val ?v", g).order == (0, 1)
+        plan = plan_with_filters("?s p:e0 ?t . ?s p:val ?v FILTER (?v < 1)", g)
+        assert plan.order == (1, 0)
+
+    def test_cycle_closing_check_estimates_one_match(self):
+        g = Graph()
+        for i in range(10):
+            g.add((EX[f"a{i}"], P.e0, EX[f"b{i}"]))
+            g.add((EX[f"b{i}"], P.e1, EX[f"a{i}"]))
+        plan = planner.order_bgp(
+            compiled_of("?a p:e0 ?b . ?b p:e1 ?a", g), g, frozenset()
+        )
+        # Both ends bound: at most one triple per input, here exactly
+        # one, where total / (subjects x objects) said 0.1.
+        assert plan.estimates == (10.0, 10.0)
 
 
 def closure_graph() -> Graph:
@@ -246,10 +311,11 @@ class TestClosurePlanning:
 
 
 # ----------------------------------------------------------------------
-# Naive reference: the set-based join-order search the bitmask planner
-# replaced.  It re-estimates every pattern for every subset it visits and
-# unions frozensets per subset, which is slow but obviously what the
-# cost model says; order_bgp must return field-identical plans.
+# Naive reference: the set-based join-order search.  It re-estimates
+# every pattern at every step, unions frozensets, reads FILTER shapes
+# and selectivities straight off the AST and the term-level store, and
+# places each FILTER by walking the order; order_bgp must return
+# field-identical plans.
 # ----------------------------------------------------------------------
 def reference_estimator(graph):
     """``(compiled_pattern, bound_vars) -> float``, set-based."""
@@ -278,6 +344,10 @@ def reference_estimator(graph):
         base = float(graph.estimate_ids(sid, pid, oid))
         if base == 0.0:
             return 0.0
+        if pid is not None and s_kind == o_kind == planner.VAR and s_bound and o_bound:
+            # Cycle-closing check: at most one triple per input.
+            _, subjects, objects = graph.predicate_stats(pid)
+            return min(1.0, base / subjects, base / objects)
         if s_bound and sid is None:
             if pid is not None:
                 _, subjects, _ = graph.predicate_stats(pid)
@@ -297,6 +367,47 @@ def reference_estimator(graph):
     return estimate
 
 
+_REFERENCE_TESTS = {
+    "<": lambda a, b: a < b,
+    "<=": lambda a, b: a <= b,
+    ">": lambda a, b: a > b,
+    ">=": lambda a, b: a >= b,
+}
+_MIRROR = {"<": ">", "<=": ">=", ">": "<", ">=": "<="}
+
+
+def reference_selectivity(flt, compiled, graph):
+    """Share of a ground predicate's triples whose object passes
+    ``?v op number``, counted one triple at a time; 1.0 otherwise."""
+    expr = flt.expr
+    if not isinstance(expr, ast.BinaryExpr) or expr.op not in _MIRROR:
+        return 1.0
+    sides = [expr.left, expr.right]
+    terms = [side.term if isinstance(side, ast.TermExpr) else None for side in sides]
+    if isinstance(terms[0], Variable) and isinstance(terms[1], Literal):
+        var, number, op = terms[0], terms[1].as_number(), expr.op
+    elif isinstance(terms[1], Variable) and isinstance(terms[0], Literal):
+        var, number, op = terms[1], terms[0].as_number(), _MIRROR[expr.op]
+    else:
+        return 1.0
+    if number is None:
+        return 1.0
+    for cp in compiled:
+        if cp[1][0] == planner.GROUND and cp[2][0] == planner.VAR and cp[2][1] == var:
+            objects = [o for _, _, o in graph.triples(None, graph.id_term(cp[1][1]))]
+            if not objects:
+                return 0.0
+            passing = sum(
+                1
+                for o in objects
+                if isinstance(o, Literal)
+                and o.as_number() is not None
+                and _REFERENCE_TESTS[op](o.as_number(), number)
+            )
+            return passing / len(objects)
+    return 1.0
+
+
 def reference_boundness(cp, bound):
     s_spec, p_spec, o_spec = cp[0], cp[1], cp[2]
     is_path = p_spec[0] == planner.PATH
@@ -308,37 +419,65 @@ def reference_boundness(cp, bound):
     return s_bound, p_bound, o_bound, is_path
 
 
-def reference_replay(compiled, estimate, bound0, order):
+def reference_placement(compiled, order, bound0, filter_vars):
+    """Step after which each FILTER's variables are all bound (0: before)."""
+    placement = []
+    for variables in filter_vars:
+        bound = set(bound0)
+        step = 0
+        for position in order:
+            if variables <= bound:
+                break
+            bound.update(compiled[position][3])
+            step += 1
+        placement.append(step)
+    return placement
+
+
+def reference_replay(compiled, estimate, bound0, order, placement, sels):
+    factors = [1.0] * (len(order) + 1)
+    for after, sel in zip(placement, sels):
+        factors[after] *= sel
     bound = set(bound0)
-    rows = 1.0
+    rows = factors[0]
     cost = 0.0
     estimates = []
     indexes = []
-    for position in order:
+    for step, position in enumerate(order, 1):
         cp = compiled[position]
         indexes.append(
             planner._index_for_bounds(*reference_boundness(cp, bound))
         )
-        rows *= estimate(cp, bound)
-        cost += rows
-        estimates.append(rows)
+        produced = rows * estimate(cp, bound)
+        cost += produced
+        estimates.append(produced)
+        rows = produced * factors[step]
         bound.update(cp[3])
     return tuple(estimates), tuple(indexes), cost
 
 
-def reference_greedy(compiled, estimate, bound0):
+def reference_greedy(compiled, estimate, bound0, filter_vars, sels):
     bound = set(bound0)
     remaining = list(range(len(compiled)))
     order = []
     while remaining:
         best = None
         best_key = None
+        pending = [
+            (variables, sel)
+            for variables, sel in zip(filter_vars, sels)
+            if not variables <= bound
+        ]
         for i in remaining:
             cp = compiled[i]
             connected = (
                 not order or not cp[3] or any(v in bound for v in cp[3])
             )
-            key = (0 if connected else 1, estimate(cp, bound), i)
+            rows = estimate(cp, bound)
+            for variables, sel in pending:
+                if variables <= bound | set(cp[3]):
+                    rows *= sel
+            key = (0 if connected else 1, rows, i)
             if best_key is None or key < best_key:
                 best, best_key = i, key
         remaining.remove(best)
@@ -347,62 +486,29 @@ def reference_greedy(compiled, estimate, bound0):
     return order
 
 
-def reference_dp(compiled, estimate, bound0):
-    n = len(compiled)
-    var_sets = [frozenset(cp[3]) for cp in compiled]
-    bound_for = [None] * (1 << n)
-    bound_for[0] = frozenset(bound0)
-
-    def subset_bound(mask):
-        cached = bound_for[mask]
-        if cached is None:
-            low = (mask & -mask).bit_length() - 1
-            cached = subset_bound(mask & (mask - 1)) | var_sets[low]
-            bound_for[mask] = cached
-        return cached
-
-    best = [None] * (1 << n)
-    best[0] = (0.0, 1.0, ())
-    for mask in range(1, 1 << n):
-        entry = None
-        for last in range(n):
-            bit = 1 << last
-            if not mask & bit:
-                continue
-            prev = best[mask ^ bit]
-            rows = prev[1] * estimate(compiled[last], subset_bound(mask ^ bit))
-            cand = (prev[0] + rows, rows, prev[2] + (last,))
-            if entry is None or (cand[0], cand[2]) < (entry[0], entry[2]):
-                entry = cand
-        best[mask] = entry
-    return list(best[(1 << n) - 1][2])
-
-
-def reference_order_bgp(compiled, graph, bound, force=None):
-    n = len(compiled)
+def reference_order_bgp(compiled, graph, bound, filters=()):
     estimate = reference_estimator(graph)
-    if n == 1:
-        est = estimate(compiled[0], set(bound))
-        index = planner._index_for_bounds(
-            *reference_boundness(compiled[0], set(bound))
-        )
-        return planner.BGPPlan((0,), (est,), (index,), est, "single")
-    if force == "dp" or (force is None and n <= planner.DP_MAX_PATTERNS):
-        order, method = reference_dp(compiled, estimate, bound), "dp"
+    filter_vars = [frozenset(ast.expression_variables(f.expr)) for f in filters]
+    sels = [reference_selectivity(f, compiled, graph) for f in filters]
+    if len(compiled) == 1:
+        order, method = [0], "single"
     else:
-        order, method = reference_greedy(compiled, estimate, bound), "greedy"
-    estimates, indexes, cost = reference_replay(compiled, estimate, bound, order)
-    return planner.BGPPlan(tuple(order), estimates, indexes, cost, method)
+        order = reference_greedy(compiled, estimate, bound, filter_vars, sels)
+        method = "greedy"
+    placement = reference_placement(compiled, order, bound, filter_vars)
+    estimates, indexes, cost = reference_replay(
+        compiled, estimate, bound, order, placement, sels
+    )
+    return planner.BGPPlan(
+        tuple(order), estimates, indexes, cost, method,
+        tuple(zip(placement, sels)),
+    )
 
 
-def assert_matches_reference(compiled, graph, bound):
-    forces = [None, "greedy"]
-    if len(compiled) <= planner.DP_MAX_PATTERNS:
-        forces.append("dp")
-    for force in forces:
-        got = planner.order_bgp(compiled, graph, bound, force=force)
-        want = reference_order_bgp(compiled, graph, bound, force=force)
-        assert got == want, (force, got, want)
+def assert_matches_reference(compiled, graph, bound, filters=()):
+    got = planner.order_bgp(compiled, graph, bound, filters)
+    want = reference_order_bgp(compiled, graph, bound, filters)
+    assert got == want, (got, want)
 
 
 _VAR_POOL = [Variable(f"v{i}") for i in range(5)]
@@ -443,6 +549,23 @@ def _triple_patterns(draw):
     return ast.TriplePattern(subject, predicate, obj)
 
 
+def _comparisons(variables):
+    """FILTERs over *variables*: every shape the planner or the join
+    treats apart (``?v op number`` both ways round, ``?v op ?w``) and
+    two it costs at 1.0 (``=``/``!=``, a function call)."""
+    var = st.sampled_from(variables).map(ast.TermExpr)
+    number = st.one_of(st.integers(-1, 10), st.just(2.5)).map(
+        lambda n: ast.TermExpr(Literal(n))
+    )
+    op = st.sampled_from(["<", "<=", ">", ">=", "=", "!="])
+    return st.one_of(
+        st.builds(ast.BinaryExpr, op, var, number),
+        st.builds(ast.BinaryExpr, op, number, var),
+        st.builds(ast.BinaryExpr, op, var, var),
+        st.builds(lambda v: ast.FunctionCall("ISLITERAL", (v,)), var),
+    ).map(ast.Filter)
+
+
 @st.composite
 def _planning_cases(draw, max_patterns):
     g = Graph()
@@ -458,33 +581,49 @@ def _planning_cases(draw, max_patterns):
         g.add((EX[f"n{s}"], P[f"e{p}"], EX[f"n{o}"]))
     if draw(st.booleans()):
         g.add((EX.n0, P.e1, Literal("x")))
+    for s, p, value in draw(
+        st.lists(
+            st.tuples(st.integers(0, 5), st.integers(0, 2), st.integers(0, 9)),
+            max_size=8,
+        )
+    ):
+        g.add((EX[f"n{s}"], P[f"e{p}"], Literal(value)))
     patterns = draw(st.lists(_triple_patterns(), min_size=1, max_size=max_patterns))
     # Start from a random bound set, including variables the BGP lacks.
     bound = frozenset(draw(st.sets(st.sampled_from(_VAR_POOL))))
-    return g, patterns, bound
+    # FILTERs the evaluator could push: their variables occur in the BGP.
+    variables = sorted(
+        set().union(*map(ast.walk_pattern_variables, patterns)),
+        key=lambda v: v.name,
+    )
+    filters = (
+        draw(st.lists(_comparisons(variables), max_size=3)) if variables else []
+    )
+    return g, patterns, bound, filters
 
 
 class TestReferencePlanner:
-    """order_bgp returns exactly the plans the set-based search did."""
+    """order_bgp returns exactly the plans the set-based search does."""
 
     @settings(max_examples=200, deadline=None, derandomize=True)
-    @given(case=_planning_cases(planner.DP_MAX_PATTERNS))
+    @given(case=_planning_cases(8))
     def test_generated_bgps_match_reference(self, case):
-        g, patterns, bound = case
-        assert_matches_reference(evaluator._compile_bgp(patterns, g), g, bound)
+        g, patterns, bound, filters = case
+        compiled = evaluator._compile_bgp(patterns, g)
+        assert_matches_reference(compiled, g, bound, filters)
 
     @settings(max_examples=60, deadline=None, derandomize=True)
     @given(case=_planning_cases(12))
     def test_large_generated_bgps_match_reference(self, case):
-        # Past DP_MAX_PATTERNS only the greedy (and default) are checked.
-        g, patterns, bound = case
-        assert_matches_reference(evaluator._compile_bgp(patterns, g), g, bound)
+        g, patterns, bound, filters = case
+        compiled = evaluator._compile_bgp(patterns, g)
+        assert_matches_reference(compiled, g, bound, filters)
 
     def test_patterns_a_to_d_on_fig9_plans_match_reference(self, fig9_plans):
         rng = random.Random(9)
         for plan in fig9_plans:
             for letter, runs in pattern_bgps().items():
-                for run in runs:
+                for run, filters in runs:
                     compiled = evaluator._compile_bgp(run, plan.graph)
                     variables = sorted(
                         {v for cp in compiled for v in cp[3]},
@@ -495,13 +634,18 @@ class TestReferencePlanner:
                         for _ in range(2)
                     ]
                     for bound in bounds:
-                        assert_matches_reference(compiled, plan.graph, bound)
+                        assert_matches_reference(
+                            compiled, plan.graph, bound, filters
+                        )
 
 
 def bgps_of(group):
-    """The BGPs the evaluator plans for *group*: runs of consecutive
-    triple patterns once FILTERs are set aside, recursively."""
+    """The BGPs the evaluator plans for *group*, recursively, as
+    ``(run, pushed FILTERs)``: runs of consecutive triple patterns once
+    FILTERs are set aside, each FILTER going to the first run that holds
+    all its variables (sparqlgen emits no EXISTS)."""
     runs = []
+    nested = []
     run = []
     for element in group.elements:
         if isinstance(element, ast.TriplePattern):
@@ -514,20 +658,31 @@ def bgps_of(group):
             run = []
         if isinstance(element, ast.Union_):
             for branch in element.groups:
-                runs.extend(bgps_of(branch))
+                nested.extend(bgps_of(branch))
         elif isinstance(getattr(element, "group", None), ast.GroupGraphPattern):
-            runs.extend(bgps_of(element.group))
+            nested.extend(bgps_of(element.group))
     if run:
         runs.append(run)
-    return runs
+    pushed = [[] for _ in runs]
+    for element in group.elements:
+        if isinstance(element, ast.Filter):
+            variables = ast.expression_variables(element.expr)
+            for run, handed in zip(runs, pushed):
+                if variables <= set().union(*map(ast.walk_pattern_variables, run)):
+                    handed.append(element)
+                    break
+    return list(zip(runs, pushed)) + nested
 
 
 def pattern_bgps():
-    """Multi-pattern BGPs of Patterns A-D, compiled by sparqlgen."""
+    """Multi-pattern BGPs of Patterns A-D, compiled by sparqlgen, each
+    with its pushed FILTERs."""
     out = {}
     for letter in "ABCD":
         parsed = parse_query(pattern_to_sparql(make_pattern(letter)))
-        out[letter] = [run for run in bgps_of(parsed.where) if len(run) > 1]
+        out[letter] = [
+            (run, filters) for run, filters in bgps_of(parsed.where) if len(run) > 1
+        ]
     return out
 
 
@@ -554,11 +709,77 @@ class TestPlanningWork:
         monkeypatch.setattr(Graph, "estimate_ids", counting)
         graph = max(fig9_plans, key=lambda p: len(p.graph)).graph
         for letter, runs in pattern_bgps().items():
-            compiled = evaluator._compile_bgp(max(runs, key=len), graph)
+            run, filters = max(runs, key=lambda pair: len(pair[0]))
+            compiled = evaluator._compile_bgp(run, graph)
             limit = sum(2 ** len(set(cp[3])) for cp in compiled)
             del calls[:]
-            planner.order_bgp(compiled, graph, frozenset())
+            planner.order_bgp(compiled, graph, frozenset(), filters)
             assert 0 < len(calls) <= limit, (letter, len(calls), limit)
+
+
+class TestFilterPlacement:
+    """Where pushed FILTERs run, from EXPLAIN and from budget ticks."""
+
+    def test_pattern_c_threshold_runs_right_after_its_binding_step(self):
+        plan = WorkloadGenerator(1, config=controlled_config()).generate_plan_in_range(
+            "seed1-c", 40, 80, plant=["C"]
+        )
+        report = explain(make_pattern("C"), transform_plan(plan))
+        (planned,) = report.plans
+        (pushed,) = [
+            f for f in planned["filters"]
+            if f["filter"] == "?internalHandler2 < 0.001"
+        ]
+        step = pushed["afterStep"]
+        binders = [
+            number for number, text in enumerate(planned["order"], 1)
+            if "?internalHandler2" in text
+        ]
+        assert binders[0] == step
+        profiles = {profile.pattern: profile for profile in report.patterns}
+        binding = profiles[planned["order"][step - 1]]
+        following = profiles[planned["order"][step]]
+        # est and out both count the extensions before the FILTER; the
+        # next step receives what the FILTER passed.
+        assert planned["estimatedRows"][step - 1] == binding.outputs
+        assert following.inputs == round(binding.outputs * pushed["selectivity"])
+        assert following.inputs < binding.outputs
+        assert (
+            f"[FILTER (?internalHandler2 < 0.001) after #{step}, sel "
+            in report.to_text()
+        )
+
+    @pytest.mark.parametrize("reordering", [True, False])
+    def test_rejected_extensions_still_tick(self, monkeypatch, reordering):
+        monkeypatch.setattr(evaluator, "JOIN_REORDERING", reordering)
+        query = parse_query(
+            PREFIX + "SELECT ?s WHERE { ?s p:val ?v . ?s p:e0 ?t . "
+            "?t p:val ?w FILTER (?v < 3) }"
+        )
+        budget = limits.Budget()
+        with limits.activate(budget):
+            rows = evaluator.evaluate_query(query, valued_graph())
+        assert len(rows) == 3
+        # 11 p:val extensions, 8 of them rejected on the spot; the 3
+        # survivors take one p:e0 and one p:val step each.  Tested after
+        # the whole join, the FILTER would let all 10 through both.
+        assert budget.bindings == 11 + 3 + 3
+
+
+class TestPlannerTrap:
+    def test_catalog_query_routes_through_the_path(self):
+        """The anchor-path-anchor query of bench_planner.py joins the
+        path second: written order's second anchor is an N x N
+        cartesian product."""
+        g = build_catalog(CATALOG_SIZE)
+        patterns = [
+            el for el in parse_query(CATALOG_SPARQL).where.elements
+            if isinstance(el, ast.TriplePattern)
+        ]
+        plan = planner.order_bgp(
+            evaluator._compile_bgp(patterns, g), g, frozenset()
+        )
+        assert plan.order == (0, 2, 1)  # tag, link+, tag2
 
 
 def chain_graph(length: int = 10) -> Graph:
