@@ -508,10 +508,11 @@ def _greedy_order(
             # first pick and fully-static patterns always qualify.
             connected = not order or not own[i] or bool(own[i] & bound)
             rows = estimate(i, bound)
-            after = bound | own[i]
-            for mask, sel in pending:
-                if not mask & ~after:
-                    rows *= sel
+            if pending:
+                after = bound | own[i]
+                for mask, sel in pending:
+                    if not mask & ~after:
+                        rows *= sel
             key = (0 if connected else 1, rows, i)
             if best_key is None or key < best_key:
                 best, best_key = i, key
