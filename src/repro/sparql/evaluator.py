@@ -507,24 +507,17 @@ def _compile_filter(flt: ast.Filter, graph: Graph) -> _FilterTest:
         return test
     op, var, other = shape
     ordered = _ORDERINGS[op]
-
-    def value_of(name, ids, spell, terms):
-        tid = ids.get(name)
-        if tid is not None and tid != UNMATCHABLE:
-            return id_term(tid)
-        return _decode(name, ids, spell, terms, id_term)
-
     if not isinstance(other, Variable):
         def test(ids, spell, terms):
-            term = value_of(var, ids, spell, terms)
+            term = _decode(var, ids, spell, terms, id_term)
             number = term.as_number() if isinstance(term, Literal) else None
             return number is not None and ordered(number, other)
 
         return test
 
     def test(ids, spell, terms):
-        left = value_of(var, ids, spell, terms)
-        right = value_of(other, ids, spell, terms)
+        left = _decode(var, ids, spell, terms, id_term)
+        right = _decode(other, ids, spell, terms, id_term)
         if isinstance(left, Literal) and isinstance(right, Literal):
             a, b = left.as_number(), right.as_number()
             if a is not None and b is not None:

@@ -155,6 +155,18 @@ class TestPlanMemo:
         bound = planner.plan_bgp(patterns, compiled, g, frozenset([s_var]))
         assert free is not bound
 
+    def test_pushed_filters_are_part_of_the_key(self):
+        g = skewed_graph()
+        body = "?s p:common ?c . ?s p:rare ?o FILTER (?o != ?c)"
+        patterns = patterns_of(body)
+        compiled = evaluator._compile_bgp(patterns, g)
+        bare = planner.plan_bgp(patterns, compiled, g, frozenset())
+        filters = filters_of(body)
+        pushed = planner.plan_bgp(patterns, compiled, g, frozenset(), filters)
+        assert pushed is not bare and pushed.filters == ((2, 1.0),)
+        again = planner.plan_bgp(patterns, compiled, g, frozenset(), filters)
+        assert again is pushed
+
 
 def valued_graph() -> Graph:
     """p:val holds 0..9 on n0..n9 and a string on n10; p:e0 links each
