@@ -107,8 +107,6 @@ def _format_expr(expr: Any, nested: bool = False) -> str:
         options = ", ".join(_format_expr(o) for o in expr.options)
         keyword = "NOT IN" if expr.negated else "IN"
         return f"{_format_expr(expr.value, True)} {keyword} ({options})"
-    if isinstance(expr, ast.ExistsExpr):
-        return ("NOT EXISTS" if expr.negated else "EXISTS") + " { … }"
     return repr(expr)
 
 

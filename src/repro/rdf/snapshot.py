@@ -531,13 +531,10 @@ class GraphView(TermReads):
         """Ascending numeric object values, one per triple, cached."""
         cached = self._pnums.get(predicate)
         if cached is None:
-            pos = self._pos
-            ai = pos.a_index(predicate)
-            id_term = self.id_term
+            ai = self._pos.a_index(predicate)
+            groups = () if ai is None else self._pos.group_items(ai)
             cached = self._pnums[predicate] = _sorted_numbers(
-                ()
-                if ai is None
-                else ((id_term(oid), len(group)) for oid, group in pos.group_items(ai))
+                (self.id_term(oid), len(group)) for oid, group in groups
             )
         return cached
 
