@@ -17,10 +17,10 @@ adds a prepared-query cache, a per-plan match cache keyed on the graph
 version, and — with ``workers`` above one — a shared-memory process
 pool (``OptImatch(workers=4)``; see docs/scale-out.md).
 
-Workload loads are atomic: ``add_plans`` and ``load_workload_dir`` stage
-the whole batch (parsing, transforming and checking for duplicate ids)
-before committing anything, so a failure mid-directory leaves the
-workload exactly as it was.
+Workload loads are atomic: every add and replace, one plan or a batch,
+stages the whole batch (parsing, transforming and checking for
+duplicate ids) before committing anything, so a failure mid-directory
+leaves the workload exactly as it was.
 
 With a *data_dir* the facade becomes durable: every workload mutation is
 journaled through :class:`repro.store.DurableStore` before it is
@@ -143,11 +143,11 @@ class OptImatch:
                 "recovery pending: call recover() before mutating the workload"
             )
 
-    def _stamp(self, transformed: TransformedPlan, revision: int) -> None:
+    @staticmethod
+    def _stamp(transformed: TransformedPlan, revision: int) -> None:
         """Compose the plan revision into the graph version (see
         :func:`repro.store.compose_version`): distinct across replaces,
         deterministic across recovery."""
-        self._revisions[transformed.plan_id] = revision
         transformed.graph.stamp_version(
             compose_version(revision, transformed.graph.version)
         )
@@ -180,26 +180,7 @@ class OptImatch:
 
     def add_plan(self, plan: PlanGraph) -> TransformedPlan:
         """Transform *plan* and add it to the workload."""
-        return self._add(plan, None)
-
-    def _add(self, plan: PlanGraph, text: Optional[str]) -> TransformedPlan:
-        """Add *plan*, journaling *text* as its source (see
-        :meth:`_journal_source`)."""
-        if plan.plan_id in self._by_id:
-            raise ValueError(f"duplicate plan id {plan.plan_id!r} in workload")
-        self._check_writable()
-        transformed = transform_plan(plan)
-        if self._store is not None:
-            revision = self._store.record_add(
-                transformed.plan_id, self._journal_source(transformed, text)
-            )
-        else:
-            revision = self._revisions.get(transformed.plan_id, 0) + 1
-        self._stamp(transformed, revision)
-        self._workload.append(transformed)
-        self._by_id[plan.plan_id] = transformed
-        self._maybe_checkpoint()
-        return transformed
+        return self._commit([(transform_plan(plan), None)])[0]
 
     def replace_plan(self, plan: PlanGraph) -> TransformedPlan:
         """Replace the workload plan with the same id (add when absent).
@@ -208,7 +189,7 @@ class OptImatch:
         version can never collide with a cached match for the old plan
         even when both graphs have the same triple count.
         """
-        return self._replace(plan, None)
+        return self._commit([(transform_plan(plan), None)], replace=True)[0]
 
     def replace_explain_text(
         self, text: str, plan_id: Optional[str] = None
@@ -216,26 +197,7 @@ class OptImatch:
         """Parse explain *text* and replace the same-id plan (add when
         absent), journaling *text* itself — the ``?replace=1`` ingest
         routes.  Accepts the same inputs as :meth:`load_explain_text`."""
-        return self._replace(self._parse_explain(text, plan_id), text)
-
-    def _replace(self, plan: PlanGraph, text: Optional[str]) -> TransformedPlan:
-        self._check_writable()
-        transformed = transform_plan(plan)
-        if self._store is not None:
-            revision = self._store.record_replace(
-                transformed.plan_id, self._journal_source(transformed, text)
-            )
-        else:
-            revision = self._revisions.get(transformed.plan_id, 0) + 1
-        self._stamp(transformed, revision)
-        existing = self._by_id.get(plan.plan_id)
-        if existing is not None:
-            self._workload[self._workload.index(existing)] = transformed
-        else:
-            self._workload.append(transformed)
-        self._by_id[plan.plan_id] = transformed
-        self._maybe_checkpoint()
-        return transformed
+        return self.load_explain_batch([text], [plan_id], replace=True)[0]
 
     def remove_plan(self, plan_id: str) -> None:
         """Remove one plan from the workload (KeyError when absent)."""
@@ -259,42 +221,58 @@ class OptImatch:
         self._commit((transform_plan(plan), None) for plan in plans)
 
     def _commit(
-        self, staged: Iterable[Tuple[TransformedPlan, Optional[str]]]
-    ) -> int:
-        """Validate a staged batch of ``(transformed plan, source text)``
-        pairs, then add it (see :meth:`_journal_source` for the text).
+        self,
+        staged: Iterable[Tuple[TransformedPlan, Optional[str]]],
+        replace: bool = False,
+    ) -> List[TransformedPlan]:
+        """Commit a staged batch of ``(transformed plan, source text)``
+        pairs (see :meth:`_journal_source` for the text) — the one path
+        every add and replace takes.  Returns the committed plans in
+        input order.
+
+        Without *replace*, a plan id already in the workload or repeated
+        within the batch raises :class:`ValueError` before anything
+        changes.  With it, each plan upserts in place, keeping its
+        workload position; an id repeated in the batch takes successive
+        revisions and its last copy wins.
 
         With durability on the whole batch is journaled as ONE record,
         so it is atomic across a crash too: either every plan in the
-        batch recovers or none does.
+        batch recovers or none does.  A journal failure
+        (:class:`DurabilityError`) leaves workload and revisions as
+        they were.
         """
         self._check_writable()
-        batch: List[Tuple[TransformedPlan, Optional[str]]] = []
-        seen = set(self._by_id)
+        batch: List[Tuple[TransformedPlan, Optional[str], int]] = []
+        revisions: Dict[str, int] = {}  # this batch's allocations
         for transformed, text in staged:
-            if transformed.plan_id in seen:
-                raise ValueError(
-                    f"duplicate plan id {transformed.plan_id!r} in workload"
-                )
-            seen.add(transformed.plan_id)
-            batch.append((transformed, text))
+            plan_id = transformed.plan_id
+            duplicate = plan_id in self._by_id or plan_id in revisions
+            if duplicate and not replace:
+                raise ValueError(f"duplicate plan id {plan_id!r} in workload")
+            revision = 1 + revisions.get(
+                plan_id, self._revisions.get(plan_id, 0)
+            )
+            revisions[plan_id] = revision
+            self._stamp(transformed, revision)
+            batch.append((transformed, text, revision))
         if self._store is not None and batch:
-            revisions = self._store.record_add_batch(
+            self._store.record_plans(
                 [
-                    (t.plan_id, self._journal_source(t, text))
-                    for t, text in batch
+                    (t.plan_id, revision, self._journal_source(t, text))
+                    for t, text, revision in batch
                 ]
             )
-        else:
-            revisions = [
-                self._revisions.get(t.plan_id, 0) + 1 for t, _ in batch
-            ]
-        for (transformed, _), revision in zip(batch, revisions):
-            self._stamp(transformed, revision)
-            self._workload.append(transformed)
+        self._revisions.update(revisions)
+        for transformed, _, _ in batch:
+            existing = self._by_id.get(transformed.plan_id)
+            if existing is not None:
+                self._workload[self._workload.index(existing)] = transformed
+            else:
+                self._workload.append(transformed)
             self._by_id[transformed.plan_id] = transformed
         self._maybe_checkpoint()
-        return len(batch)
+        return [transformed for transformed, _, _ in batch]
 
     @staticmethod
     def _parse_explain(text: str, plan_id: Optional[str] = None) -> PlanGraph:
@@ -314,14 +292,16 @@ class OptImatch:
         on, *text* itself is journaled, so recovery re-parses the same
         bytes with the same parser.
         """
-        return self._add(self._parse_explain(text, plan_id), text)
+        return self.load_explain_batch([text], [plan_id])[0]
 
     def load_explain_batch(
         self,
         texts: Iterable[str],
         plan_ids: Optional[Iterable[Optional[str]]] = None,
-    ) -> int:
-        """Parse and add a batch of explain texts, atomically.
+        replace: bool = False,
+    ) -> List[TransformedPlan]:
+        """Parse and add a batch of explain texts, atomically; returns
+        the committed plans in input order.
 
         Like :meth:`add_plans`, the batch is all-or-nothing — including
         across a crash when durability is on (one journal record).
@@ -330,7 +310,8 @@ class OptImatch:
         ingest route uses this so tree snippets, whose default id is
         shared, can be batched.  Explicit ids survive recovery: the
         journal records ``(plan_id, text)`` and replay re-parses the
-        text with the recorded id.
+        text with the recorded id.  *replace* upserts each plan by id
+        (the ``?replace=1`` ingest routes; see :meth:`_commit`).
         """
         texts = list(texts)
         ids = [None] * len(texts) if plan_ids is None else plan_ids
@@ -338,9 +319,10 @@ class OptImatch:
             self._parse_explain(text, plan_id)
             for text, plan_id in zip(texts, ids)
         ]
-        return self._commit(
+        staged = (
             (transform_plan(plan), text) for plan, text in zip(plans, texts)
         )
+        return self._commit(staged, replace)
 
     def load_explain_file(self, path: str) -> TransformedPlan:
         """Load one explain file (full explain or tree snippet), like
@@ -355,14 +337,12 @@ class OptImatch:
         without mutating the workload.  (Persisting the workload is the
         *data_dir*'s job: see docs/durability.md.)
         """
-        texts = [
-            _read_text(os.path.join(directory, name))
-            for name in sorted(os.listdir(directory))
-            if name.endswith(suffix)
-        ]
-        plans = [self._parse_explain(text) for text in texts]
-        return self._commit(
-            (transform_plan(plan), text) for plan, text in zip(plans, texts)
+        return len(
+            self.load_explain_batch(
+                _read_text(os.path.join(directory, name))
+                for name in sorted(os.listdir(directory))
+                if name.endswith(suffix)
+            )
         )
 
     @property
@@ -517,11 +497,8 @@ class OptImatch:
         workload: List[TransformedPlan] = []
         by_id: Dict[str, TransformedPlan] = {}
         for plan_id, revision, source in info.plans:
-            plan = self._parse_explain(source, plan_id)
-            transformed = transform_plan(plan)
-            transformed.graph.stamp_version(
-                compose_version(revision, transformed.graph.version)
-            )
+            transformed = transform_plan(self._parse_explain(source, plan_id))
+            self._stamp(transformed, revision)
             workload.append(transformed)
             by_id[plan_id] = transformed
         self._workload = workload

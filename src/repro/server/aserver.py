@@ -45,20 +45,11 @@ from concurrent.futures import ThreadPoolExecutor
 from http import HTTPStatus
 from typing import Optional, Tuple
 
-from repro.kb import KnowledgeBase
-from repro.obs.metrics import MetricsRegistry
 from repro.server.common import (
-    DEFAULT_MAX_BODY_BYTES,
-    DEFAULT_MAX_INFLIGHT,
-    DEFAULT_MAX_STREAMS,
-    DEFAULT_MAX_TIMEOUT_MS,
-    DEFAULT_RETRY_AFTER_SECONDS,
-    DEFAULT_STREAM_BATCH,
-    DEFAULT_STREAM_HWM,
-    DEFAULT_TIMEOUT_MS,
     Response,
     ServerState,
     _RequestError,
+    content_length,
     dispatch,
     encode_json,
     error_response,
@@ -73,7 +64,6 @@ from repro.server.stream import (
     StreamError,
     StreamSession,
 )
-from repro.store import DEFAULT_CHECKPOINT_EVERY
 
 #: Read streamed request bodies in slices of this many bytes.
 _STREAM_READ_SIZE = 64 * 1024
@@ -107,58 +97,20 @@ def _reason(status: int) -> str:
 class AsyncOptImatchServer:
     """The HTTP service front over one :class:`OptImatch` instance.
 
-    *max_body_bytes*, *default_timeout_ms*, *max_timeout_ms*,
-    *max_inflight* and *retry_after_seconds* configure the governance
-    layer (see docs/operations.md for tuning guidance); *stream_batch*,
-    *max_streams* and *stream_hwm* configure streaming ingest (see
-    docs/http-api.md); *workers* and *cache* configure the matching
-    engine (more than one worker evaluates on a process pool).
+    Binds *host*:*port* (``0`` picks an ephemeral port).  Every other
+    keyword argument is passed to
+    :class:`~repro.server.common.ServerState`, which holds the defaults:
+    the governance layer (*max_body_bytes*, *default_timeout_ms*,
+    *max_timeout_ms*, *max_inflight*, *retry_after_seconds*; see
+    docs/operations.md), streaming ingest (*stream_batch*,
+    *max_streams*, *stream_hwm*; see docs/http-api.md), the matching
+    engine (*workers*, *cache*) and durability (*data_dir*,
+    *fsync_mode*, *checkpoint_every*).
     Lifecycle: ``start`` / ``stop`` / ``address`` / ``url``.
     """
 
-    def __init__(
-        self,
-        host: str = "127.0.0.1",
-        port: int = 8080,
-        knowledge_base: Optional[KnowledgeBase] = None,
-        workers: Optional[int] = None,
-        cache: bool = True,
-        max_body_bytes: int = DEFAULT_MAX_BODY_BYTES,
-        default_timeout_ms: Optional[float] = DEFAULT_TIMEOUT_MS,
-        max_timeout_ms: float = DEFAULT_MAX_TIMEOUT_MS,
-        max_inflight: int = DEFAULT_MAX_INFLIGHT,
-        retry_after_seconds: int = DEFAULT_RETRY_AFTER_SECONDS,
-        registry: Optional[MetricsRegistry] = None,
-        data_dir: Optional[str] = None,
-        fsync_mode: str = "batch",
-        checkpoint_every: int = DEFAULT_CHECKPOINT_EVERY,
-        stream_batch: int = DEFAULT_STREAM_BATCH,
-        max_streams: int = DEFAULT_MAX_STREAMS,
-        stream_hwm: int = DEFAULT_STREAM_HWM,
-        min_free_bytes: int = 0,
-        max_rss_bytes: int = 0,
-        clock=None,
-    ):
-        self.state = ServerState(
-            knowledge_base,
-            workers=workers,
-            cache=cache,
-            max_body_bytes=max_body_bytes,
-            default_timeout_ms=default_timeout_ms,
-            max_timeout_ms=max_timeout_ms,
-            max_inflight=max_inflight,
-            retry_after_seconds=retry_after_seconds,
-            registry=registry,
-            data_dir=data_dir,
-            fsync_mode=fsync_mode,
-            checkpoint_every=checkpoint_every,
-            stream_batch=stream_batch,
-            max_streams=max_streams,
-            stream_hwm=stream_hwm,
-            min_free_bytes=min_free_bytes,
-            max_rss_bytes=max_rss_bytes,
-            clock=clock,
-        )
+    def __init__(self, host: str = "127.0.0.1", port: int = 8080, **options):
+        self.state = ServerState(**options)
         self._host = host
         self._port = port
         # Blocking dispatch must never starve: size for the heavy-slot
@@ -661,25 +613,7 @@ class AsyncOptImatchServer:
                     yield data
                 await reader.readexactly(2)  # chunk-terminating CRLF
         else:
-            raw = headers.get("content-length")
-            if raw is None:
-                raise _RequestError(
-                    411, "length_required", "Content-Length header is required"
-                )
-            try:
-                remaining = int(raw)
-            except (TypeError, ValueError):
-                raise _RequestError(
-                    400,
-                    "bad_content_length",
-                    f"invalid Content-Length header: {raw!r}",
-                )
-            if remaining < 0:
-                raise _RequestError(
-                    400,
-                    "bad_content_length",
-                    f"invalid Content-Length header: {raw!r}",
-                )
+            remaining = content_length(headers)
             while remaining:
                 data = await reader.read(min(remaining, _STREAM_READ_SIZE))
                 if not data:

@@ -521,14 +521,13 @@ def split_path(path: str) -> Tuple[str, dict]:
     return parts.path, parse_qs(parts.query)
 
 
-def validate_content_length(
-    state: ServerState, headers: Mapping[str, str]
-) -> int:
-    """Validate the Content-Length header and return the body length.
+def content_length(headers: Mapping[str, str]) -> int:
+    """The request's Content-Length: ASCII digits only (RFC 9110
+    ``1*DIGIT``).
 
-    A missing header on a body-bearing request is ``411 Length
-    Required``; a non-integer or negative value is ``400``; a body over
-    the configured cap is ``413`` — never an uncaught exception that
+    A missing header is ``411 Length Required``; anything else that is
+    not a plain decimal — a sign, ``_`` separators, a hex prefix — is
+    ``400`` ``bad_content_length``, never an uncaught exception that
     silently drops the connection.  *headers* must use lower-case keys.
     """
     raw = headers.get("content-length")
@@ -537,19 +536,21 @@ def validate_content_length(
             411, "length_required", "Content-Length header is required"
         )
     try:
-        length = int(raw)
-    except (TypeError, ValueError):
-        raise _RequestError(
-            400,
-            "bad_content_length",
-            f"invalid Content-Length header: {raw!r}",
-        )
-    if length < 0:
-        raise _RequestError(
-            400,
-            "bad_content_length",
-            f"invalid Content-Length header: {raw!r}",
-        )
+        if raw.isascii() and raw.isdigit():
+            return int(raw)
+    except ValueError:  # more digits than int() converts
+        pass
+    raise _RequestError(
+        400, "bad_content_length", f"invalid Content-Length header: {raw!r}"
+    )
+
+
+def validate_content_length(
+    state: ServerState, headers: Mapping[str, str]
+) -> int:
+    """:func:`content_length`, capped: a body over the configured limit
+    is ``413``."""
+    length = content_length(headers)
     if length > state.max_body_bytes:
         raise _RequestError(
             413,
@@ -806,16 +807,14 @@ def _dispatch_post(
                     'batch ingest body must be {"plans": [<text>, ...]}',
                 )
             with state.lock:
-                count = state.tool.load_explain_batch(texts)
-                plan_ids = [
-                    t.plan_id for t in state.tool.workload[-count:]
-                ]
+                committed = state.tool.load_explain_batch(texts)
                 synced = handle_ack(state, query)
+            plan_ids = [t.plan_id for t in committed]
             return json_response(
                 201,
                 {
                     "planIds": plan_ids,
-                    "count": count,
+                    "count": len(plan_ids),
                     "durability": durability_ack(state, synced),
                 },
             )

@@ -284,21 +284,10 @@ class StreamSession:
                 try:
                     with state.lock:
                         state.check_ingest_allowed(state.retry_after_seconds)
-                        if self.replace:
-                            plan_ids = [
-                                state.tool.replace_explain_text(
-                                    text, plan_id
-                                ).plan_id
-                                for text, plan_id in zip(texts, ids)
-                            ]
-                        else:
-                            count = state.tool.load_explain_batch(
-                                texts, plan_ids=ids
-                            )
-                            plan_ids = [
-                                t.plan_id
-                                for t in state.tool.workload[-count:]
-                            ]
+                        committed = state.tool.load_explain_batch(
+                            texts, plan_ids=ids, replace=self.replace
+                        )
+                        plan_ids = [t.plan_id for t in committed]
                         synced = False
                         if self.ack_mode == "sync":
                             state.tool.sync_journal()

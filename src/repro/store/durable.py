@@ -33,11 +33,12 @@ Versions and revisions
 The engine's match cache is keyed on ``(plan_id, graph.version,
 query_key)``.  A freshly transformed graph's natural version is its
 triple count, so two *different* plans replacing each other under the
-same id could collide.  The store therefore assigns each plan id a
+same id could collide.  The facade therefore assigns each plan id a
 monotonic **revision** (1 on first add, +1 per replace, never reset by
-remove/clear) and the facade stamps ``graph.version = revision << 32 |
-natural`` via :func:`compose_version` — deterministic across recovery,
-distinct across replaces.
+remove/clear) and stamps ``graph.version = revision << 32 | natural``
+via :func:`compose_version` — deterministic across recovery, distinct
+across replaces.  The store journals each plan's revision and keeps the
+highest one seen per id, which recovery hands back to the facade.
 
 Failure mode
 ------------
@@ -299,6 +300,9 @@ class DurableStore:
     # Journaling
     # ------------------------------------------------------------------
     def _append(self, record: dict) -> None:
+        """Journal *record*, then apply it through :meth:`_apply` — the
+        transition replay uses, so live state and recovered state
+        cannot drift apart."""
         if self._failed is not None:
             raise DurabilityError(
                 f"store is read-only after a journal failure: {self._failed}"
@@ -313,54 +317,23 @@ class DurableStore:
         self._m_records.labels(record["op"]).inc()
         self._m_bytes.inc(size)
         self.records_since_checkpoint += 1
+        self._apply(record)
 
-    def record_add(self, plan_id: str, source: str) -> int:
-        """Journal one plan add; returns the assigned revision."""
-        revision = self._revisions.get(plan_id, 0) + 1
-        self._append(
-            {"op": "add", "plan": plan_id, "rev": revision, "source": source}
-        )
-        self._revisions[plan_id] = revision
-        self._plans[plan_id] = _PlanState(revision, source)
-        return revision
-
-    def record_add_batch(self, items: List[Tuple[str, str]]) -> List[int]:
-        """Journal a batch of adds as ONE record (atomic across a crash:
-        either every plan in the batch recovers or none does)."""
-        revisions = []
-        plans_payload = []
-        for plan_id, source in items:
-            revision = self._revisions.get(plan_id, 0) + 1
-            revisions.append(revision)
-            plans_payload.append([plan_id, revision, source])
-        self._append({"op": "add_batch", "plans": plans_payload})
-        for (plan_id, source), revision in zip(items, revisions):
-            self._revisions[plan_id] = revision
-            self._plans[plan_id] = _PlanState(revision, source)
-        return revisions
-
-    def record_replace(self, plan_id: str, source: str) -> int:
-        revision = self._revisions.get(plan_id, 0) + 1
-        self._append(
-            {"op": "replace", "plan": plan_id, "rev": revision, "source": source}
-        )
-        self._revisions[plan_id] = revision
-        self._plans[plan_id] = _PlanState(revision, source)
-        return revision
+    def record_plans(self, items: List[Tuple[str, int, str]]) -> None:
+        """Journal a batch of plan adds and replaces — ``(plan id,
+        revision, source)`` triples, revisions allocated by the caller
+        — as ONE ``add_batch`` record (atomic across a crash: either
+        every plan in the batch recovers or none does)."""
+        self._append({"op": "add_batch", "plans": list(items)})
 
     def record_remove(self, plan_id: str) -> None:
         self._append({"op": "remove", "plan": plan_id})
-        self._plans.pop(plan_id, None)
-        # The revision counter survives removal on purpose: a later
-        # re-add must not reuse a version an old cache entry may carry.
 
     def record_clear(self) -> None:
         self._append({"op": "clear"})
-        self._plans.clear()
 
     def record_kb_entry(self, entry: dict) -> None:
         self._append({"op": "kb_add", "entry": entry})
-        self._kb.append(entry)
 
     def sync(self) -> None:
         """Force journaled records to the device (durability ack)."""
@@ -385,7 +358,11 @@ class DurableStore:
     # ------------------------------------------------------------------
     def _apply(self, record: dict) -> bool:
         """Apply one journal record to the logical state (idempotent
-        upserts, so chain replay across checkpoints converges)."""
+        upserts, so chain replay across checkpoints converges).  Every
+        live write goes through here too (see :meth:`_append`).  Plan
+        writes are ``add_batch`` records; the single-plan ``add`` and
+        ``replace`` ops are still read, so data directories written by
+        older versions recover."""
         op = record.get("op")
         if op == "add" or op == "replace":
             plan_id = record["plan"]
@@ -401,6 +378,8 @@ class DurableStore:
                     self._revisions.get(plan_id, 0), int(revision)
                 )
         elif op == "remove":
+            # The revision counter survives removal on purpose: a later
+            # re-add must not reuse a version an old cache entry may carry.
             self._plans.pop(record["plan"], None)
         elif op == "clear":
             self._plans.clear()

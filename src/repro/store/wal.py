@@ -41,8 +41,9 @@ are forced to the device:
 
 Chaos sites
 -----------
-``wal.append`` (keyed by the record's plan id, falling back to the op
-name) fires before a record is framed and written; ``wal.fsync`` fires
+``wal.append`` (keyed by the record's plan id — an ``add_batch``
+record's first one — falling back to the op name for plan-less records)
+fires before a record is framed and written; ``wal.fsync`` fires
 before each explicit ``os.fsync``.  Armed with ``kill=True`` they
 simulate a crash mid-append / mid-sync for the recovery harness; armed
 with an ``OSError`` they simulate a failed journal device (the store
@@ -233,7 +234,9 @@ class WalWriter:
         frame = encode_record(obj)
         try:
             if chaos.active:
-                key = str(obj.get("plan") or obj.get("op") or "")
+                plans = obj.get("plans")
+                first = plans[0][0] if plans else None
+                key = str(obj.get("plan") or first or obj.get("op") or "")
                 injection = chaos.short_write("wal.append", key)
                 if injection is not None:
                     self._torn_append(frame, injection)

@@ -134,7 +134,8 @@ register_site(
     "wal.append",
     "before a journal record is framed and written; OSError takes the "
     "journal-device failure path (read-only latch)",
-    keyed_by="plan id (or op name for plan-less records)",
+    keyed_by="plan id (an add_batch record's first; op name for "
+    "plan-less records)",
     kinds=FAULT_KINDS,
 )
 register_site(

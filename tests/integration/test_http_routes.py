@@ -109,6 +109,19 @@ class TestDeterministicRoutes:
         assert status == 201
         assert json.loads(body)["count"] == 4
 
+    def test_empty_batch_upload_names_no_plans(self, server):
+        _upload_figure1(server)
+        status, _, body = _roundtrip(
+            server,
+            "POST",
+            "/plans",
+            body=json.dumps({"plans": []}),
+            headers={"Content-Type": "application/json"},
+        )
+        assert status == 201
+        reply = json.loads(body)
+        assert (reply["planIds"], reply["count"]) == ([], 0)
+
     def test_search_pattern_json(self, server):
         _upload_figure1(server)
         status, _, body = _roundtrip(

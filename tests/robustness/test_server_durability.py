@@ -240,6 +240,28 @@ class TestDurabilityAcks:
         assert len(listing["plans"]) == 3
         assert payload["planId"] in listing["plans"]
 
+    def test_replace_stream_batch_is_one_journal_record(
+        self, durable_server, tmp_path
+    ):
+        srv = durable_server()
+        wait_for_status(srv, "ok")
+        texts = plan_texts(4)
+        status, _, payload = request(
+            srv, "POST", "/plans", json.dumps({"plans": texts}),
+            content_type="application/json",
+        )
+        assert status == 201
+        status, _, summary = request(
+            srv, "POST", "/plans/stream?replace=1&batch=4",
+            "".join(json.dumps(text) + "\n" for text in texts),
+            content_type="application/x-ndjson",
+        )
+        assert status == 201 and summary["count"] == 4
+        records = scan_wal(str(tmp_path / "data" / "wal-0.log")).records
+        assert [record["op"] for record in records] == ["add_batch"] * 2
+        assert [(plan_id, rev) for plan_id, rev, _ in records[1]["plans"]] \
+            == [(plan_id, 2) for plan_id in payload["planIds"]]
+
     def test_malformed_batch_body_is_400(self, durable_server):
         srv = durable_server()
         wait_for_status(srv, "ok")

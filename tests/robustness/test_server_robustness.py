@@ -104,6 +104,19 @@ class TestBodyValidation:
         assert status == 400
         assert payload["code"] == "bad_content_length"
 
+    @pytest.mark.parametrize("route", ["/plans", "/plans/stream"])
+    @pytest.mark.parametrize("length", ["+10", "1_0"])
+    def test_non_digit_content_length_is_400(self, server, route, length):
+        """``int()`` reads both spellings as ten; RFC 9110 allows only
+        ASCII digits."""
+        [(status, _, body)] = raw_exchange(
+            server,
+            f"POST {route} HTTP/1.1\r\nContent-Length: {length}\r\n\r\n"
+            .encode("latin-1") + b'"12345678"',
+        )
+        assert status == 400
+        assert json.loads(body)["code"] == "bad_content_length"
+
     def test_oversized_body_is_413(self, server):
         server.state.max_body_bytes = 64
         body = b"x" * 1000

@@ -183,6 +183,37 @@ def test_session_torn_line_keeps_committed_prefix(state):
         assert [t.plan_id for t in state.tool.workload] == ["kept"]
 
 
+def test_session_replace_batch_is_atomic(state):
+    """A ``?replace=1`` batch commits whole or not at all: a parse
+    failure on its second line leaves the workload as the previous
+    batch left it, and ``ingested`` counts only that batch."""
+
+    def line(text, plan_id):
+        record = {"plan": text, "id": plan_id}
+        return json.dumps(record).encode("utf-8") + b"\n"
+
+    def snapshot():
+        with state.lock:
+            return [(t.plan_id, t.graph.version) for t in state.tool.workload]
+
+    with state.lock:
+        state.tool.clear()
+    session = StreamSession(state, {"batch": ["3"], "replace": ["1"]})
+    session.feed(b"".join(line(TEXTS[i], f"p{i}") for i in range(3)))
+    before = snapshot()
+    assert [plan_id for plan_id, _ in before] == ["p0", "p1", "p2"]
+    with pytest.raises(StreamError) as excinfo:
+        session.feed(
+            line(TEXTS[3], "p0")
+            + line("not an explain plan", "p1")
+            + line(TEXTS[4], "p2")
+        )
+    assert excinfo.value.status == 400
+    assert excinfo.value.code == "parse_error"
+    assert excinfo.value.ingested == 3
+    assert snapshot() == before
+
+
 # ----------------------------------------------------------------------
 # Layer 3: live server, arbitrary chunked-transfer frame boundaries
 # ----------------------------------------------------------------------

@@ -63,9 +63,9 @@ class TestJournalOnlyRecovery:
 
     def test_mutations_replay_without_checkpoint(self, tmp_path):
         store = opened(tmp_path)
-        store.record_add("p1", "SRC1")
-        store.record_add("p2", "SRC2")
-        store.record_replace("p1", "SRC1b")
+        store.record_plans([("p1", 1, "SRC1")])
+        store.record_plans([("p2", 1, "SRC2")])
+        store.record_plans([("p1", 2, "SRC1b")])
         store.record_remove("p2")
         store.record_kb_entry({"name": "entry"})
         store.close()
@@ -79,7 +79,7 @@ class TestJournalOnlyRecovery:
 
     def test_batch_add_is_one_journal_record(self, tmp_path):
         store = opened(tmp_path)
-        store.record_add_batch([("a", "SA"), ("b", "SB"), ("c", "SC")])
+        store.record_plans([("a", 1, "SA"), ("b", 1, "SB"), ("c", 1, "SC")])
         store.close()
         scan = scan_wal(str(tmp_path / "wal-0.log"))
         assert len(scan.records) == 1
@@ -91,12 +91,11 @@ class TestJournalOnlyRecovery:
 
     def test_revisions_survive_remove_and_clear(self, tmp_path):
         store = opened(tmp_path)
-        first = store.record_add("p", "S1")
+        store.record_plans([("p", 1, "S1")])
         store.record_remove("p")
-        second = store.record_add("p", "S2")
+        store.record_plans([("p", 2, "S2")])
         store.record_clear()
-        third = store.record_add("p", "S3")
-        assert (first, second, third) == (1, 2, 3)
+        store.record_plans([("p", 3, "S3")])
         store.close()
 
         again = DurableStore(str(tmp_path))
@@ -115,10 +114,10 @@ class TestJournalOnlyRecovery:
 class TestCheckpointRecovery:
     def test_checkpoint_plus_tail_replay(self, tmp_path):
         store = opened(tmp_path)
-        store.record_add("p1", "S1")
+        store.record_plans([("p1", 1, "S1")])
         seq = checkpoint_all(store)
         assert seq == 1
-        store.record_add("p2", "S2")  # tail: journaled after the ckpt
+        store.record_plans([("p2", 1, "S2")])  # tail: journaled after the ckpt
         store.close()
 
         again = DurableStore(str(tmp_path))
@@ -133,8 +132,8 @@ class TestCheckpointRecovery:
 
     def test_torn_tail_is_truncated_on_disk(self, tmp_path):
         store = opened(tmp_path)
-        store.record_add("p1", "S1")
-        store.record_add("p2", "S2")
+        store.record_plans([("p1", 1, "S1")])
+        store.record_plans([("p2", 1, "S2")])
         store.close()
         wal_path = tmp_path / "wal-0.log"
         clean_size = os.path.getsize(wal_path)
@@ -146,7 +145,7 @@ class TestCheckpointRecovery:
         assert [p[0] for p in info.plans] == ["p1", "p2"]
         assert info.truncated_bytes > 0
         assert os.path.getsize(wal_path) == clean_size  # physically repaired
-        again.record_add("p3", "S3")  # journal accepts appends again
+        again.record_plans([("p3", 1, "S3")])  # journal accepts appends again
         again.close()
         third = DurableStore(str(tmp_path))
         assert [p[0] for p in third.recover().plans] == ["p1", "p2", "p3"]
@@ -160,11 +159,11 @@ class TestCheckpointRecovery:
 
     def test_corrupt_newest_checkpoint_falls_back(self, tmp_path):
         store = opened(tmp_path, keep_checkpoints=3)
-        store.record_add("p1", "S1")
+        store.record_plans([("p1", 1, "S1")])
         checkpoint_all(store)  # ckpt-1
-        store.record_add("p2", "S2")
+        store.record_plans([("p2", 1, "S2")])
         checkpoint_all(store)  # ckpt-2
-        store.record_add("p3", "S3")  # tail in wal-2
+        store.record_plans([("p3", 1, "S3")])  # tail in wal-2
         store.close()
 
         # Corrupt ckpt-2's blob: recovery must fall back to ckpt-1 and
@@ -184,7 +183,7 @@ class TestCheckpointRecovery:
     def test_pruning_keeps_newest_two_and_their_journals(self, tmp_path):
         store = opened(tmp_path)
         for index in range(4):
-            store.record_add(f"p{index}", f"S{index}")
+            store.record_plans([(f"p{index}", 1, f"S{index}")])
             checkpoint_all(store)
         store.close()
         ckpts = sorted(p.name for p in tmp_path.glob("ckpt-*.bin"))
@@ -198,14 +197,14 @@ class TestCheckpointRecovery:
 
     def test_checkpoint_requires_every_snapshot(self, tmp_path):
         store = opened(tmp_path)
-        store.record_add("p1", "S1")
+        store.record_plans([("p1", 1, "S1")])
         with pytest.raises(DurabilityError, match="missing a snapshot"):
             store.checkpoint({}, {}, None)
         store.close()
 
     def test_crash_before_rename_preserves_previous_state(self, tmp_path):
         store = opened(tmp_path)
-        store.record_add("p1", "S1")
+        store.record_plans([("p1", 1, "S1")])
         with chaos.injected("checkpoint.rename", exc=RuntimeError("crash")):
             with pytest.raises(DurabilityError):
                 checkpoint_all(store)
@@ -222,15 +221,15 @@ class TestCheckpointRecovery:
 class TestFailureDegradation:
     def test_journal_failure_degrades_to_read_only(self, tmp_path):
         store = opened(tmp_path)
-        store.record_add("p1", "S1")
+        store.record_plans([("p1", 1, "S1")])
         with chaos.injected("wal.append", exc=OSError("device gone")):
             with pytest.raises(DurabilityError):
-                store.record_add("p2", "S2")
+                store.record_plans([("p2", 1, "S2")])
         assert store.read_only and store.state == "read_only"
         assert "failure" in store.status()
         # Every further mutation refuses — even with chaos disarmed.
         with pytest.raises(DurabilityError):
-            store.record_add("p3", "S3")
+            store.record_plans([("p3", 1, "S3")])
         with pytest.raises(DurabilityError):
             store.checkpoint({}, {}, None)
         store.close()
@@ -250,7 +249,7 @@ class TestFailureDegradation:
         store = DurableStore(str(tmp_path))
         assert store.state == "recovering"
         with pytest.raises(DurabilityError):
-            store.record_add("p", "S")
+            store.record_plans([("p", 1, "S")])
         store.close()
 
     def test_invalid_fsync_policy_rejected(self, tmp_path):

@@ -7,12 +7,16 @@ re-matches — with search results bit-identical to a never-crashed
 control.
 """
 
+import shutil
+
 import pytest
 
 from repro.core.optimatch import OptImatch
+from repro.core.transform import transform_plan
 from repro.qep.parser import parse_plan
 from repro.qep.writer import write_plan
-from repro.store import DurabilityError, split_version
+from repro.store import DurabilityError, WalWriter, split_version
+from repro.testing import chaos
 from repro.workload import generate_workload
 
 SPARQL = (
@@ -161,6 +165,96 @@ class TestDeltaInvalidation:
             tool.close()
 
 
+def revisions_of(plans):
+    return [split_version(t.graph.version)[0] for t in plans]
+
+
+class TestRevisions:
+    """The facade allocates every revision; the journal records them."""
+
+    def test_revisions_survive_remove_clear_and_restart(
+        self, tmp_path, texts
+    ):
+        tool = OptImatch(workers=1, data_dir=str(tmp_path), fsync="async")
+        first = tool.load_explain_text(texts[0])
+        tool.remove_plan(first.plan_id)
+        second = tool.load_explain_text(texts[0])
+        tool.clear()
+        tool.close()
+        with OptImatch(workers=1, data_dir=str(tmp_path)) as recovered:
+            third = recovered.load_explain_text(texts[0])
+        assert revisions_of([first, second, third]) == [1, 2, 3]
+
+    def test_replace_batch_repeating_an_id(self, tmp_path, texts):
+        """Each copy takes the next revision and the last one wins;
+        journal-only recovery rebuilds the same graph and version."""
+        data_dir = tmp_path / "data"
+        tool = OptImatch(workers=1, data_dir=str(data_dir), fsync="async")
+        try:
+            tool.load_explain_batch(texts[:2], plan_ids=["a", "b"])
+            committed = tool.load_explain_batch(
+                [texts[2], texts[0], texts[1]],
+                plan_ids=["a", "c", "a"],
+                replace=True,
+            )
+            assert [t.plan_id for t in committed] == ["a", "c", "a"]
+            assert revisions_of(committed) == [2, 1, 3]
+            assert [t.plan_id for t in tool.workload] == ["a", "b", "c"]
+            assert tool.plan("a") is committed[-1]
+            expected = {
+                t.plan_id: (list(t.graph.triples()), t.graph.version)
+                for t in tool.workload
+            }
+            shutil.copytree(data_dir, tmp_path / "journal-only")
+        finally:
+            tool.close()
+        with OptImatch(
+            workers=1, data_dir=str(tmp_path / "journal-only")
+        ) as recovered:
+            status = recovered.durability_status()["recovery"]
+            assert status["checkpointSeq"] == 0
+            assert status["replayedRecords"] == 2
+            assert {
+                t.plan_id: (list(t.graph.triples()), t.graph.version)
+                for t in recovered.workload
+            } == expected
+
+    def test_journal_failure_allocates_nothing(self, tmp_path, texts):
+        tool = OptImatch(workers=1, data_dir=str(tmp_path), fsync="async")
+        try:
+            added = tool.load_explain_text(texts[0])
+            with chaos.injected("wal.append", exc=OSError("device gone")):
+                with pytest.raises(DurabilityError):
+                    tool.replace_explain_text(texts[1], added.plan_id)
+            assert tool.workload == [added]
+            assert tool._revisions == {added.plan_id: 1}
+        finally:
+            tool.close()
+
+    def test_add_and_replace_records_still_recover(self, tmp_path, texts):
+        """Older versions journaled single-plan ``add`` and ``replace``
+        records; their data directories must still recover."""
+        writer = WalWriter(str(tmp_path / "wal-0.log"), fsync="async")
+        for op, plan_id, rev, source in [
+            ("add", "a", 1, texts[0]),
+            ("add", "b", 1, texts[1]),
+            ("replace", "a", 2, texts[2]),
+        ]:
+            writer.append(
+                {"op": op, "plan": plan_id, "rev": rev, "source": source}
+            )
+        writer.close()
+        with OptImatch(workers=1, data_dir=str(tmp_path)) as tool:
+            assert [t.plan_id for t in tool.workload] == ["a", "b"]
+            assert revisions_of(tool.workload) == [2, 1]
+            fresh = transform_plan(parse_plan(texts[2], "a"))
+            assert list(tool.plan("a").graph.triples()) == list(
+                fresh.graph.triples()
+            )
+            replaced = tool.replace_explain_text(texts[0], "a")
+            assert revisions_of([replaced]) == [3]
+
+
 class TestStampingWithoutDurability:
     """The revision stamp also fixes a pre-existing stale-cache hazard
     with durability OFF: clear() + re-add of a same-sized plan used to
@@ -215,7 +309,7 @@ class TestDisabledPath:
         try:
             added = tool.add_plan(parse_plan(texts[0]))
             tool.load_explain_text(texts[1])
-            assert tool.load_explain_batch([texts[2]]) == 1
+            assert len(tool.load_explain_batch([texts[2]])) == 1
             tool.replace_explain_text(texts[1])
             tool.remove_plan(added.plan_id)
             assert tool.plan_count == 2
