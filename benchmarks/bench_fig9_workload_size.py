@@ -1,35 +1,22 @@
-"""Figure 9 — search time versus number of QEP files.
+"""Figure 9's ordering claim: recursive Pattern #2 is the costliest.
 
-``test_fig9_report`` regenerates the figure's series (all ten buckets,
-all three patterns) and asserts the paper's shape claims: linear growth
-and Pattern #2 costing more than the non-recursive patterns.  The
-``test_search_*`` benchmarks time the individual measured operation
-(matching one pattern over the full workload).
+The paper finds Pattern #2 about twice as slow as #1 and #3, because
+its descendant relationships make the SPARQL recursive.  This engine
+plans #2's property paths from their bound end, so at scale 0.1 #2 is
+the cheapest of the three, in seconds and in visited bindings (8,602
+against 23,811 and 16,454 at 100 QEPs), and this check fails.  It
+stays unchanged, a visible failure, until the planner's path estimates
+(ROADMAP item 2) settle what the engine should do.  Tier-1 holds the
+rest of Figure 9 on visited bindings
+(``tests/experiments/test_experiments.py::TestFig9AtTenthScale``).
 """
 
-import pytest
-
 from benchmarks.conftest import write_report
-from repro.core.matcher import find_matches
 from repro.experiments import fig9, linear_fit_r2
 
 
-@pytest.mark.parametrize("label", ["#1", "#2", "#3"])
-def test_search_full_workload(benchmark, workload, queries, label):
-    result = benchmark(find_matches, queries[label], workload)
-    assert isinstance(result, list)
-
-
-@pytest.mark.parametrize("fraction", [0.25, 0.5, 1.0])
-def test_search_scaling_pattern1(benchmark, workload, queries, fraction):
-    subset = workload[: max(1, int(len(workload) * fraction))]
-    benchmark(find_matches, queries["#1"], subset)
-
-
-def test_fig9_report(benchmark, scale):
-    table = benchmark.pedantic(
-        fig9.run, kwargs={"scale": scale, "seed": 2016}, rounds=1, iterations=1
-    )
+def test_fig9_report():
+    table = fig9.run(scale=0.1, seed=2016)
     write_report("fig9", table.to_text())
     series = fig9.series_from_table(table)
     sizes = series["sizes"]

@@ -1,21 +1,15 @@
-"""Cached and process-parallel matching engine on the Fig-9 workload.
+"""Process scale-out: speedup of the multiprocess matching tier.
 
-Demonstrates the scaling claims of ``repro.core.engine``:
-
-* **cache**: an identical repeated search over an unchanged workload is
-  served from the per-plan match cache — the hit rate is asserted to be
-  >= 90% and the warm pass is asserted faster than the cold pass;
-* **process scale-out**: more than one worker escapes the GIL entirely
-  by evaluating plans in pool workers over zero-copy shared-memory graph
-  snapshots (``docs/scale-out.md``).  The ``process_scaleout`` JSON
-  section records speedup vs. serial per worker count plus the snapshot
-  build/attach amortization; the >=1.6x @ 4 workers threshold is
-  asserted only on hosts with >= 4 CPUs (and not under
-  ``OPTIMATCH_PERF_SMOKE=1``) — elsewhere it is report-only with an
-  explicit note.
-
-Engine and bare serial matcher must return identical matches
-(asserted).
+More than one worker escapes the GIL by evaluating plans in pool
+workers over zero-copy shared-memory graph snapshots
+(``docs/scale-out.md``).  This check measures the tier against the
+serial matcher on the Figure 9 workload at scale 0.1, records per
+worker count the speedup and the snapshot build/attach amortization
+(the ``process_scaleout`` section of ``reports/BENCH_matching.json``),
+and asserts that every worker count returns the serial matches.  On
+hosts with at least 4 CPUs it also asserts >=1.6x at 4 workers;
+elsewhere that bar is report-only, with a note.  It stays here until
+the repository benchmark (``perfbench/``) measures a process-pool arm.
 """
 
 import os
@@ -32,14 +26,6 @@ from repro.kb.builtin import builtin_sparql
 WORKER_COUNTS = [1, 2, 4]
 
 
-def _hit_rate(before, after):
-    """Match-cache hit rate between two ``stats()`` snapshots (the
-    counters only rise, so a window is a before/after delta)."""
-    hits = after["matchCache"]["hits"] - before["matchCache"]["hits"]
-    misses = after["matchCache"]["misses"] - before["matchCache"]["misses"]
-    return hits / (hits + misses)
-
-
 def _signatures(matches):
     return [
         (m.plan_id, [o.signature() for o in m.occurrences]) for m in matches
@@ -49,96 +35,6 @@ def _signatures(matches):
 @pytest.fixture(scope="module")
 def sparql():
     return builtin_sparql("A")
-
-
-def test_parallel_identical_to_serial(workload, sparql):
-    serial = find_matches(sparql, workload)
-    with MatchingEngine() as engine:
-        assert _signatures(engine.search(sparql, workload)) == _signatures(
-            serial
-        ), "the engine diverged from the serial matcher"
-
-
-def test_serial_baseline(benchmark, workload, sparql):
-    benchmark(find_matches, sparql, workload)
-
-
-def test_engine_cold(benchmark, workload, sparql):
-    """Uncached evaluation cost (cache off so every benchmark round
-    measures real evaluation, not a cache hit)."""
-    engine = MatchingEngine(cache=False)
-    benchmark(engine.search, sparql, workload)
-    engine.close()
-
-
-def test_engine_warm_cache(benchmark, workload, sparql):
-    """Repeated identical search: served from the match cache."""
-    engine = MatchingEngine()
-    engine.search(sparql, workload)  # warm
-    before = engine.stats()  # count only the repeated (cached) searches
-    benchmark(engine.search, sparql, workload)
-    hit_rate = _hit_rate(before, engine.stats())
-    assert hit_rate >= 0.9, f"expected >=90% cache hits, got {hit_rate:.1%}"
-
-
-def test_parallel_matching_report(workload, sparql):
-    """Timed sweep: serial vs engine {cold, warm}; writes the report."""
-
-    def once(fn, *args, **kwargs):
-        start = time.perf_counter()
-        fn(*args, **kwargs)
-        return time.perf_counter() - start
-
-    serial_s = min(once(find_matches, sparql, workload) for _ in range(3))
-    lines = [
-        "Cached matching engine "
-        f"({len(workload)} plans, host cpus={os.cpu_count()})",
-        f"  serial find_matches:        {serial_s * 1e3:8.1f} ms",
-    ]
-    engine = MatchingEngine(cache=False)
-    cold = min(once(engine.search, sparql, workload) for _ in range(3))
-    engine.close()
-    lines.append(
-        f"  engine cold:                {cold * 1e3:8.1f} ms "
-        f"(speedup vs serial: {serial_s / cold:4.2f}x)"
-    )
-
-    engine = MatchingEngine()
-    engine.search(sparql, workload)  # warm the cache
-    before = engine.stats()  # measure the repeated searches, not the warm-up
-    warm = min(once(engine.search, sparql, workload) for _ in range(3))
-    hit_rate = _hit_rate(before, engine.stats())
-    lines.append(
-        f"  engine warm cache:          {warm * 1e3:8.1f} ms "
-        f"(speedup vs serial: {serial_s / max(warm, 1e-9):4.2f}x, "
-        f"hit rate {hit_rate:.1%})"
-    )
-    write_report("parallel_matching", "\n".join(lines))
-    write_json_report(
-        "parallel_matching",
-        {
-            "workloadPlans": len(workload),
-            "serial": {
-                "totalSeconds": round(serial_s, 6),
-                "plansPerSecond": round(len(workload) / serial_s, 2),
-            },
-            "engineCold": {
-                "totalSeconds": round(cold, 6),
-                "plansPerSecond": round(len(workload) / cold, 2),
-                "speedupVsSerial": round(serial_s / cold, 3),
-            },
-            "engineWarmCache": {
-                "totalSeconds": round(warm, 6),
-                "plansPerSecond": round(len(workload) / max(warm, 1e-9), 2),
-                "speedupVsSerial": round(serial_s / max(warm, 1e-9), 3),
-                "matchCacheHitRate": round(hit_rate, 4),
-            },
-        },
-    )
-
-    # The cache claims hold everywhere.
-    assert hit_rate >= 0.9
-    assert warm < serial_s, "a fully cached search must beat serial"
 
 
 @pytest.mark.skipif(
@@ -153,7 +49,6 @@ def test_process_scaleout_report(workload, sparql):
     per-worker attach amortize over repeated searches.
     """
     cpus = os.cpu_count() or 1
-    smoke = os.environ.get("OPTIMATCH_PERF_SMOKE") == "1"
 
     def once(fn, *args, **kwargs):
         start = time.perf_counter()
@@ -201,8 +96,8 @@ def test_process_scaleout_report(workload, sparql):
             f"{snap['attachSeconds'] * 1e3:.1f} ms)"
         )
 
-    threshold_applies = cpus >= 4 and not smoke
-    if cpus < 4:
+    threshold_applies = cpus >= 4
+    if not threshold_applies:
         note = (
             f"host has {cpus} CPU(s) < 4 — the >=1.6x @ 4 workers "
             "threshold is report-only on this host (process scale-out "
@@ -210,10 +105,6 @@ def test_process_scaleout_report(workload, sparql):
             "to dominate)"
         )
         lines.append(f"  note: {note}")
-    elif smoke:
-        lines.append(
-            "  note: OPTIMATCH_PERF_SMOKE=1 — thresholds are report-only"
-        )
 
     write_report("process_scaleout", "\n".join(lines))
     write_json_report(

@@ -1,8 +1,11 @@
-"""Shared benchmark fixtures.
+"""Shared fixtures of the two checks that have no tier-1 form yet.
 
-Workload sizes are controlled by ``OPTIMATCH_SCALE`` (default 0.1; the
-paper's sizes correspond to 1.0).  Fixtures are session-scoped so the
-(deterministic) generation and transform cost is paid once per run.
+Both run the Figure 9 workload at scale 0.1 (100 plans, seed 2016);
+``optimatch experiment fig9`` prints the same figure.  Run them by
+name (the tier-1 suite does not collect this directory)::
+
+    PYTHONPATH=src python -m pytest -s benchmarks/bench_fig9_workload_size.py
+    PYTHONPATH=src python -m pytest -s benchmarks/bench_parallel_matching.py
 """
 
 from __future__ import annotations
@@ -14,42 +17,13 @@ import platform
 import pytest
 
 from repro.core.transform import transform_workload
-from repro.experiments.common import default_scale
 from repro.experiments.workloads import experiment_workload
-from repro.kb.builtin import builtin_sparql
-from repro.sparql import prepare_query
-
-
-def bench_scale() -> float:
-    return float(os.environ.get("OPTIMATCH_SCALE", "0.1"))
 
 
 @pytest.fixture(scope="session")
-def scale():
-    return bench_scale()
-
-
-@pytest.fixture(scope="session")
-def workload_plans(scale):
-    """The main benchmark workload (paper shape, scaled size)."""
-    n_plans = max(10, int(round(100 * scale * 10)))  # scale 0.1 -> 100
-    return experiment_workload(n_plans, seed=2016)
-
-
-@pytest.fixture(scope="session")
-def workload(workload_plans):
-    """Transformed (RDF) version of the main workload."""
-    return transform_workload(workload_plans)
-
-
-@pytest.fixture(scope="session")
-def queries():
-    """Prepared SPARQL for the paper's three timing patterns."""
-    return {
-        "#1": prepare_query(builtin_sparql("A")),
-        "#2": prepare_query(builtin_sparql("B")),
-        "#3": prepare_query(builtin_sparql("C")),
-    }
+def workload():
+    """The Figure 9 workload at scale 0.1, transformed to RDF."""
+    return transform_workload(experiment_workload(100, seed=2016))
 
 
 def write_report(name: str, text: str) -> None:
@@ -62,18 +36,13 @@ def write_report(name: str, text: str) -> None:
     print(f"\n{text}\n[report written to {path}]")
 
 
-#: Machine-readable benchmark results, merged across benchmark modules so
-#: the perf trajectory is trackable across PRs (and uploadable from CI).
+#: Machine-readable benchmark results, one section per check.
 BENCH_JSON = os.path.join(os.path.dirname(__file__), "reports", "BENCH_matching.json")
 
 
 def write_json_report(section: str, payload: dict) -> None:
-    """Merge *payload* under ``sections[section]`` in BENCH_matching.json.
-
-    Each benchmark module owns one section; running a single module
-    updates its section and leaves the others in place, so the committed
-    file stays complete regardless of which benchmarks a run selects.
-    """
+    """Merge *payload* under ``sections[section]`` in BENCH_matching.json,
+    leaving the other sections in place."""
     os.makedirs(os.path.dirname(BENCH_JSON), exist_ok=True)
     data: dict = {}
     if os.path.exists(BENCH_JSON):

@@ -643,8 +643,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("experiment", help="reproduce a paper figure/table")
     p.add_argument("name", help="fig9 | fig10 | fig11 | study")
-    p.add_argument("--scale", type=float, default=None,
-                   help="workload scale (1.0 = paper size)")
+    p.add_argument("--scale", type=float, default=0.1,
+                   help="workload scale (1.0 = paper size; default 0.1)")
     p.set_defaults(func=_cmd_experiment)
 
     return parser

@@ -308,13 +308,19 @@ class OptImatch:
         *plan_ids*, when given, pairs an explicit id with each text
         (``None`` entries keep the parsed/default id) — the streaming
         ingest route uses this so tree snippets, whose default id is
-        shared, can be batched.  Explicit ids survive recovery: the
-        journal records ``(plan_id, text)`` and replay re-parses the
-        text with the recorded id.  *replace* upserts each plan by id
-        (the ``?replace=1`` ingest routes; see :meth:`_commit`).
+        shared, can be batched.  A *plan_ids* of another length than
+        *texts* raises :class:`ValueError` before anything is parsed.
+        Explicit ids survive recovery: the journal records
+        ``(plan_id, text)`` and replay re-parses the text with the
+        recorded id.  *replace* upserts each plan by id (the
+        ``?replace=1`` ingest routes; see :meth:`_commit`).
         """
         texts = list(texts)
-        ids = [None] * len(texts) if plan_ids is None else plan_ids
+        ids = [None] * len(texts) if plan_ids is None else list(plan_ids)
+        if len(ids) != len(texts):
+            raise ValueError(
+                f"{len(ids)} plan ids for {len(texts)} explain texts"
+            )
         plans = [
             self._parse_explain(text, plan_id)
             for text, plan_id in zip(texts, ids)

@@ -10,9 +10,13 @@ One module per figure/table:
   time) and Table 1 (manual search quality).
 
 Each module exposes ``run(scale=..., seed=...)`` returning a result
-object with rows and a ``to_text()`` paper-style report.  ``scale``
-shrinks workload sizes so benchmarks finish quickly; a scale of 1.0 is
-the paper's full size (1000 QEPs).
+object with rows and a ``to_text()`` paper-style report;
+``optimatch experiment fig9|fig10|fig11|study [--scale S]`` prints it.
+``scale`` shrinks workload sizes (default 0.1) so a run finishes within
+a minute; a scale of 1.0 is the paper's full size (1000 QEPs).  The
+tier-1 tests in ``tests/experiments/`` check the paper's shape claims
+at the default scale on visited bindings, which repeat exactly for a
+seed.
 """
 
 from repro.experiments.common import ExperimentTable, linear_fit_r2

@@ -21,7 +21,7 @@ from repro.core.limits import Budget, activate
 from repro.core.matcher import search_plan
 from repro.core.sparqlgen import pattern_to_sparql
 from repro.core.transform import transform_plan
-from repro.experiments.common import ExperimentTable, default_scale, timed
+from repro.experiments.common import DEFAULT_SCALE, ExperimentTable, timed
 from repro.experiments.workloads import bucketed_workload
 from repro.kb.builtin import make_pattern
 from repro.obs.profiler import StageTimer
@@ -33,12 +33,11 @@ PATTERN_IDS = {"#1": "A", "#2": "B", "#3": "C"}
 
 
 def run(
-    scale: Optional[float] = None,
+    scale: float = DEFAULT_SCALE,
     seed: int = 2016,
     plans_per_bucket: Optional[int] = None,
 ) -> ExperimentTable:
     """Run the Figure 10 sweep: average ms per plan, per bucket."""
-    scale = default_scale() if scale is None else scale
     if plans_per_bucket is None:
         # Per-plan times vary a lot with pattern incidence (especially
         # Pattern #2, which is nearly free on LOJ-less plans), so keep a

@@ -19,7 +19,7 @@ from __future__ import annotations
 from typing import Dict, List, Optional
 
 from repro.core.limits import Budget
-from repro.experiments.common import ExperimentTable, default_scale, timed
+from repro.experiments.common import DEFAULT_SCALE, ExperimentTable, timed
 from repro.experiments.workloads import transformed_experiment_workload
 from repro.obs.profiler import StageTimer
 
@@ -47,11 +47,10 @@ def _kb_of_size(size: int):
 
 
 def run(
-    scale: Optional[float] = None,
+    scale: float = DEFAULT_SCALE,
     seed: int = 2016,
     kb_sizes: Optional[List[int]] = None,
 ) -> ExperimentTable:
-    scale = default_scale() if scale is None else scale
     n_plans = max(5, int(round(1000 * scale * 0.1)))
     # KB sizes shrink with scale too, but keep the paper's four points.
     if kb_sizes is None:

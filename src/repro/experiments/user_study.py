@@ -22,7 +22,7 @@ from repro.baselines.manual_expert import SimulatedExpert, search_quality
 from repro.core.matcher import find_matches
 from repro.core.sparqlgen import pattern_to_sparql
 from repro.core.transform import transform_workload
-from repro.experiments.common import ExperimentTable, default_scale, timed
+from repro.experiments.common import DEFAULT_SCALE, ExperimentTable, timed
 from repro.experiments.workloads import experiment_workload
 from repro.kb.builtin import make_pattern
 from repro.obs.profiler import StageTimer
@@ -51,11 +51,10 @@ class UserStudyResult:
 
 
 def run(
-    scale: Optional[float] = None,
+    scale: float = DEFAULT_SCALE,
     seed: int = 2016,
     n_plans: Optional[int] = None,
 ) -> UserStudyResult:
-    scale = default_scale() if scale is None else scale
     if n_plans is None:
         n_plans = max(10, int(round(100 * max(scale, 0.1))))
     timer = StageTimer()

@@ -82,7 +82,7 @@ Bindings = Dict[Variable, Term]
 
 _XSD = "http://www.w3.org/2001/XMLSchema#"
 
-#: Policy switches (used by the ablation benchmarks; leave True in
+#: Policy switches (used by the ablation tests; leave True in
 #: production).  JOIN_REORDERING toggles the cost-based BGP join order
 #: (off: written order); CLOSURE_CACHING toggles the per-graph
 #: property-path closure memo.

@@ -173,7 +173,7 @@ def memo_insert(memo: dict, key, entry: tuple, cap: int, lock) -> tuple:
 
 
 def invalidate(graph: Graph) -> None:
-    """Drop any memoized plans for *graph* (benchmarks force cold cache)."""
+    """Drop any memoized plans for *graph* (tests force cold passes)."""
     with _PLAN_LOCK:
         try:
             delattr(graph, _PLAN_ATTR)

@@ -1,4 +1,4 @@
-"""Shared fixtures: the Figure 1 plan and small canned workloads."""
+"""Shared fixtures: the Figure 1 plan and canned workloads."""
 
 from __future__ import annotations
 
@@ -91,6 +91,15 @@ def build_figure1_plan(plan_id: str = "fig1") -> PlanGraph:
 @pytest.fixture
 def figure1_plan() -> PlanGraph:
     return build_figure1_plan()
+
+
+@pytest.fixture(scope="session")
+def fig9_workload_plans():
+    """The Figure 9 experiment workload at scale 0.1: 100 paper-sized
+    plans, seed 2016."""
+    from repro.experiments.workloads import experiment_workload
+
+    return experiment_workload(100, seed=2016)
 
 
 @pytest.fixture(scope="session")

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.core import OptImatch, transform_plan
+from repro.core import OptImatch, transform_plan, transform_workload
 from repro.core.engine import LRUCache, MatchingEngine
 from repro.core.matcher import find_matches
 from repro.kb import builtin_knowledge_base
@@ -125,6 +125,30 @@ class TestMatchCache:
         engine.clear_caches()
         assert engine.stats()["matchCache"]["size"] == 0
         assert engine.stats()["preparedCache"]["size"] == 0
+
+
+class TestFig9Workload:
+    """The engine on the Figure 9 workload (100 plans, seed 2016)."""
+
+    @pytest.fixture(scope="class")
+    def workload(self, fig9_workload_plans):
+        return transform_workload(fig9_workload_plans)
+
+    def test_identical_to_find_matches(self, workload):
+        serial = find_matches(builtin_sparql("A"), workload)
+        with MatchingEngine() as engine:
+            cached = engine.search(builtin_sparql("A"), workload)
+        assert _signatures(cached) == _signatures(serial)
+
+    def test_repeated_search_evaluates_no_plan(self, workload):
+        engine = MatchingEngine(workers=1)
+        engine.search(builtin_sparql("A"), workload)
+        before = engine.stats()
+        engine.search(builtin_sparql("A"), workload)
+        after = engine.stats()
+        assert after["plansEvaluated"] == before["plansEvaluated"]
+        hits = after["matchCache"]["hits"] - before["matchCache"]["hits"]
+        assert hits == len(workload)
 
 
 class TestPreparedCache:

@@ -1,9 +1,11 @@
-"""Experiment harnesses: structure, sanity and scaling shape at tiny scale."""
+"""Experiment harnesses: structure and sanity at tiny scale, and the
+paper's shape claims (Section 3) on visited bindings at the scale
+``optimatch experiment`` prints by default."""
 
 import pytest
 
 from repro.experiments import fig9, fig10, fig11, linear_fit_r2, user_study
-from repro.experiments.common import ExperimentTable, default_scale, timed
+from repro.experiments.common import ExperimentTable, timed
 from repro.experiments.workloads import (
     PAPER_PLANT_RATES,
     bucketed_workload,
@@ -36,10 +38,6 @@ class TestCommon:
         table.add_note("note")
         text = table.to_text()
         assert "T" in text and "2.5" in text and "* note" in text
-
-    def test_default_scale_env(self, monkeypatch):
-        monkeypatch.setenv("OPTIMATCH_SCALE", "0.25")
-        assert default_scale() == 0.25
 
 
 class TestWorkloads:
@@ -115,8 +113,7 @@ class TestFig9:
 
     # Work, not wall-clock time: at this tiny scale timing noise
     # dominates, while the visited-binding count repeats exactly per
-    # seed.  The strict R² check on seconds stays with the scale-0.1
-    # benchmark (bench_fig9_workload_size.py).
+    # seed.  TestFig9AtTenthScale checks linearity at scale 0.1.
     def test_visited_bindings(self, table):
         series = fig9.series_from_table(table)
         assert series["bindings #1"] == [
@@ -141,6 +138,36 @@ class TestFig9:
 
     def test_report_embeds_stage_breakdown(self, table):
         assert_stage_breakdown(table, "generate", "transform", "search")
+
+
+class TestFig9AtTenthScale:
+    """Figure 9 at scale 0.1 (10..100 QEPs), seed 2016.
+
+    The paper also finds recursive Pattern #2 the costliest, about 2x
+    the others.  This engine plans #2's property paths from their bound
+    end, so at 100 QEPs #2 visits 8,602 bindings against 23,811 (#1)
+    and 16,454 (#3); benchmarks/bench_fig9_workload_size.py keeps
+    asserting the paper's ordering as a standing failure."""
+
+    @pytest.fixture(scope="class")
+    def series(self):
+        return fig9.series_from_table(fig9.run(scale=0.1, seed=2016))
+
+    def test_visited_bindings(self, series):
+        assert series["bindings #1"] == [
+            3121, 5703, 7749, 11041, 13453, 16164, 18524, 20204, 21928, 23811
+        ]
+        assert series["bindings #2"] == [
+            398, 603, 1528, 3344, 3344, 4365, 7374, 7875, 7875, 8602
+        ]
+        assert series["bindings #3"] == [
+            1879, 3724, 5473, 7215, 8912, 10554, 12249, 13663, 15059, 16454
+        ]
+
+    @pytest.mark.parametrize("label", ["#1", "#2", "#3"])
+    def test_linear_in_workload_size(self, series, label):
+        r2 = linear_fit_r2(series["sizes"], series[f"bindings {label}"])
+        assert r2 > 0.7, f"pattern {label} deviates from linear (R2={r2:.3f})"
 
 
 class TestFig10:
@@ -169,6 +196,23 @@ class TestFig10:
         assert_stage_breakdown(table, "generate", "transform", "search")
 
 
+class TestFig10AtTenthScale:
+    """Figure 10 at scale 0.1 (four plans per bucket), seed 2016."""
+
+    @pytest.fixture(scope="class")
+    def series(self):
+        return fig10.series_from_table(fig10.run(scale=0.1, seed=2016))
+
+    # Pattern #2's work follows a plan's left outer joins more than its
+    # size (EXPERIMENTS.md), so only #1 and #3 are held to a line.
+    @pytest.mark.parametrize("label", ["#1", "#3"])
+    def test_per_plan_work_grows_linearly(self, series, label):
+        bindings = series[f"bindings {label}"]
+        assert bindings[-1] > bindings[0]
+        r2 = linear_fit_r2(series["avg_ops"], bindings)
+        assert r2 > 0.6, f"pattern {label} not roughly linear (R2={r2:.3f})"
+
+
 class TestFig11:
     @pytest.fixture(scope="class")
     def table(self):
@@ -194,6 +238,20 @@ class TestFig11:
         )
 
 
+class TestFig11AtTenthScale:
+    """Figure 11 at scale 0.1 (10 QEPs), seed 2016."""
+
+    @pytest.fixture(scope="class")
+    def series(self):
+        return fig11.series_from_table(fig11.run(scale=0.1, seed=2016))
+
+    def test_linear_in_kb_size(self, series):
+        assert series["kb_sizes"] == [1, 10, 25]
+        assert series["bindings"] == [1625, 11157, 41841]
+        r2 = linear_fit_r2(series["kb_sizes"], series["bindings"])
+        assert r2 > 0.8, f"KB-size scaling deviates from linear (R2={r2:.3f})"
+
+
 class TestUserStudy:
     @pytest.fixture(scope="class")
     def result(self):
@@ -217,6 +275,20 @@ class TestUserStudy:
         # The paper reports ~40x; the model should land well above 5x.
         assert all(s > 5 for s in result.speedups.values())
 
+    @pytest.fixture(scope="class")
+    def paper_sample(self):
+        """Figure 12's setting: a 100-QEP sample, seed 2016."""
+        return user_study.run(scale=1.0, seed=2016, n_plans=100)
+
+    def test_speedup_over_8x_on_paper_sample(self, paper_sample):
+        """Like the check above, this reads a clock.  Tool time is
+        under a second of measured search plus the paper's 60 s
+        pattern-specification constant, against about 1,900 to 3,000
+        modelled expert seconds, so host speed moves the speedup (31,
+        50 and 34x on a 2-vCPU host; paper ~40x) by a few percent."""
+        for label, speedup in paper_sample.speedups.items():
+            assert speedup > 8, f"{label}: speedup {speedup:.1f}x too low"
+
     def test_to_text(self, result):
         text = result.to_text()
         assert "Figure 12" in text and "Table 1" in text
@@ -229,3 +301,33 @@ class TestUserStudy:
             "manual-search",
             "search",
         )
+
+
+class TestTable1:
+    """Table 1 on 100-QEP samples with known ground truth: simulated
+    experts miss matches, OptImatch finds every one."""
+
+    @pytest.fixture(scope="class")
+    def result(self):
+        return user_study.run(scale=1.0, seed=7, n_plans=100)
+
+    def test_optimatch_exact(self, result):
+        assert [row[4] for row in result.precision_table.rows] == [1.0] * 3
+
+    def test_manual_found_rates(self, result):
+        # Matches found by the three experts over three times the 18,
+        # 10 and 23 true matches (paper: 0.88, 0.71, 0.81).
+        assert result.found_rates == pytest.approx(
+            {"#1": 46 / 54, "#2": 21 / 30, "#3": 57 / 69}
+        )
+
+    def test_pattern2_weakest_over_seeds(self):
+        """Pattern #2 (recursive, hardest to eyeball) has the lowest
+        manual found-rate averaged over three study repetitions, as in
+        the paper (0.715 against 0.837 and 0.836)."""
+        sums = {"#1": 0.0, "#2": 0.0, "#3": 0.0}
+        for seed in (1, 32, 63):
+            result = user_study.run(scale=1.0, seed=seed, n_plans=100)
+            for label, rate in result.found_rates.items():
+                sums[label] += rate
+        assert sums["#2"] <= min(sums["#1"], sums["#3"])

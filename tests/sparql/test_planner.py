@@ -2,7 +2,9 @@
 
 Covers the join-order search (tie-breaking toward the written order,
 field-identical plans against a naive set-based reference search, the
-number of estimates one search makes, the anchor-path-anchor trap),
+number of estimates one search makes, the anchor-path-anchor trap and
+its visited bindings against written order, the both-free closure
+workload),
 FILTER costing and placement (exact selectivities, the step EXPLAIN
 reports), the per-graph plan memo (hits, version invalidation, explicit
 invalidation, bounded size), index selection, and the closure-direction
@@ -19,10 +21,9 @@ import weakref
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from benchmarks.bench_planner import CATALOG_SIZE, CATALOG_SPARQL, build_catalog
 from repro.core import limits
 from repro.core.sparqlgen import pattern_to_sparql
-from repro.core.transform import transform_plan
+from repro.core.transform import transform_plan, transform_workload
 from repro.experiments.workloads import (
     controlled_config,
     transformed_experiment_workload,
@@ -30,9 +31,9 @@ from repro.experiments.workloads import (
 from repro.kb.builtin import make_pattern
 from repro.obs.profiler import explain
 from repro.rdf import Graph, Literal, Namespace, Variable
-from repro.sparql import ast, evaluator, planner
+from repro.sparql import ast, evaluator, planner, prepare_query
 from repro.sparql.parser import parse_query
-from repro.workload.generator import WorkloadGenerator
+from repro.workload.generator import WorkloadGenerator, generate_workload
 
 EX = Namespace("http://n/")
 P = Namespace("http://p/")
@@ -778,11 +779,53 @@ class TestFilterPlacement:
         assert budget.bindings == 11 + 3 + 3
 
 
+CATALOG_SIZE = 400
+
+CATALOG_SPARQL = PREFIX + """SELECT ?a ?b WHERE {
+  ?a p:tag "left" .
+  ?b p:tag2 "right" .
+  ?a p:link+ ?b .
+}"""
+
+
+def build_catalog(size: int = CATALOG_SIZE) -> Graph:
+    """The linked catalog: *size* tagged left and right entries, each
+    left linked to its right."""
+    g = Graph()
+    for i in range(size):
+        g.add((EX[f"left{i}"], P.tag, Literal("left")))
+        g.add((EX[f"right{i}"], P.tag2, Literal("right")))
+        g.add((EX[f"left{i}"], P.link, EX[f"right{i}"]))
+    return g
+
+
+def drop_caches(graph):
+    """Forget *graph*'s memoized plans and closures."""
+    planner.invalidate(graph)
+    vars(graph).pop(evaluator._CLOSURE_ATTR, None)
+
+
+def cold_run(query, graphs, monkeypatch, reordering):
+    """Sorted rows and visited bindings of one cold pass over *graphs*,
+    in planned (*reordering*) or written join order."""
+    monkeypatch.setattr(evaluator, "JOIN_REORDERING", reordering)
+    budget = limits.Budget()
+    rows = []
+    with limits.activate(budget):
+        for graph in graphs:
+            drop_caches(graph)
+            result = evaluator.evaluate_query(query, graph)
+            rows.extend(
+                tuple(row.get(name) for name in result.variables)
+                for row in result
+            )
+    return sorted(rows, key=lambda row: [t.n3() for t in row]), budget.bindings
+
+
 class TestPlannerTrap:
     def test_catalog_query_routes_through_the_path(self):
-        """The anchor-path-anchor query of bench_planner.py joins the
-        path second: written order's second anchor is an N x N
-        cartesian product."""
+        """The anchor-path-anchor catalog query joins the path second:
+        written order's second anchor is an N x N cartesian product."""
         g = build_catalog(CATALOG_SIZE)
         patterns = [
             el for el in parse_query(CATALOG_SPARQL).where.elements
@@ -792,6 +835,72 @@ class TestPlannerTrap:
             evaluator._compile_bgp(patterns, g), g, frozenset()
         )
         assert plan.order == (0, 2, 1)  # tag, link+, tag2
+
+    def test_catalog_planned_order_visits_a_fraction(self, monkeypatch):
+        """The same rows as written order for under a 160th of the
+        work (the ratio grows with N)."""
+        g = build_catalog(CATALOG_SIZE)
+        query = prepare_query(CATALOG_SPARQL)
+        written, written_work = cold_run(query, [g], monkeypatch, False)
+        planned, planned_work = cold_run(query, [g], monkeypatch, True)
+        assert planned == written
+        assert len(planned) == CATALOG_SIZE
+        assert (planned_work, written_work) == (2_000, 321_200)
+
+
+STREAM_PATH = (
+    "(predURI:hasInputStream|predURI:hasOuterInputStream|"
+    "predURI:hasInnerInputStream|predURI:hasOutputStream)+"
+)
+
+#: Mutual reachability over stream edges, both endpoints free: the
+#: governance suite's pathological query at a survivable plan size.
+BOTH_FREE_SPARQL = f"""PREFIX predURI: <http://optimatch/predicate#>
+SELECT ?a ?b WHERE {{
+  ?a {STREAM_PATH} ?b .
+  ?b {STREAM_PATH} ?a .
+}}"""
+
+
+class TestClosureWorkload:
+    """Two 60-operator plans under the both-free query.  The planner
+    seeds the both-free closure only from nodes carrying stream edges,
+    and the both-bound second pattern is a memoized membership test per
+    candidate pair.  Both are closure policies the evaluator applies in
+    either join order."""
+
+    @pytest.fixture(scope="class")
+    def workload(self):
+        plans = generate_workload(2, seed=13, size_sampler=lambda rng: 60)
+        return transform_workload(plans)
+
+    def test_both_orders_agree_on_exact_work(self, workload, monkeypatch):
+        graphs = [tp.graph for tp in workload]
+        query = prepare_query(BOTH_FREE_SPARQL)
+        written, written_work = cold_run(query, graphs, monkeypatch, False)
+        planned, planned_work = cold_run(query, graphs, monkeypatch, True)
+        assert planned == written
+        assert len(planned) == 54_450  # stream cycles: mutually reachable
+        # The workload's bound, in place of a wall-clock deadline.
+        assert planned_work == written_work == 518_928
+
+    def test_explain_reports_closure_direction(self, workload, monkeypatch):
+        """EXPLAIN shows the closure seeding decision in either join
+        order, and the planned join order only when reordering is on."""
+        transformed = workload[0]
+        reports = {}
+        for reordering in (False, True):
+            monkeypatch.setattr(evaluator, "JOIN_REORDERING", reordering)
+            drop_caches(transformed.graph)
+            reports[reordering] = explain(BOTH_FREE_SPARQL, transformed)
+        assert reports[False].plans == [], "written order plans no join"
+        assert reports[True].plans, "EXPLAIN must show the join order"
+        for report in reports.values():
+            assert report.closure_plans, "EXPLAIN must show the decision"
+            decision = report.closure_plans[0]
+            assert decision["direction"] in ("forward", "reverse")
+            assert decision["mode"] == "seeded"
+            assert decision["seeds"] < decision["totalNodes"]
 
 
 def chain_graph(length: int = 10) -> Graph:

@@ -94,6 +94,27 @@ class TestRecoveryRoundTrip:
         finally:
             recovered.close()
 
+    def test_crash_replays_every_journaled_plan(
+        self, tmp_path, fig9_workload_plans
+    ):
+        """A crash after the Figure 9 workload's 100 un-checkpointed
+        journal records recovers every plan by replay."""
+        tool = OptImatch(
+            workers=1,
+            data_dir=str(tmp_path),
+            fsync="async",
+            checkpoint_every=10 ** 9,
+        )
+        for plan in fig9_workload_plans:
+            tool.add_plan(plan)
+        # Simulate a crash: tear down without the close() checkpoint.
+        tool._store.close()
+        tool._engine.close()
+        with OptImatch(workers=1, data_dir=str(tmp_path)) as recovered:
+            status = recovered.durability_status()["recovery"]
+            assert status["replayedRecords"] == 100
+            assert recovered.plan_count == 100
+
     def test_defer_recovery_blocks_mutations(self, tmp_path, texts):
         tool = OptImatch(
             workers=1, data_dir=str(tmp_path), defer_recovery=True
@@ -218,6 +239,28 @@ class TestRevisions:
                 t.plan_id: (list(t.graph.triples()), t.graph.version)
                 for t in recovered.workload
             } == expected
+
+    @pytest.mark.parametrize(
+        "plan_ids", [["only-one"], ["x", "y", "z", "w"]], ids=["short", "long"]
+    )
+    def test_plan_ids_of_another_length_change_nothing(
+        self, tmp_path, texts, plan_ids
+    ):
+        def files():
+            return {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+
+        tool = OptImatch(workers=1, data_dir=str(tmp_path), fsync="async")
+        try:
+            added = tool.load_explain_text(texts[0], "a")
+            journal = files()
+            with pytest.raises(ValueError, match="plan ids"):
+                tool.load_explain_batch(texts, plan_ids=plan_ids)
+            assert tool.plan_count == 1
+            assert tool.workload == [added]
+            assert tool._revisions == {"a": 1}
+            assert files() == journal
+        finally:
+            tool.close()
 
     def test_journal_failure_allocates_nothing(self, tmp_path, texts):
         tool = OptImatch(workers=1, data_dir=str(tmp_path), fsync="async")
