@@ -37,7 +37,7 @@ from typing import Dict, Iterable, List, Optional, Tuple, Union
 
 from repro.core.engine import MatchingEngine, SearchResult
 from repro.core.limits import Budget
-from repro.core.matcher import PlanMatches, RowCollector
+from repro.core.matcher import PlanMatches, PlanNode, RowCollector
 from repro.core.pattern import ProblemPattern
 from repro.core.sparqlgen import pattern_to_sparql
 from repro.core.transform import TransformedPlan, transform_plan
@@ -55,6 +55,21 @@ from repro.store import (
 def _read_text(path: str) -> str:
     with open(path, "r", encoding="utf-8") as handle:
         return handle.read()
+
+
+def _node_key(node: PlanNode) -> Union[int, str]:
+    """How a checkpointed cache row names a plan node: an operator by
+    its number, a base object by its qualified name."""
+    if isinstance(node, PlanOperator):
+        return node.number
+    return node.qualified_name
+
+
+def _node_resource(transformed: TransformedPlan, key: Union[int, str]):
+    """The resource of the plan node :func:`_node_key` named *key*."""
+    if isinstance(key, int):
+        return transformed.pop_resources.get(key)
+    return transformed.object_resources.get(key)
 
 
 class OptImatch:
@@ -408,80 +423,38 @@ class OptImatch:
             self._store.record_kb_entry(entry)
 
     def checkpoint(self) -> int:
-        """Write a checkpoint now: every plan's graph snapshot plus the
+        """Write a checkpoint now: the journaled workload state plus the
         engine's current match-cache entries.  Returns the sequence."""
         if self._store is None:
             raise DurabilityError("durability is disabled (no data_dir)")
         self._check_writable()
-        from repro.rdf.snapshot import encode_graph
+        return self._store.checkpoint(self._export_cache_entries())
 
-        snapshots: Dict[str, bytes] = {}
-        versions: Dict[str, int] = {}
-        for transformed in self._workload:
-            snapshots[transformed.plan_id] = encode_graph(transformed.graph)
-            versions[transformed.plan_id] = transformed.graph.version
-        cache_entries = self._export_cache_entries(snapshots, versions)
-        return self._store.checkpoint(snapshots, versions, cache_entries)
-
-    def _export_cache_entries(
-        self, snapshots: Dict[str, bytes], versions: Dict[str, int]
-    ) -> List[dict]:
+    def _export_cache_entries(self) -> List[dict]:
         """Wire-form match-cache entries for the checkpoint manifest.
 
         Each occurrence row keeps the engine's binding insertion order,
-        with every bound plan node encoded as its term id in the plan's
-        checkpointed snapshot — replaying the rows through
+        with every bound plan node named by its operator number or its
+        base object's qualified name — replaying the rows through
         :class:`repro.core.matcher.RowCollector` on recovery rebuilds
         bit-identical :class:`PlanMatches`.  Entries whose version no
         longer matches the live graph (replaced plans) are dropped here;
-        entries for changed graphs are dropped again on recovery — the
-        delta invalidation the issue calls for.
+        entries for changed graphs are dropped again on recovery.
         """
-        from repro.rdf.snapshot import GraphView
-
         entries: List[dict] = []
-        views: Dict[str, GraphView] = {}
-        for key, matches in self._engine.export_match_cache():
-            plan_id, version, query = key
-            if versions.get(plan_id) != version:
-                continue  # stale: plan replaced/removed since caching
+        for (plan_id, version, query), matches in (
+            self._engine.export_match_cache()
+        ):
             transformed = self._by_id.get(plan_id)
-            if transformed is None:
-                continue
-            view = views.get(plan_id)
-            if view is None:
-                view = GraphView(memoryview(snapshots[plan_id]))
-                views[plan_id] = view
-            rows: List[list] = []
-            encodable = True
-            for occurrence in matches.occurrences:
-                row = []
-                for name, node in occurrence.bindings.items():
-                    if isinstance(node, PlanOperator):
-                        resource = transformed.pop_resources.get(node.number)
-                    else:
-                        resource = transformed.object_resources.get(
-                            node.qualified_name
-                        )
-                    term_id = (
-                        view.term_id(resource) if resource is not None else None
-                    )
-                    if term_id is None:
-                        encodable = False
-                        break
-                    row.append([name, term_id])
-                if not encodable:
-                    break
-                rows.append(row)
-            if encodable:
-                entries.append(
-                    {
-                        "plan": plan_id,
-                        "version": version,
-                        "query": query,
-                        "rows": rows,
-                    }
-                )
+            if transformed is None or transformed.graph.version != version:
+                continue  # stale: plan replaced/removed since caching
+            rows = [
+                [[name, _node_key(node)] for name, node in occ.bindings.items()]
+                for occ in matches.occurrences
+            ]
+            entries.append(
+                {"plan": plan_id, "version": version, "query": query, "rows": rows}
+            )
         return entries
 
     def recover(self) -> RecoveryInfo:
@@ -512,7 +485,6 @@ class OptImatch:
         self._revisions = self._store.revisions
         self._recovered_kb = list(info.kb_entries)
         seeded = self._seed_cache(info)
-        info.release()
         if self._store.last_recovery is not None:
             self._store.last_recovery["cacheSeeded"] = seeded
         self._recovery_pending = False
@@ -525,31 +497,20 @@ class OptImatch:
             transformed = self._by_id.get(entry.plan_id)
             if transformed is None or transformed.graph.version != entry.version:
                 continue  # plan changed since the checkpoint: re-match
-            view = info.view(entry.plan_id)
-            if view is None or view.version != entry.version:
-                continue  # snapshot/graph mismatch: never serve stale rows
             collector = RowCollector(transformed)
-            decodable = True
             for row in entry.rows:
-                items = []
-                for name, term_id in row:
-                    try:
-                        term = view.id_term(int(term_id))
-                    except Exception:
-                        term = None
-                    if term is None:
-                        decodable = False
-                        break
-                    items.append((name, term))
-                if not decodable:
-                    break
+                items = [
+                    (name, _node_resource(transformed, key)) for name, key in row
+                ]
+                if any(resource is None for _, resource in items):
+                    break  # names no node of this plan: never serve it
                 collector.add(items)
-            if not decodable:
-                continue
-            if self._engine.seed_match_cache(
-                (entry.plan_id, entry.version, entry.query), collector.result
-            ):
-                seeded += 1
+            else:
+                if self._engine.seed_match_cache(
+                    (entry.plan_id, entry.version, entry.query),
+                    collector.result,
+                ):
+                    seeded += 1
         return seeded
 
     # ------------------------------------------------------------------

@@ -86,33 +86,6 @@ class SnapshotFormatError(ValueError):
     """The buffer is not a snapshot this reader understands."""
 
 
-def peek_version(
-    buffer, offset: int = 0, length: Optional[int] = None
-) -> int:
-    """The embedded ``graph.version`` of a snapshot, header-only.
-
-    Validates the magic and format words but builds none of the index
-    views — the cheap integrity probe the durable store runs over every
-    checkpointed plan snapshot before trusting its manifest entry.
-    Raises :class:`SnapshotFormatError` on a foreign or torn buffer.
-    """
-    mv = memoryview(buffer)
-    if length is not None:
-        mv = mv[offset:offset + length]
-    elif offset:
-        mv = mv[offset:]
-    if len(mv) < _HEADER_WORDS * _WORD:
-        raise SnapshotFormatError("buffer too short for a snapshot header")
-    header = mv[:_HEADER_WORDS * _WORD].cast("q")
-    if header[_H_MAGIC] != MAGIC:
-        raise SnapshotFormatError("buffer is not a graph snapshot")
-    if header[_H_FORMAT] != FORMAT_VERSION:
-        raise SnapshotFormatError(
-            f"snapshot format {header[_H_FORMAT]} != {FORMAT_VERSION}"
-        )
-    return header[_H_GRAPH_VERSION]
-
-
 def _encode_term(term: Term) -> bytes:
     """One term as ``kind byte + payload`` (see module docstring)."""
     if isinstance(term, URIRef):

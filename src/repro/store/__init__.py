@@ -1,9 +1,9 @@
 """Durable workload persistence: write-ahead journal + checkpoints.
 
 ``repro.store.wal`` is the CRC32-checksummed, length-prefixed journal;
-``repro.store.durable`` composes it with atomic checkpoints (PR 6's
-flat-array graph snapshots) and crash recovery.  See docs/durability.md
-for formats, fsync modes and the recovery/ops runbook.
+``repro.store.durable`` composes it with atomic checkpoints of the
+logical workload state and crash recovery.  See docs/durability.md for
+formats, fsync modes and the recovery/ops runbook.
 """
 
 from repro.store.durable import (

@@ -7,26 +7,29 @@ entries added at runtime.  It composes two mechanisms:
 
 * the write-ahead journal (:mod:`repro.store.wal`): every mutation is
   appended (and, per the fsync policy, synced) before it is applied;
-* periodic **checkpoints**: the whole state — manifest plus each plan's
-  graph serialized with :func:`repro.rdf.snapshot.encode_graph` (PR 6's
-  flat-array format) and the engine's warm match-cache entries — written
-  to ``ckpt-<seq>.bin.tmp``, fsynced, and atomically renamed into place
+* periodic **checkpoints**: that logical state plus the engine's warm
+  match-cache entries, one CRC-checked JSON manifest written to
+  ``ckpt-<seq>.bin.tmp``, fsynced, and atomically renamed into place
   (``checkpoint.rename`` chaos site between the two).  Each checkpoint
   starts a fresh journal ``wal-<seq>.log``, so journals stay short and
   recovery time is bounded by ``checkpoint_every``.
 
+This module alone knows the checkpoint format.  A checkpoint holds no
+plan graph: the RDF transform is deterministic, so a plan's explain
+source is all recovery needs to rebuild its graph.
+
 Recovery (:meth:`DurableStore.recover`) picks the newest *valid*
-checkpoint (CRC-checked manifest and blob; an invalid or torn one falls
-back to its predecessor), replays every retained journal from that
-sequence forward, truncates a torn trailing record at the last valid
-CRC boundary, sweeps stray ``*.tmp`` files, and reopens the journal for
+checkpoint (CRC-checked manifest; an invalid or torn one falls back to
+its predecessor), replays every retained journal from that sequence
+forward, truncates a torn trailing record at the last valid CRC
+boundary, sweeps stray ``*.tmp`` files, and reopens the journal for
 appending.  The returned :class:`RecoveryInfo` carries everything the
 facade needs to rebuild in-memory state **deterministically** — plans
-are re-transformed from their journaled source text (the RDF transform
-is deterministic, so recovered graphs are bit-identical to the
-pre-crash ones), and the checkpointed match-cache rows re-arm the
-engine for every plan whose ``graph.version`` is unchanged (the delta
-invalidation described in docs/durability.md).
+are re-transformed from their journaled source text, so recovered
+graphs are bit-identical to the pre-crash ones, and the checkpointed
+match-cache rows re-arm the engine for every plan whose
+``graph.version`` is unchanged (the delta invalidation described in
+docs/durability.md).
 
 Versions and revisions
 ----------------------
@@ -65,14 +68,17 @@ import zlib
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
-from repro.rdf.snapshot import GraphView, SnapshotFormatError, peek_version
 from repro.store import wal as _wal
 from repro.store.wal import WalError, WalWriter
 from repro.testing import chaos
 
 #: Checkpoint file magic: b"OPTMCKP1".
 CKPT_MAGIC = b"OPTMCKP1"
-CKPT_FORMAT = 1
+#: Format 2 is the manifest alone.  Format 1 followed it with a blob of
+#: per-plan graph images and stored cache rows as term ids into them;
+#: it still loads, minus its cache rows (see :meth:`DurableStore.recover`).
+CKPT_FORMAT = 2
+_CKPT_FORMATS = (1, 2)
 
 _CKPT_HEADER = struct.Struct("<II")  # manifest length + crc32(manifest)
 
@@ -81,6 +87,10 @@ _CKPT_NAME = re.compile(r"^ckpt-(\d+)\.bin$")
 
 #: Default journal records between automatic checkpoints.
 DEFAULT_CHECKPOINT_EVERY = 256
+
+#: Checkpoints retained: the newest, and its predecessor as the fallback
+#: when the newest fails validation.
+KEEP_CHECKPOINTS = 2
 
 
 class DurabilityError(RuntimeError):
@@ -130,8 +140,9 @@ class CacheEntry:
     """One persisted match-cache entry from a checkpoint.
 
     ``rows`` is the wire form: one list per occurrence, each a list of
-    ``[name, term_id]`` pairs whose ids reference the checkpointed
-    snapshot of ``plan_id`` (resolved through :meth:`RecoveryInfo.view`).
+    ``[name, node]`` pairs in binding order, where ``node`` names a
+    plan node of ``plan_id`` — an operator by its number (int) or a
+    base object by its qualified name (str).
     """
 
     plan_id: str
@@ -151,24 +162,6 @@ class RecoveryInfo:
     replayed_records: int = 0
     truncated_bytes: int = 0
     seconds: float = 0.0
-    #: plan id -> (offset, length) into the checkpoint blob.
-    _snapshot_spans: Dict[str, Tuple[int, int]] = field(default_factory=dict)
-    _blob: bytes = b""
-
-    def view(self, plan_id: str) -> Optional[GraphView]:
-        """Zero-copy :class:`GraphView` of *plan_id*'s checkpointed graph."""
-        span = self._snapshot_spans.get(plan_id)
-        if span is None:
-            return None
-        try:
-            return GraphView(memoryview(self._blob), span[0], span[1])
-        except SnapshotFormatError:
-            return None
-
-    def release(self) -> None:
-        """Drop the checkpoint blob once the facade has finished seeding."""
-        self._snapshot_spans = {}
-        self._blob = b""
 
 
 class DurableStore:
@@ -185,7 +178,6 @@ class DurableStore:
         data_dir: str,
         fsync: str = "batch",
         checkpoint_every: int = DEFAULT_CHECKPOINT_EVERY,
-        keep_checkpoints: int = 2,
         registry=None,
     ):
         if fsync not in _wal.FSYNC_POLICIES:
@@ -197,7 +189,6 @@ class DurableStore:
         os.makedirs(self.data_dir, exist_ok=True)
         self.fsync_policy = fsync
         self.checkpoint_every = max(1, int(checkpoint_every))
-        self.keep_checkpoints = max(1, int(keep_checkpoints))
         self._plans: "Dict[str, _PlanState]" = {}  # insertion-ordered
         self._revisions: Dict[str, int] = {}
         self._kb: List[dict] = []
@@ -392,20 +383,15 @@ class DurableStore:
     # ------------------------------------------------------------------
     # Checkpoints
     # ------------------------------------------------------------------
-    def checkpoint(
-        self,
-        snapshots: Dict[str, bytes],
-        versions: Dict[str, int],
-        cache_entries: Optional[List[dict]] = None,
-    ) -> int:
+    def checkpoint(self, cache_entries: Optional[List[dict]] = None) -> int:
         """Write checkpoint ``seq`` atomically and start journal ``seq``.
 
-        *snapshots* maps every live plan id to its
-        :func:`repro.rdf.snapshot.encode_graph` buffer; *versions* to its
-        (stamped) ``graph.version``; *cache_entries* are wire-form match
-        cache entries (see :class:`CacheEntry`).  A failure cleans up the
-        temp file and raises :class:`DurabilityError` without touching
-        the existing checkpoint or journal.
+        The checkpoint holds the logical state and *cache_entries*, the
+        engine's match-cache entries in wire form (see
+        :class:`CacheEntry`, keyed ``plan`` / ``version`` / ``query`` /
+        ``rows``).  A failure cleans up the temp file and raises
+        :class:`DurabilityError` without touching the existing
+        checkpoint or journal.
         """
         if not self._recovered:
             raise DurabilityError("store has not completed recovery")
@@ -415,38 +401,17 @@ class DurableStore:
             )
         started = time.perf_counter()
         seq = self.checkpoint_seq + 1
-        blob_parts: List[bytes] = []
-        plans_manifest = []
-        offset = 0
-        for plan_id, state in self._plans.items():
-            buf = snapshots.get(plan_id)
-            if buf is None:
-                raise DurabilityError(
-                    f"checkpoint is missing a snapshot for plan {plan_id!r}"
-                )
-            plans_manifest.append(
-                {
-                    "id": plan_id,
-                    "rev": state.revision,
-                    "version": versions.get(plan_id, 0),
-                    "source": state.source,
-                    "offset": offset,
-                    "length": len(buf),
-                }
-            )
-            blob_parts.append(buf)
-            offset += len(buf)
-        blob = b"".join(blob_parts)
         manifest = {
             "format": CKPT_FORMAT,
             "seq": seq,
             "wal": f"wal-{seq}.log",
             "revisions": dict(self._revisions),
-            "plans": plans_manifest,
+            "plans": [
+                {"id": plan_id, "rev": state.revision, "source": state.source}
+                for plan_id, state in self._plans.items()
+            ],
             "kb": list(self._kb),
             "cache": list(cache_entries or ()),
-            "blobLength": len(blob),
-            "blobCrc": zlib.crc32(blob),
         }
         manifest_bytes = json.dumps(
             manifest, separators=(",", ":"), sort_keys=True
@@ -466,7 +431,6 @@ class DurableStore:
                     )
                 )
                 handle.write(manifest_bytes)
-                handle.write(blob)
                 handle.flush()
                 os.fsync(handle.fileno())
             if chaos.active:
@@ -529,10 +493,10 @@ class DurableStore:
             pass
 
     def _prune(self, current_seq: int) -> None:
-        """Retain the newest ``keep_checkpoints`` checkpoints, and every
+        """Retain the newest :data:`KEEP_CHECKPOINTS` checkpoints, and every
         journal a fallback to the oldest retained checkpoint could need."""
         ckpts, wals = self._scan_dir()
-        retained = sorted(ckpts)[-self.keep_checkpoints:]
+        retained = sorted(ckpts)[-KEEP_CHECKPOINTS:]
         keep_wals_from = min(retained) if retained else 0
         for seq in ckpts:
             if seq not in retained:
@@ -574,12 +538,10 @@ class DurableStore:
         ckpts, wals = self._scan_dir()
         info = RecoveryInfo()
         manifest: Optional[dict] = None
-        blob = b""
         ckpt_seq = 0
         for seq in sorted(ckpts, reverse=True):
-            loaded = self._load_checkpoint(seq)
-            if loaded is not None:
-                manifest, blob = loaded
+            manifest = self._load_checkpoint(seq)
+            if manifest is not None:
                 ckpt_seq = seq
                 break
             # Invalid/torn checkpoint: drop it so it can never shadow
@@ -595,20 +557,19 @@ class DurableStore:
                 self._plans[entry["id"]] = _PlanState(
                     int(entry["rev"]), entry["source"]
                 )
-                info._snapshot_spans[entry["id"]] = (
-                    int(entry["offset"]), int(entry["length"]),
-                )
             self._kb = list(manifest.get("kb", ()))
-            for entry in manifest.get("cache", ()):
-                info.cache_entries.append(
-                    CacheEntry(
-                        plan_id=entry["plan"],
-                        version=int(entry["version"]),
-                        query=entry["query"],
-                        rows=entry["rows"],
+            # Format 1 cache rows hold term ids into its image blob,
+            # which is not read: those plans re-match once.
+            if manifest["format"] == CKPT_FORMAT:
+                for entry in manifest.get("cache", ()):
+                    info.cache_entries.append(
+                        CacheEntry(
+                            plan_id=entry["plan"],
+                            version=int(entry["version"]),
+                            query=entry["query"],
+                            rows=entry["rows"],
+                        )
                     )
-                )
-            info._blob = blob
 
         # Chain-replay every retained journal from the checkpoint's
         # sequence forward.  Only the newest journal may legitimately be
@@ -659,8 +620,9 @@ class DurableStore:
         self._set_state_gauge()
         return info
 
-    def _load_checkpoint(self, seq: int) -> Optional[Tuple[dict, bytes]]:
-        """Validate and load ``ckpt-<seq>.bin``; None when invalid."""
+    def _load_checkpoint(self, seq: int) -> Optional[dict]:
+        """Validate ``ckpt-<seq>.bin`` and return its manifest; None
+        when invalid.  A format 1 file's trailing blob is not read."""
         path = os.path.join(self.data_dir, f"ckpt-{seq}.bin")
         try:
             with open(path, "rb") as handle:
@@ -682,27 +644,9 @@ class DurableStore:
             manifest = json.loads(manifest_bytes.decode("utf-8"))
         except (ValueError, UnicodeDecodeError):
             return None
-        if not isinstance(manifest, dict) or manifest.get("format") != CKPT_FORMAT:
+        if not isinstance(manifest, dict) or manifest.get("format") not in _CKPT_FORMATS:
             return None
-        blob = data[end:]
-        if (
-            len(blob) != manifest.get("blobLength")
-            or zlib.crc32(blob) != manifest.get("blobCrc")
-        ):
-            return None
-        # Spot-check the per-plan spans: each must hold a decodable
-        # snapshot whose embedded version matches the manifest's.
-        for entry in manifest.get("plans", ()):
-            offset, length = int(entry["offset"]), int(entry["length"])
-            if offset + length > len(blob):
-                return None
-            try:
-                version = peek_version(memoryview(blob), offset, length)
-            except SnapshotFormatError:
-                return None
-            if version != int(entry["version"]):
-                return None
-        return manifest, blob
+        return manifest
 
     # ------------------------------------------------------------------
     # Lifecycle

@@ -363,7 +363,10 @@ class TestGracefulShutdown:
 
         thread = threading.Thread(target=slow_run)
         thread.start()
-        time.sleep(0.2)
+        deadline = time.monotonic() + 5.0
+        while srv.state.inflight_heavy != 1:  # the run holds its slot
+            assert time.monotonic() < deadline, "/kb/run never started"
+            time.sleep(0.01)
         srv.stop(drain_seconds=5.0)  # must wait for the in-flight run
         thread.join(timeout=10)
         assert results["slow"][0] == 200

@@ -1,19 +1,16 @@
 """DurableStore: checkpoints, chain replay, fallback, pruning, failure.
 
-These tests drive the store directly (no facade, no engine) with tiny
-real graphs, so every recovery path — empty dir, journal-only,
-checkpoint + tail, torn tail, corrupt checkpoint fallback — is pinned
-at the layer that owns it.
+These tests drive the store directly (no facade, no engine), so every
+recovery path — empty dir, journal-only, checkpoint + tail, torn tail,
+corrupt checkpoint fallback — is pinned at the layer that owns it.
 """
 
 import os
 
 import pytest
 
-from repro.rdf.graph import Graph
-from repro.rdf.snapshot import encode_graph
-from repro.rdf.term import Literal, URIRef
 from repro.store import (
+    CacheEntry,
     DurabilityError,
     DurableStore,
     compose_version,
@@ -21,30 +18,6 @@ from repro.store import (
     split_version,
 )
 from repro.testing import chaos
-
-
-def make_snapshot(plan_id: str, revision: int, triples: int = 2):
-    """A real encoded graph stamped like the facade would stamp it."""
-    graph = Graph(identifier=plan_id)
-    for index in range(triples):
-        graph.add(
-            (
-                URIRef(f"http://t/{plan_id}/{index}"),
-                URIRef("http://t/p"),
-                Literal(str(index)),
-            )
-        )
-    graph.stamp_version(compose_version(revision, graph.version))
-    return encode_graph(graph), graph.version
-
-
-def checkpoint_all(store: DurableStore) -> int:
-    snapshots, versions = {}, {}
-    for plan_id, state in store._plans.items():  # test-only peek
-        snapshots[plan_id], versions[plan_id] = make_snapshot(
-            plan_id, state.revision
-        )
-    return store.checkpoint(snapshots, versions, None)
 
 
 def opened(data_dir, **kwargs) -> DurableStore:
@@ -115,7 +88,11 @@ class TestCheckpointRecovery:
     def test_checkpoint_plus_tail_replay(self, tmp_path):
         store = opened(tmp_path)
         store.record_plans([("p1", 1, "S1")])
-        seq = checkpoint_all(store)
+        rows = [[["TOP", 3], ["BASE", "SCHEMA.T1"]]]
+        seq = store.checkpoint(
+            [{"plan": "p1", "version": compose_version(1, 7),
+              "query": "Q", "rows": rows}]
+        )
         assert seq == 1
         store.record_plans([("p2", 1, "S2")])  # tail: journaled after the ckpt
         store.close()
@@ -125,9 +102,9 @@ class TestCheckpointRecovery:
         assert [p[0] for p in info.plans] == ["p1", "p2"]
         assert info.checkpoint_seq == 1
         assert info.replayed_records == 1
-        view = info.view("p1")
-        assert view is not None and split_version(view.version)[0] == 1
-        assert info.view("p2") is None  # not in the checkpoint
+        assert info.cache_entries == [
+            CacheEntry("p1", compose_version(1, 7), "Q", rows)
+        ]
         again.close()
 
     def test_torn_tail_is_truncated_on_disk(self, tmp_path):
@@ -158,16 +135,16 @@ class TestCheckpointRecovery:
         store.close()
 
     def test_corrupt_newest_checkpoint_falls_back(self, tmp_path):
-        store = opened(tmp_path, keep_checkpoints=3)
+        store = opened(tmp_path)
         store.record_plans([("p1", 1, "S1")])
-        checkpoint_all(store)  # ckpt-1
+        store.checkpoint()  # ckpt-1
         store.record_plans([("p2", 1, "S2")])
-        checkpoint_all(store)  # ckpt-2
+        store.checkpoint()  # ckpt-2
         store.record_plans([("p3", 1, "S3")])  # tail in wal-2
         store.close()
 
-        # Corrupt ckpt-2's blob: recovery must fall back to ckpt-1 and
-        # still see p2 and p3 by chain-replaying wal-1 then wal-2.
+        # Corrupt ckpt-2's manifest: recovery must fall back to ckpt-1
+        # and still see p2 and p3 by chain-replaying wal-1 then wal-2.
         path = tmp_path / "ckpt-2.bin"
         data = bytearray(path.read_bytes())
         data[-1] ^= 0xFF
@@ -184,7 +161,7 @@ class TestCheckpointRecovery:
         store = opened(tmp_path)
         for index in range(4):
             store.record_plans([(f"p{index}", 1, f"S{index}")])
-            checkpoint_all(store)
+            store.checkpoint()
         store.close()
         ckpts = sorted(p.name for p in tmp_path.glob("ckpt-*.bin"))
         wals = sorted(p.name for p in tmp_path.glob("wal-*.log"))
@@ -195,19 +172,12 @@ class TestCheckpointRecovery:
         assert len(again.recover().plans) == 4
         again.close()
 
-    def test_checkpoint_requires_every_snapshot(self, tmp_path):
-        store = opened(tmp_path)
-        store.record_plans([("p1", 1, "S1")])
-        with pytest.raises(DurabilityError, match="missing a snapshot"):
-            store.checkpoint({}, {}, None)
-        store.close()
-
     def test_crash_before_rename_preserves_previous_state(self, tmp_path):
         store = opened(tmp_path)
         store.record_plans([("p1", 1, "S1")])
         with chaos.injected("checkpoint.rename", exc=RuntimeError("crash")):
             with pytest.raises(DurabilityError):
-                checkpoint_all(store)
+                store.checkpoint()
         # Nothing renamed, no temp litter, journal still authoritative.
         assert not list(tmp_path.glob("ckpt-*.bin"))
         assert not list(tmp_path.glob("*.tmp"))
@@ -231,7 +201,7 @@ class TestFailureDegradation:
         with pytest.raises(DurabilityError):
             store.record_plans([("p3", 1, "S3")])
         with pytest.raises(DurabilityError):
-            store.checkpoint({}, {}, None)
+            store.checkpoint()
         store.close()
 
         # The journaled prefix is still fully recoverable.

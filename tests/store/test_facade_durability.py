@@ -7,14 +7,23 @@ re-matches — with search results bit-identical to a never-crashed
 control.
 """
 
+import ast
+import json
+import os
 import shutil
+import struct
+import zlib
 
 import pytest
 
+import repro.store
 from repro.core.optimatch import OptImatch
 from repro.core.transform import transform_plan
+from repro.kb.builtin import builtin_knowledge_base
+from repro.qep.model import BaseObject, PlanOperator
 from repro.qep.parser import parse_plan
 from repro.qep.writer import write_plan
+from repro.rdf import snapshot
 from repro.store import DurabilityError, WalWriter, split_version
 from repro.testing import chaos
 from repro.workload import generate_workload
@@ -390,3 +399,213 @@ class TestEngineSeeding:
             assert tool.stats()["matchCache"]["seeded"] == 1
         finally:
             tool.close()
+
+
+class TestBaseObjectRowsSurviveRestart:
+    """The builtin KB binds base objects (Pattern A's ``BASE``) as well
+    as operators; both kinds of cached row must seed back unchanged."""
+
+    @staticmethod
+    def binding_order(occurrence):
+        return [
+            (name, node.number)
+            if isinstance(node, PlanOperator)
+            else (name, node.qualified_name)
+            for name, node in occurrence.bindings.items()
+        ]
+
+    def cached(self, tool):
+        return {
+            key: (
+                [occ.signature() for occ in matches.occurrences],
+                [self.binding_order(occ) for occ in matches.occurrences],
+            )
+            for key, matches in tool.engine.export_match_cache()
+        }
+
+    def test_builtin_kb_rows_seed_identically(self, tmp_path):
+        plans = generate_workload(
+            4,
+            seed=5,
+            plant_rates=dict.fromkeys("ABCD", 1.0),
+            size_sampler=lambda rng: 20,
+        )
+        tool = OptImatch(workers=1, data_dir=str(tmp_path), fsync="async")
+        tool.load_explain_batch(write_plan(plan) for plan in plans)
+        tool.run_knowledge_base(builtin_knowledge_base())
+        before = self.cached(tool)
+        assert any(
+            isinstance(node, BaseObject)
+            for _, matches in tool.engine.export_match_cache()
+            for occ in matches.occurrences
+            for node in occ.bindings.values()
+        )
+        tool.checkpoint()
+        tool.close()
+
+        with OptImatch(workers=1, data_dir=str(tmp_path)) as recovered:
+            stats = recovered.stats()["matchCache"]
+            assert stats["seeded"] == len(before)
+            assert self.cached(recovered) == before
+            recovered.run_knowledge_base(builtin_knowledge_base())
+            stats = recovered.stats()["matchCache"]
+            assert stats["misses"] == 0
+            assert stats["hits"] == len(before)
+
+
+class TestNoImageInCheckpoints:
+    """A checkpoint holds the journaled state and cache rows keyed by
+    plan node: no graph image is encoded, stored or read."""
+
+    def test_checkpoint_and_recovery_use_no_image(
+        self, tmp_path, texts, monkeypatch
+    ):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("graph image used by a checkpoint")
+
+        monkeypatch.setattr(snapshot, "encode_graph", forbidden)
+        monkeypatch.setattr(snapshot, "GraphView", forbidden)
+        tool = OptImatch(workers=1, data_dir=str(tmp_path), fsync="async")
+        tool.load_explain_batch(texts)
+        expected = result_shape(tool.search(SPARQL))
+        tool.checkpoint()
+        tool.close()
+        with OptImatch(workers=1, data_dir=str(tmp_path)) as recovered:
+            assert recovered.stats()["matchCache"]["seeded"] == 3
+            assert result_shape(recovered.search(SPARQL)) == expected
+            assert recovered.stats()["matchCache"]["misses"] == 0
+
+    def test_store_imports_no_graph_module(self):
+        assert not hasattr(snapshot, "peek_version")
+        package = os.path.dirname(repro.store.__file__)
+        imported = []
+        for name in os.listdir(package):
+            if not name.endswith(".py"):
+                continue
+            with open(os.path.join(package, name), encoding="utf-8") as handle:
+                tree = ast.parse(handle.read())
+            for node in ast.walk(tree):
+                if isinstance(node, ast.ImportFrom):
+                    imported.append(node.module or "")
+                elif isinstance(node, ast.Import):
+                    imported.extend(alias.name for alias in node.names)
+        assert imported and not [
+            module for module in imported if module.startswith("repro.rdf")
+        ]
+
+
+def write_format_1_checkpoint(data_dir, tool, seq, kb):
+    """Write ``ckpt-<seq>.bin`` as format 1 did: a manifest with each
+    plan's blob offset, length and stamped version, a blob of
+    ``encode_graph`` images, and cache rows as term ids into them."""
+    blob = b""
+    plans = []
+    views = {}
+    for transformed in tool.workload:
+        image = snapshot.encode_graph(transformed.graph)
+        plans.append(
+            {
+                "id": transformed.plan_id,
+                "rev": split_version(transformed.graph.version)[0],
+                "version": transformed.graph.version,
+                "source": write_plan(transformed.plan),
+                "offset": len(blob),
+                "length": len(image),
+            }
+        )
+        views[transformed.plan_id] = snapshot.GraphView(image)
+        blob += image
+    cache = []
+    for (plan_id, version, query), matches in tool.engine.export_match_cache():
+        transformed = tool.plan(plan_id)
+        view = views[plan_id]
+        rows = [
+            [
+                [name, view.term_id(transformed.pop_resources[node.number])]
+                for name, node in occ.bindings.items()
+            ]
+            for occ in matches.occurrences
+        ]
+        cache.append(
+            {"plan": plan_id, "version": version, "query": query, "rows": rows}
+        )
+    manifest = json.dumps(
+        {
+            "format": 1,
+            "seq": seq,
+            "wal": f"wal-{seq}.log",
+            "revisions": dict(tool._revisions),
+            "plans": plans,
+            "kb": kb,
+            "cache": cache,
+            "blobLength": len(blob),
+            "blobCrc": zlib.crc32(blob),
+        },
+        separators=(",", ":"),
+        sort_keys=True,
+    ).encode("utf-8")
+    with open(os.path.join(data_dir, f"ckpt-{seq}.bin"), "wb") as handle:
+        handle.write(b"OPTMCKP1")
+        handle.write(struct.pack("<II", len(manifest), zlib.crc32(manifest)))
+        handle.write(manifest)
+        handle.write(blob)
+
+
+def read_manifest(path):
+    data = path.read_bytes()
+    length, crc = struct.unpack_from("<II", data, 8)
+    manifest = data[16:16 + length]
+    assert zlib.crc32(manifest) == crc
+    return json.loads(manifest), len(data) - 16 - length
+
+
+class TestFormatOneCheckpoint:
+    """Data directories whose newest checkpoint is format 1 recover:
+    its plans, revisions and KB entries are used and its tail journal
+    replays, but its term-id cache rows are not seeded."""
+
+    def test_recovers_state_without_its_cache_rows(self, tmp_path, texts):
+        data_dir = tmp_path / "data"
+        data_dir.mkdir()
+        source = OptImatch(workers=1)
+        source.load_explain_batch(texts[:2], plan_ids=["a", "b"])
+        source.replace_explain_text(texts[2], "a")  # revision 2
+        expected = result_shape(source.search(SPARQL))
+        graphs = {
+            t.plan_id: (list(t.graph.triples()), t.graph.version)
+            for t in source.workload
+        }
+        write_format_1_checkpoint(
+            str(data_dir), source, seq=1, kb=[{"name": "in-checkpoint"}]
+        )
+        source.close()
+        writer = WalWriter(str(data_dir / "wal-1.log"), fsync="async")
+        writer.append({"op": "add_batch", "plans": [["c", 1, texts[1]]]})
+        writer.append({"op": "kb_add", "entry": {"name": "in-tail"}})
+        writer.close()
+
+        with OptImatch(workers=1, data_dir=str(data_dir)) as tool:
+            status = tool.durability_status()["recovery"]
+            assert status["checkpointSeq"] == 1
+            assert status["replayedRecords"] == 2
+            assert status["cacheSeeded"] == 0
+            assert tool.stats()["matchCache"]["seeded"] == 0
+            assert [t.plan_id for t in tool.workload] == ["a", "b", "c"]
+            assert revisions_of(tool.workload) == [2, 1, 1]
+            assert tool._revisions == {"a": 2, "b": 1, "c": 1}
+            assert tool.recovered_kb_entries == [
+                {"name": "in-checkpoint"}, {"name": "in-tail"}
+            ]
+            assert {
+                t.plan_id: (list(t.graph.triples()), t.graph.version)
+                for t in tool.workload
+                if t.plan_id != "c"
+            } == graphs
+            assert result_shape(tool.search(SPARQL))[:2] == expected
+            assert tool.stats()["matchCache"]["misses"] == 3
+            assert (data_dir / "ckpt-1.bin").exists()
+            tool.checkpoint()
+        manifest, trailing = read_manifest(data_dir / "ckpt-2.bin")
+        assert manifest["format"] == 2 and trailing == 0
+        assert [plan["id"] for plan in manifest["plans"]] == ["a", "b", "c"]
+        assert set(manifest["plans"][0]) == {"id", "rev", "source"}
