@@ -23,12 +23,19 @@ Two API levels:
   SPARQL evaluator's join core, which carries bindings as ints and
   decodes only at projection/FILTER boundaries.
 
+Everything derived from the triples and cached until they change lives
+in one per-version memo per graph (:meth:`TermReads.memo`): the cost
+planner's per-predicate statistics, which :class:`TermReads` computes
+from each store's ``predicate_groups``, the node list, and the
+planner's and evaluator's plan and closure memos.
+
 A :class:`Graph` stores only ground terms; variables belong to queries.
 See ``docs/store-internals.md`` for the full layout and invariants.
 """
 
 from __future__ import annotations
 
+import threading
 from typing import Dict, Iterable, Iterator, List, Optional, Set, Tuple
 
 from repro.rdf.dictionary import TermDictionary
@@ -75,6 +82,14 @@ def _sorted_numbers(objects: Iterable[Tuple[Term, int]]) -> Tuple[float, ...]:
     return tuple(values)
 
 
+#: Guards every graph's memo: replacing it when the version changes,
+#: adding a kind to it, and each bounded insert.  Engine workers share
+#: one graph; without it two threads racing a version bump could each
+#: install a memo and split their writes across the two, or two
+#: evictions could race on the same oldest entry.
+_MEMO_LOCK = threading.Lock()
+
+
 def _index_remove(index: _Index, a: int, b: int, c: int) -> None:
     try:
         second = index[a]
@@ -93,13 +108,152 @@ class TermReads:
 
     :class:`Graph` and :class:`repro.rdf.snapshot.GraphView` both
     inherit these methods and supply what they read: ``term_id``,
-    ``id_term``, ``triples_ids``, ``estimate_ids``, ``has_spellings``,
-    ``spelling`` and ``_size``.  Bound terms are encoded once at the
-    boundary (a term the graph never saw short-circuits to no match),
-    matching happens in ID space, and hits are decoded on the way out,
-    so term-level reads enumerate in the same order as ``triples_ids``.
+    ``id_term``, ``triples_ids``, ``estimate_ids``, ``predicate_groups``,
+    ``has_spellings``, ``spelling``, ``version`` and ``_size``.  Bound
+    terms are encoded once at the boundary (a term the graph never saw
+    short-circuits to no match), matching happens in ID space, and hits
+    are decoded on the way out, so term-level reads enumerate in the
+    same order as ``triples_ids``.
+
+    The class also holds the graph's one per-version memo and the
+    planner statistics built on it.
     """
 
+    #: ``(version, {kind: dict})`` once :meth:`memo` has run.
+    _memo: Optional[Tuple[int, Dict[str, dict]]] = None
+
+    # ------------------------------------------------------------------
+    # Per-version memo
+    # ------------------------------------------------------------------
+    def memo(self, kind: str) -> dict:
+        """The dict holding one *kind* of derived state at the current
+        version.
+
+        When ``version`` changes the whole memo is replaced.  A caller
+        keeps the dict it was handed until its call ends: should the
+        graph mutate meanwhile, its writes land in the superseded memo
+        and are collected with it, so no reader after the mutation sees
+        them.  The memo is one attribute on the graph, so it shares the
+        graph's lifetime and is found without hashing the graph (a
+        ``WeakKeyDictionary`` would fall back to the O(size) value-based
+        ``Graph.__eq__`` on any bucket collision).
+        """
+        version = self.version
+        state = self._memo
+        if state is None or state[0] != version:
+            with _MEMO_LOCK:
+                state = self._memo
+                if state is None or state[0] != version:
+                    state = self._memo = (version, {})
+        kinds = state[1]
+        table = kinds.get(kind)
+        if table is None:
+            with _MEMO_LOCK:
+                table = kinds.setdefault(kind, {})
+        return table
+
+    @staticmethod
+    def memo_insert(table: dict, key, entry: tuple, cap: int) -> tuple:
+        """Store *entry* under *key* in *table*, a bounded memo dict.
+
+        An existing entry wins and is returned.  Beyond *cap* entries
+        the oldest (dict insertion order) are evicted.  Each entry
+        carries the objects its key names by identity, so evicting it
+        releases them and their ids can only be recycled once no entry
+        refers to them.  The insert and the eviction run under the memo
+        lock, so workers sharing a graph never evict from a dict another
+        worker is changing.
+        """
+        with _MEMO_LOCK:
+            kept = table.setdefault(key, entry)
+            while len(table) > cap:
+                del table[next(iter(table))]
+        return kept
+
+    def drop_memos(self) -> None:
+        """Forget everything memoized for this graph (tests force cold
+        passes with it)."""
+        with _MEMO_LOCK:
+            vars(self).pop("_memo", None)
+
+    # ------------------------------------------------------------------
+    # Planner statistics (exact, built lazily per version)
+    # ------------------------------------------------------------------
+    def predicate_stats(self, predicate: int) -> Tuple[int, int, int]:
+        """``(total, distinct subjects, distinct objects)`` for a predicate ID.
+
+        Exact.  O(triples of the predicate) the first time per graph
+        version, then a dictionary hit until the graph mutates.  The
+        planner divides pattern cardinalities by the distinct counts to
+        estimate the selectivity of join-bound variable positions.
+        """
+        table = self.memo("predicate_stats")
+        stats = table.get(predicate)
+        if stats is None:
+            total = objects = 0
+            subjects: Set[int] = set()
+            for _, subs in self.predicate_groups(predicate):
+                total += len(subs)
+                objects += 1
+                subjects.update(subs)
+            stats = table[predicate] = (total, len(subjects), objects)
+        return stats
+
+    def numeric_objects(self, predicate: int) -> Tuple[float, ...]:
+        """Numeric values of a predicate's objects, ascending, one per triple.
+
+        Exact, and cached per graph version like :meth:`predicate_stats`.
+        Objects that are not numeric literals are left out, so the share
+        of the predicate's triples whose object passes ``value < c`` is
+        ``bisect_left(values, c) / total``.  The planner costs FILTER
+        comparisons with it.
+        """
+        table = self.memo("numeric_objects")
+        values = table.get(predicate)
+        if values is None:
+            decode = self.id_term
+            values = table[predicate] = _sorted_numbers(
+                (decode(oid), len(subs))
+                for oid, subs in self.predicate_groups(predicate)
+            )
+        return values
+
+    def subject_ids_for(self, predicate: int) -> Tuple[int, ...]:
+        """Distinct subject IDs of a predicate, ascending (cached per version).
+
+        Seeds forward both-free path closures: only these nodes can start
+        a non-empty edge of the predicate.
+        """
+        table = self.memo("subject_ids")
+        ids = table.get(predicate)
+        if ids is None:
+            subjects: Set[int] = set()
+            for _, subs in self.predicate_groups(predicate):
+                subjects.update(subs)
+            ids = table[predicate] = tuple(sorted(subjects))
+        return ids
+
+    def object_ids_for(self, predicate: int) -> Tuple[int, ...]:
+        """Distinct object IDs of a predicate, ascending (cached per version).
+
+        Seeds reverse both-free path closures: only these nodes can end
+        a non-empty edge of the predicate.
+        """
+        table = self.memo("object_ids")
+        ids = table.get(predicate)
+        if ids is None:
+            ids = table[predicate] = tuple(
+                sorted(oid for oid, _ in self.predicate_groups(predicate))
+            )
+        return ids
+
+    def is_literal_id(self, tid: int) -> bool:
+        """True when *tid* decodes to a :class:`Literal`."""
+        return isinstance(self.id_term(tid), Literal)
+
+    # ------------------------------------------------------------------
+    # Term-level reads
+    # ------------------------------------------------------------------
     def _pattern_ids(
         self,
         subject: Optional[Term],
@@ -211,17 +365,6 @@ class Graph(TermReads):
         # for graphs without mixed-spelling numeric literals (the
         # common case), so the lookup is skipped entirely.
         self._spell: Dict[Tuple[int, int, int], Term] = {}
-        # Lazily computed per-predicate statistics for the cost-based
-        # planner (repro/sparql/planner.py): predicate ID -> (total,
-        # distinct subjects, distinct objects), the sorted numeric
-        # object values that cost FILTER comparisons, plus the sorted
-        # subject and object ID tuples that seed both-free path
-        # closures.  Version-stamped; rebuilt on demand after any
-        # mutation.
-        self._pstats: Dict[int, Tuple[int, int, int]] = {}
-        self._pnums: Dict[int, Tuple[float, ...]] = {}
-        self._pseeds: Dict[Tuple[int, bool], Tuple[int, ...]] = {}
-        self._pstats_version = -1
 
     # ------------------------------------------------------------------
     # Mutation
@@ -400,111 +543,28 @@ class Graph(TermReads):
     def node_ids(self) -> List[int]:
         """IDs of every subject and object, in ascending (encode) order.
 
-        The deterministic order matters: path fixpoints over both-free
-        endpoints enumerate these nodes, and result order must not
-        depend on set-iteration artifacts.
+        Cached per version.  The deterministic order matters: path
+        fixpoints over both-free endpoints enumerate these nodes, and
+        result order must not depend on set-iteration artifacts.
         """
-        nodes: Set[int] = set(self._spo)
-        nodes.update(self._osp)
-        return sorted(nodes)
-
-    def _stats_fresh(self) -> None:
-        """Drop stale planner statistics after a mutation (lazy rebuild)."""
-        if self._pstats_version != self._version:
-            self._pstats = {}
-            self._pnums = {}
-            self._pseeds = {}
-            self._pstats_version = self._version
+        table = self.memo("node_ids")
+        nodes = table.get(None)
+        if nodes is None:
+            merged: Set[int] = set(self._spo)
+            merged.update(self._osp)
+            nodes = table[None] = sorted(merged)
+        return nodes
 
     def distinct_predicates(self) -> int:
         """Number of distinct predicates with at least one triple."""
         return len(self._pos)
 
-    def predicate_stats(self, predicate: int) -> Tuple[int, int, int]:
-        """``(total, distinct subjects, distinct objects)`` for a predicate ID.
-
-        Exact.  O(triples of the predicate) the first time per graph
-        version, then a dictionary hit until the graph mutates.  The
-        planner divides pattern cardinalities by the distinct counts to
-        estimate the selectivity of join-bound variable positions.
-        """
-        self._stats_fresh()
-        cached = self._pstats.get(predicate)
-        if cached is not None:
-            return cached
-        by_obj = self._pos.get(predicate)
-        if not by_obj:
-            stats = (0, 0, 0)
-        else:
-            subjects: Set[int] = set()
-            for subs in by_obj.values():
-                subjects.update(subs)
-            stats = (
-                self._pred_total.get(predicate, 0),
-                len(subjects),
-                len(by_obj),
-            )
-        self._pstats[predicate] = stats
-        return stats
-
-    def numeric_objects(self, predicate: int) -> Tuple[float, ...]:
-        """Numeric values of a predicate's objects, ascending, one per triple.
-
-        Exact, and cached per graph version like :meth:`predicate_stats`.
-        Objects that are not numeric literals are left out, so the share
-        of the predicate's triples whose object passes ``value < c`` is
-        ``bisect_left(values, c) / total``.  The planner costs FILTER
-        comparisons with it.
-        """
-        self._stats_fresh()
-        cached = self._pnums.get(predicate)
-        if cached is None:
-            decode = self._dict.decode
-            cached = self._pnums[predicate] = _sorted_numbers(
-                (decode(oid), len(subs))
-                for oid, subs in self._pos.get(predicate, {}).items()
-            )
-        return cached
-
-    def subject_ids_for(self, predicate: int) -> Tuple[int, ...]:
-        """Distinct subject IDs of a predicate, ascending (cached per version).
-
-        Seeds forward both-free path closures: only these nodes can start
-        a non-empty edge of the predicate.
-        """
-        self._stats_fresh()
-        key = (predicate, True)
-        cached = self._pseeds.get(key)
-        if cached is None:
-            by_obj = self._pos.get(predicate)
-            if not by_obj:
-                cached = ()
-            else:
-                subjects: Set[int] = set()
-                for subs in by_obj.values():
-                    subjects.update(subs)
-                cached = tuple(sorted(subjects))
-            self._pseeds[key] = cached
-        return cached
-
-    def object_ids_for(self, predicate: int) -> Tuple[int, ...]:
-        """Distinct object IDs of a predicate, ascending (cached per version).
-
-        Seeds reverse both-free path closures: only these nodes can end
-        a non-empty edge of the predicate.
-        """
-        self._stats_fresh()
-        key = (predicate, False)
-        cached = self._pseeds.get(key)
-        if cached is None:
-            by_obj = self._pos.get(predicate)
-            cached = tuple(sorted(by_obj)) if by_obj else ()
-            self._pseeds[key] = cached
-        return cached
-
-    def is_literal_id(self, tid: int) -> bool:
-        """True when *tid* decodes to a :class:`Literal`."""
-        return isinstance(self._dict.decode(tid), Literal)
+    def predicate_groups(
+        self, predicate: int
+    ) -> Iterable[Tuple[int, Iterable[int]]]:
+        """``(object ID, subject IDs)`` groups of a predicate ID, in POS
+        order; the planner statistics are built on it."""
+        return self._pos.get(predicate, {}).items()
 
     @property
     def has_spellings(self) -> bool:

@@ -6,7 +6,9 @@ indexes, the term dictionary and the spelling side-table — into one
 contiguous ``bytes`` buffer, and :class:`GraphView` exposes that buffer
 through the same ID-level read API the SPARQL evaluator and the cost
 planner consume (``triples_ids`` / ``estimate_ids`` / ``term_id`` /
-``node_ids`` / ``predicate_stats`` / …).  The buffer can live anywhere —
+``node_ids`` / ``predicate_groups`` / …); the planner statistics and
+the per-version memo come from :class:`~repro.rdf.graph.TermReads`,
+the same code ``Graph`` runs.  The buffer can live anywhere —
 a ``bytes`` object, an ``mmap``, or a ``multiprocessing.shared_memory``
 segment (see :mod:`repro.core.shm`) — and attaching a view never copies
 the triple data: the int sections are read through ``memoryview.cast``
@@ -50,9 +52,9 @@ then any side-table spellings that are not dictionary representatives.
 
 from __future__ import annotations
 
-from typing import Dict, Iterator, List, Optional, Set, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional, Set, Tuple
 
-from repro.rdf.graph import Graph, TermReads, _sorted_numbers
+from repro.rdf.graph import Graph, TermReads
 from repro.rdf.term import BNode, Literal, Term, URIRef
 
 #: First header word; guards against attaching a foreign buffer.
@@ -279,9 +281,9 @@ class GraphView(TermReads):
     contract.
 
     The class intentionally has a ``__dict__`` (no ``__slots__``): the
-    evaluator's closure memo and the cost planner's plan memo attach
-    version-stamped caches via ``setattr``, and a long-lived per-worker
-    view accumulating those caches is exactly how the process pool
+    per-version memo (:meth:`~repro.rdf.graph.TermReads.memo`) attaches
+    to the view, and a long-lived per-worker view accumulating its
+    statistics, plans and closures is exactly how the process pool
     amortizes warm-up across searches.
     """
 
@@ -335,10 +337,6 @@ class GraphView(TermReads):
         self._terms: List[Optional[Term]] = [None] * self._n_terms
         self._term_ids: Optional[Dict[Term, int]] = None
         self._spell_map: Optional[Dict[Tuple[int, int, int], int]] = None
-        self._node_ids: Optional[List[int]] = None
-        self._pstats: Dict[int, Tuple[int, int, int]] = {}
-        self._pnums: Dict[int, Tuple[float, ...]] = {}
-        self._pseeds: Dict[Tuple[int, bool], Tuple[int, ...]] = {}
 
     # ------------------------------------------------------------------
     # Dictionary (ID-level API)
@@ -471,81 +469,25 @@ class GraphView(TermReads):
         return self._size
 
     def node_ids(self) -> List[int]:
-        """IDs of every subject and object, ascending (cached)."""
-        nodes = self._node_ids
+        """IDs of every subject and object, ascending (cached per version)."""
+        table = self.memo("node_ids")
+        nodes = table.get(None)
         if nodes is None:
             merged: Set[int] = set(self._spo.a_keys)
             merged.update(self._osp.a_keys)
-            nodes = sorted(merged)
-            self._node_ids = nodes
+            nodes = table[None] = sorted(merged)
         return nodes
 
     def distinct_predicates(self) -> int:
         return len(self._pos.a_keys)
 
-    def predicate_stats(self, predicate: int) -> Tuple[int, int, int]:
-        """``(total, distinct subjects, distinct objects)``, cached."""
-        cached = self._pstats.get(predicate)
-        if cached is not None:
-            return cached
-        pos = self._pos
-        ai = pos.a_index(predicate)
-        if ai is None:
-            stats = (0, 0, 0)
-        else:
-            subjects: Set[int] = set()
-            for _, group in pos.group_items(ai):
-                subjects.update(group)
-            stats = (self._pred_totals[ai], len(subjects), pos.a_counts[ai])
-        self._pstats[predicate] = stats
-        return stats
-
-    def numeric_objects(self, predicate: int) -> Tuple[float, ...]:
-        """Ascending numeric object values, one per triple, cached."""
-        cached = self._pnums.get(predicate)
-        if cached is None:
-            ai = self._pos.a_index(predicate)
-            groups = () if ai is None else self._pos.group_items(ai)
-            cached = self._pnums[predicate] = _sorted_numbers(
-                (self.id_term(oid), len(group)) for oid, group in groups
-            )
-        return cached
-
-    def subject_ids_for(self, predicate: int) -> Tuple[int, ...]:
-        key = (predicate, True)
-        cached = self._pseeds.get(key)
-        if cached is None:
-            pos = self._pos
-            ai = pos.a_index(predicate)
-            if ai is None:
-                cached = ()
-            else:
-                subjects: Set[int] = set()
-                for _, group in pos.group_items(ai):
-                    subjects.update(group)
-                cached = tuple(sorted(subjects))
-            self._pseeds[key] = cached
-        return cached
-
-    def object_ids_for(self, predicate: int) -> Tuple[int, ...]:
-        key = (predicate, False)
-        cached = self._pseeds.get(key)
-        if cached is None:
-            pos = self._pos
-            ai = pos.a_index(predicate)
-            if ai is None:
-                cached = ()
-            else:
-                start = pos.a_starts[ai]
-                keys = pos.b_keys
-                cached = tuple(
-                    sorted(keys[i] for i in range(start, start + pos.a_counts[ai]))
-                )
-            self._pseeds[key] = cached
-        return cached
-
-    def is_literal_id(self, tid: int) -> bool:
-        return isinstance(self.id_term(tid), Literal)
+    def predicate_groups(
+        self, predicate: int
+    ) -> Iterable[Tuple[int, Iterable[int]]]:
+        """``(object ID, subject IDs)`` groups of a predicate ID, in POS
+        order."""
+        ai = self._pos.a_index(predicate)
+        return () if ai is None else self._pos.group_items(ai)
 
     @property
     def has_spellings(self) -> bool:

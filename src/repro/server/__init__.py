@@ -54,13 +54,13 @@ from repro.server.aserver import AsyncOptImatchServer
 from repro.server.common import (
     DEFAULT_MAX_BODY_BYTES,
     DEFAULT_MAX_INFLIGHT,
-    DEFAULT_MAX_STREAMS,
     DEFAULT_MAX_TIMEOUT_MS,
-    DEFAULT_RETRY_AFTER_SECONDS,
     DEFAULT_STREAM_BATCH,
     DEFAULT_STREAM_HWM,
     DEFAULT_TIMEOUT_MS,
     MAX_STREAM_BATCH,
+    MAX_STREAMS,
+    RETRY_AFTER_SECONDS,
     Response,
     ServerState,
     _matches_to_json,
@@ -92,10 +92,10 @@ __all__ = [
     "DEFAULT_TIMEOUT_MS",
     "DEFAULT_MAX_TIMEOUT_MS",
     "DEFAULT_MAX_INFLIGHT",
-    "DEFAULT_RETRY_AFTER_SECONDS",
+    "RETRY_AFTER_SECONDS",
     "DEFAULT_STREAM_BATCH",
     "DEFAULT_STREAM_HWM",
-    "DEFAULT_MAX_STREAMS",
+    "MAX_STREAMS",
     "MAX_STREAM_BATCH",
     "_matches_to_json",
     "_report_to_json",

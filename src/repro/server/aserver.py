@@ -101,11 +101,13 @@ class AsyncOptImatchServer:
     keyword argument is passed to
     :class:`~repro.server.common.ServerState`, which holds the defaults:
     the governance layer (*max_body_bytes*, *default_timeout_ms*,
-    *max_timeout_ms*, *max_inflight*, *retry_after_seconds*; see
-    docs/operations.md), streaming ingest (*stream_batch*,
-    *max_streams*, *stream_hwm*; see docs/http-api.md), the matching
-    engine (*workers*, *cache*) and durability (*data_dir*,
-    *fsync_mode*, *checkpoint_every*).
+    *max_timeout_ms*, *max_inflight*; see docs/operations.md),
+    streaming ingest (*stream_batch*, *stream_hwm*; see
+    docs/http-api.md), the matching engine (*workers*, *cache*) and
+    durability (*data_dir*, *fsync_mode*, *checkpoint_every*).  The
+    ``Retry-After`` value and the cap on open streams are the constants
+    :data:`~repro.server.common.RETRY_AFTER_SECONDS` and
+    :data:`~repro.server.common.MAX_STREAMS`.
     Lifecycle: ``start`` / ``stop`` / ``address`` / ``url``.
     """
 

@@ -51,15 +51,17 @@ DEFAULT_MAX_TIMEOUT_MS = 120_000.0
 #: Default cap on concurrently-evaluating heavy requests.
 DEFAULT_MAX_INFLIGHT = 8
 #: Seconds suggested to shed clients via the Retry-After header.
-DEFAULT_RETRY_AFTER_SECONDS = 1
+RETRY_AFTER_SECONDS = 1
+#: The header every retryable 503 carries.
+_RETRY_AFTER = (("Retry-After", str(RETRY_AFTER_SECONDS)),)
 #: Default plans per streaming-ingest micro-batch (one journal record,
 #: one commit, one ack line per batch).
 DEFAULT_STREAM_BATCH = 64
 #: Hard ceiling on the client-requested ``?batch=`` size.
 MAX_STREAM_BATCH = 1024
-#: Default cap on concurrently-open streaming-ingest connections;
-#: excess streams are shed with 503 like any other overload.
-DEFAULT_MAX_STREAMS = 256
+#: Cap on concurrently-open streaming-ingest connections; excess
+#: streams are shed with 503 like any other overload.
+MAX_STREAMS = 256
 #: Default high-water mark on stream micro-batches committing at once
 #: (across all connections).  A connection whose batch cannot be
 #: admitted stops reading its socket until a slot frees — the
@@ -165,13 +167,11 @@ class ServerState:
         default_timeout_ms: Optional[float] = DEFAULT_TIMEOUT_MS,
         max_timeout_ms: float = DEFAULT_MAX_TIMEOUT_MS,
         max_inflight: int = DEFAULT_MAX_INFLIGHT,
-        retry_after_seconds: int = DEFAULT_RETRY_AFTER_SECONDS,
         registry: Optional[MetricsRegistry] = None,
         data_dir: Optional[str] = None,
         fsync_mode: str = "batch",
         checkpoint_every: int = DEFAULT_CHECKPOINT_EVERY,
         stream_batch: int = DEFAULT_STREAM_BATCH,
-        max_streams: int = DEFAULT_MAX_STREAMS,
         stream_hwm: int = DEFAULT_STREAM_HWM,
         min_free_bytes: int = 0,
         max_rss_bytes: int = 0,
@@ -201,9 +201,7 @@ class ServerState:
         self.max_body_bytes = max_body_bytes
         self.default_timeout_ms = default_timeout_ms
         self.max_timeout_ms = max_timeout_ms
-        self.retry_after_seconds = retry_after_seconds
         self.stream_batch = max(1, min(int(stream_batch), MAX_STREAM_BATCH))
-        self.max_streams = max(1, int(max_streams))
         self.stream_hwm = max(1, int(stream_hwm))
         # Commit-queue high-water mark: at most `stream_hwm` stream
         # micro-batches may be committing/queued at once across all
@@ -333,7 +331,7 @@ class ServerState:
             return "read_only"
         return "ok"
 
-    def check_not_recovering(self, retry_after: int) -> None:
+    def check_not_recovering(self) -> None:
         """503 ``recovering`` while the journal replay is running (the
         workload is not fully rebuilt yet, so neither mutations nor
         searches can answer correctly)."""
@@ -342,10 +340,10 @@ class ServerState:
                 503,
                 "recovering",
                 "journal recovery in progress, retry later",
-                headers=(("Retry-After", str(retry_after)),),
+                headers=_RETRY_AFTER,
             )
 
-    def check_ingest_allowed(self, retry_after: int) -> None:
+    def check_ingest_allowed(self) -> None:
         """Raise the 503 taxonomy error when mutations cannot proceed.
 
         Searches keep working in ``read_only`` — only ingest degrades.
@@ -354,18 +352,18 @@ class ServerState:
         read-only) or while RSS is over the watermark (before the OOM
         killer makes the decision for us) is a *retryable* 503, not a
         latch."""
-        self.check_not_recovering(retry_after)
+        self.check_not_recovering()
         if self.recovery_error is not None:
             raise _RequestError(
                 503,
                 "read_only",
                 f"journal recovery failed: {self.recovery_error}",
-                headers=(("Retry-After", str(retry_after)),),
+                headers=_RETRY_AFTER,
             )
-        self.check_memory_watermark(retry_after)
-        self.check_disk_preflight(retry_after)
+        self.check_memory_watermark()
+        self.check_disk_preflight()
 
-    def check_memory_watermark(self, retry_after: int) -> None:
+    def check_memory_watermark(self) -> None:
         """503 ``overloaded_memory`` when RSS exceeds ``--max-rss-bytes``."""
         if not self.max_rss_bytes:
             return
@@ -377,10 +375,10 @@ class ServerState:
                 "overloaded_memory",
                 f"resident set size {rss} bytes exceeds the "
                 f"{self.max_rss_bytes}-byte watermark, retry later",
-                headers=(("Retry-After", str(retry_after)),),
+                headers=_RETRY_AFTER,
             )
 
-    def check_disk_preflight(self, retry_after: int) -> None:
+    def check_disk_preflight(self) -> None:
         """503 ``low_disk`` when the data dir is under ``--min-free-bytes``.
 
         Only meaningful with durability: the guard protects the journal
@@ -399,7 +397,7 @@ class ServerState:
                 "low_disk",
                 f"{free} bytes free on the journal device is under the "
                 f"{self.min_free_bytes}-byte floor, retry later",
-                headers=(("Retry-After", str(retry_after)),),
+                headers=_RETRY_AFTER,
             )
 
     # ------------------------------------------------------------------
@@ -451,7 +449,7 @@ class ServerState:
     def acquire_stream_slot(self) -> bool:
         """Reserve a streaming-ingest connection slot; False = shed."""
         with self._counter_lock:
-            if self.draining or self.inflight_streams >= self.max_streams:
+            if self.draining or self.inflight_streams >= MAX_STREAMS:
                 return False
             self.inflight_streams += 1
         self._m_stream_open.inc()
@@ -620,7 +618,7 @@ def shed_response(state: ServerState, route: str) -> Response:
         503,
         "server is at capacity, retry later",
         code="shed",
-        headers=(("Retry-After", str(state.retry_after_seconds)),),
+        headers=_RETRY_AFTER,
     )
 
 
@@ -717,7 +715,7 @@ def read_only_response(state: ServerState, exc: DurabilityError) -> Response:
         503,
         str(exc),
         code="read_only",
-        headers=(("Retry-After", str(state.retry_after_seconds)),),
+        headers=_RETRY_AFTER,
     )
 
 
@@ -776,7 +774,7 @@ def _dispatch_get(state: ServerState, route: str) -> Response:
 
 def _dispatch_delete(state: ServerState, route: str) -> Response:
     if route == "/plans":
-        state.check_ingest_allowed(state.retry_after_seconds)
+        state.check_ingest_allowed()
         with state.lock:
             state.tool.clear()
         return json_response(200, {"cleared": True})
@@ -791,7 +789,7 @@ def _dispatch_post(
     body: bytes,
 ) -> Response:
     if route == "/plans":
-        state.check_ingest_allowed(state.retry_after_seconds)
+        state.check_ingest_allowed()
         content_type = headers.get("content-type", "")
         if "json" in content_type.lower():
             # Batch ingest: {"plans": [text, ...]} — atomic in
@@ -835,7 +833,7 @@ def _dispatch_post(
             },
         )
     if route in ("/search", "/search/sparql"):
-        state.check_not_recovering(state.retry_after_seconds)
+        state.check_not_recovering()
         if route == "/search":
             target = ProblemPattern.from_json(body.decode("utf-8"))
         else:
@@ -862,7 +860,7 @@ def _dispatch_post(
             payload["errors"] = [e.to_json_object() for e in result.errors]
         return _degraded_response(payload, result.errors, flag(query, "strict"))
     if route == "/kb/entries":
-        state.check_ingest_allowed(state.retry_after_seconds)
+        state.check_ingest_allowed()
         entry = KBEntry.from_json_object(json.loads(body))
         with state.lock:
             # Journal first: a DurabilityError must leave the KB
@@ -875,7 +873,7 @@ def _dispatch_post(
             {"added": entry.name, "durability": durability_ack(state, synced)},
         )
     if route == "/kb/run":
-        state.check_not_recovering(state.retry_after_seconds)
+        state.check_not_recovering()
         budget = request_budget(state, query, headers)
         if not state.acquire_heavy_slot():
             return shed_response(state, route)

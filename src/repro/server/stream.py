@@ -173,7 +173,7 @@ class StreamSession:
 
     def __init__(self, state: ServerState, query: dict):
         self.state = state
-        state.check_ingest_allowed(state.retry_after_seconds)
+        state.check_ingest_allowed()
         ack = (query.get("ack", ["none"])[-1] or "none").lower()
         if ack not in ("none", "batch", "sync"):
             raise _RequestError(
@@ -283,7 +283,7 @@ class StreamSession:
             ):
                 try:
                     with state.lock:
-                        state.check_ingest_allowed(state.retry_after_seconds)
+                        state.check_ingest_allowed()
                         committed = state.tool.load_explain_batch(
                             texts, plan_ids=ids, replace=self.replace
                         )

@@ -58,7 +58,6 @@ graph.  Two behaviours depart from the spec on purpose:
 from __future__ import annotations
 
 import operator
-import threading
 from typing import (
     Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple,
 )
@@ -881,53 +880,16 @@ def _path_successors_ids(
             yield source
 
 
-# Per-graph memo for transitive-closure path evaluation.  Recursive
-# (descendant) patterns re-query the same closure for every candidate
-# binding; caching turns the repeated BFS into a dictionary lookup.  The
-# state lives in an attribute ON the graph object, so it shares the
-# graph's lifetime with no weak-reference machinery, and — critically —
-# no hashing of the graph: a WeakKeyDictionary here would fall back to
-# the value-based ``Graph.__eq__`` (an O(size) triple comparison) on any
-# bucket collision, which profiling showed dominating recursive-pattern
-# evaluation.  Invalidation goes through the graph's mutation counter.
-_CLOSURE_ATTR = "_sparql_closure_cache"
-
-#: Cap on memoized closures per graph; past it the oldest entry is
-#: evicted.  Keys are path-object identities, so one-off ad-hoc queries
-#: leave entries no later query reuses.  On the largest benchmark plan
-#: (539 operators, 13k triples) one query adds at most 51 entries for
-#: Patterns A-D and the KB queries, and 2,722 for a both-ends-free
-#: mutual-reachability join, so no query evicts its own entries.
+#: Cap on memoized closures per graph.  Recursive (descendant) patterns
+#: re-query the same closure for every candidate binding, so closures
+#: live in the graph's per-version memo (kind ``"closures"``); past the
+#: cap the oldest entry is evicted.  Keys are path-object identities, so
+#: one-off ad-hoc queries leave entries no later query reuses.  On the
+#: largest benchmark plan (539 operators, 13k triples) one query adds at
+#: most 51 entries for Patterns A-D and the KB queries, and 2,722 for a
+#: both-ends-free mutual-reachability join, so no query evicts its own
+#: entries.
 MAX_CLOSURES_PER_GRAPH = 4096
-
-#: Guards the attach/replace of the per-graph closure memo and every
-#: insert/eviction.  Multiple engine workers share one graph; without
-#: the lock two threads racing a version bump could each install a
-#: fresh state and interleave writes across them, a reader could
-#: observe a state dict whose "entries" belong to another version, or
-#: two evictions could race on the same oldest entry.
-_CLOSURE_LOCK = threading.Lock()
-
-
-def _closure_entries(graph: Graph) -> dict:
-    """A snapshot of the (version-checked) closure memo for *graph*.
-
-    The returned entries dict is captured once per call: a caller keeps
-    reading/writing the dict it was handed even if the graph mutates
-    mid-iteration and a newer state replaces the attribute.  Writes then
-    land in the superseded snapshot and are garbage-collected with it —
-    stale closures are never served to post-mutation readers, matching
-    the version check at generator start.
-    """
-    state = getattr(graph, _CLOSURE_ATTR, None)
-    version = graph.version
-    if state is None or state["version"] != version:
-        with _CLOSURE_LOCK:
-            state = getattr(graph, _CLOSURE_ATTR, None)
-            if state is None or state["version"] != version:
-                state = {"version": version, "entries": {}}
-                setattr(graph, _CLOSURE_ATTR, state)
-    return state["entries"]
 
 
 def _closure_ids(
@@ -943,7 +905,9 @@ def _closure_ids(
     cache = None
     key = None
     if CLOSURE_CACHING:
-        cache = _closure_entries(graph)
+        # The dict is captured once: should the graph mutate mid-BFS,
+        # this closure lands in the superseded memo (TermReads.memo).
+        cache = graph.memo("closures")
         # Key the path by identity, not value: hashing a nested path
         # expression recursively on every lookup costs more than the
         # BFS it saves.  The cached entry pins the path object so its
@@ -983,9 +947,9 @@ def _closure_ids(
     if cache is not None:
         # (pinned path, discovery order, membership set) — the set backs
         # the both-bound membership test in _eval_mod_ids.
-        planner.memo_insert(
+        graph.memo_insert(
             cache, key, (path, tuple(order), frozenset(order)),
-            MAX_CLOSURES_PER_GRAPH, _CLOSURE_LOCK,
+            MAX_CLOSURES_PER_GRAPH,
         )
     if probe is not None:
         probe.closure(path, start, forward, frontier_sizes, cached=False)
@@ -1002,7 +966,7 @@ def _closure_contains_ids(
     Cold closures run (and memoize) the full BFS via :func:`_closure_ids`.
     """
     if CLOSURE_CACHING:
-        hit = _closure_entries(graph).get((id(path), start, True))
+        hit = graph.memo("closures").get((id(path), start, True))
         if hit is not None:
             budget = active_budget()
             if budget is not None:

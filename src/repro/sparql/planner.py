@@ -25,14 +25,19 @@ Three planning products:
   *every* graph node, seed only from nodes that can actually start
   (forward) or end (reverse) a non-empty application of the inner path,
   whichever candidate set is smaller.
-* the per-graph **plan memo**: plans attach to the graph object under a
-  version-stamped attribute (the closure-cache idiom) so re-evaluating
-  a prepared query against an unchanged graph reuses the plan.  It is
+* the **plan memo**: BGP and closure plans live in the graph's
+  per-version memo (:meth:`~repro.rdf.graph.TermReads.memo`, kinds
+  ``"plans"`` and ``"closure_plans"``), so re-evaluating a prepared
+  query against an unchanged graph reuses the plan.  Each kind is
   bounded: past :data:`MAX_PLANS_PER_GRAPH` entries the oldest is
   evicted, releasing the query objects it pins.  On estimate ties the
   pattern written first wins, following the memoize-and-prefer-simpler
   idiom of CozySynthesizer's cost model (see SNIPPETS.md): when two
   plans are equally cheap, keep the one closest to the written query.
+
+The per-predicate statistics the estimates read (``predicate_stats``,
+``numeric_objects``, ``subject_ids_for``, ``object_ids_for``) are
+built by the store, once per graph version, in the same memo.
 
 This module is imported by :mod:`repro.sparql.evaluator` (never the
 reverse), so it owns the compiled-pattern position-spec kinds and the
@@ -41,7 +46,6 @@ FILTER shapes both modules read (:func:`numeric_comparison`).
 
 from __future__ import annotations
 
-import threading
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
@@ -60,7 +64,6 @@ __all__ = [
     "VAR",
     "can_be_zero",
     "filter_selectivity",
-    "invalidate",
     "numeric_comparison",
     "order_bgp",
     "place_filters",
@@ -87,7 +90,7 @@ PATH_ESTIMATES = (float(1 << 30), 64.0, 2.0)
 
 #: Cap on memoized BGP plans, and separately on closure plans, per graph
 #: (a runaway workload of distinct ad-hoc queries must not grow the
-#: graph attribute without bound): past it the oldest entry is evicted.
+#: graph's memo without bound): past it the oldest entry is evicted.
 MAX_PLANS_PER_GRAPH = 512
 
 
@@ -133,52 +136,6 @@ class ClosurePlan:
     seeds: Optional[Tuple[int, ...]]
     forward_count: Optional[int]
     reverse_count: Optional[int]
-
-
-# ----------------------------------------------------------------------
-# Per-graph plan memo (version-stamped attribute, like the closure cache)
-# ----------------------------------------------------------------------
-_PLAN_ATTR = "_sparql_plan_cache"
-_PLAN_LOCK = threading.Lock()
-
-
-def _plan_state(graph: Graph) -> dict:
-    """The version-checked plan memo for *graph* (attach under a lock)."""
-    state = getattr(graph, _PLAN_ATTR, None)
-    version = graph.version
-    if state is None or state["version"] != version:
-        with _PLAN_LOCK:
-            state = getattr(graph, _PLAN_ATTR, None)
-            if state is None or state["version"] != version:
-                state = {"version": version, "plans": {}, "closures": {}}
-                setattr(graph, _PLAN_ATTR, state)
-    return state
-
-
-def memo_insert(memo: dict, key, entry: tuple, cap: int, lock) -> tuple:
-    """Store *entry* under *key* in a bounded per-graph memo.
-
-    An existing entry wins and is returned.  Beyond *cap* entries the
-    oldest (dict insertion order) are evicted.  Each entry carries the
-    objects its key names by identity, so evicting it releases them and
-    their ids can only be recycled once no entry refers to them.  The
-    insert and the eviction run under *lock*, so engine workers sharing
-    a graph never evict from a dict another worker is iterating.
-    """
-    with lock:
-        kept = memo.setdefault(key, entry)
-        while len(memo) > cap:
-            del memo[next(iter(memo))]
-    return kept
-
-
-def invalidate(graph: Graph) -> None:
-    """Drop any memoized plans for *graph* (tests force cold passes)."""
-    with _PLAN_LOCK:
-        try:
-            delattr(graph, _PLAN_ATTR)
-        except AttributeError:
-            pass
 
 
 # ----------------------------------------------------------------------
@@ -376,8 +333,8 @@ def filter_selectivity(flt: ast.Filter, compiled: Sequence, graph: Graph) -> flo
     ``?v op number`` where ``?v`` is the object of a ground-predicate
     pattern gets the share of that predicate's triples whose object
     passes the test, counted with :func:`bisect` on the predicate's
-    sorted numeric object values (``Graph.numeric_objects``, built once
-    per graph version).  Every other FILTER gets 1.0.
+    sorted numeric object values (``TermReads.numeric_objects``, built
+    once per graph version).  Every other FILTER gets 1.0.
     """
     shape = numeric_comparison(flt.expr)
     if shape is None or isinstance(shape[2], Variable):
@@ -544,7 +501,7 @@ def plan_bgp(
     equal-cost plan is kept).  Past :data:`MAX_PLANS_PER_GRAPH` entries
     the oldest is evicted.
     """
-    plans: Dict = _plan_state(graph)["plans"]
+    plans: Dict = graph.memo("plans")
     key = (tuple(map(id, patterns)), tuple(map(id, filters)), bound)
     hit = plans.get(key)
     if hit is not None:
@@ -553,7 +510,7 @@ def plan_bgp(
         (tuple(patterns), tuple(filters)),
         order_bgp(compiled, graph, bound, filters),
     )
-    return memo_insert(plans, key, entry, MAX_PLANS_PER_GRAPH, _PLAN_LOCK)[1]
+    return graph.memo_insert(plans, key, entry, MAX_PLANS_PER_GRAPH)[1]
 
 
 # ----------------------------------------------------------------------
@@ -629,7 +586,7 @@ def plan_closure(inner: ast.Path, graph: Graph) -> ClosurePlan:
     be restricted safely, the plan degrades to an unrestricted forward
     scan — exactly the legacy behavior.
     """
-    closures: Dict = _plan_state(graph)["closures"]
+    closures: Dict = graph.memo("closure_plans")
     key = id(inner)
     hit = closures.get(key)
     if hit is not None:
@@ -649,4 +606,4 @@ def plan_closure(inner: ast.Path, graph: Graph) -> ClosurePlan:
     else:
         plan = ClosurePlan("forward", None, None, None)
     entry = (inner, plan)
-    return memo_insert(closures, key, entry, MAX_PLANS_PER_GRAPH, _PLAN_LOCK)[1]
+    return graph.memo_insert(closures, key, entry, MAX_PLANS_PER_GRAPH)[1]

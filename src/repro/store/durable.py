@@ -74,11 +74,14 @@ from repro.testing import chaos
 
 #: Checkpoint file magic: b"OPTMCKP1".
 CKPT_MAGIC = b"OPTMCKP1"
-#: Format 2 is the manifest alone.  Format 1 followed it with a blob of
-#: per-plan graph images and stored cache rows as term ids into them;
-#: it still loads, minus its cache rows (see :meth:`DurableStore.recover`).
-CKPT_FORMAT = 2
-_CKPT_FORMATS = (1, 2)
+#: Format 3 is the manifest alone, listing each cached query's text once
+#: (``queries``) and naming it in each cache entry by its index.  Format
+#: 2 repeated the text in every entry; it still loads.  Format 1
+#: followed the manifest with a blob of per-plan graph images and stored
+#: cache rows as term ids into them; it still loads, minus its cache
+#: rows (see :meth:`DurableStore.recover`).
+CKPT_FORMAT = 3
+_CKPT_FORMATS = (1, 2, 3)
 
 _CKPT_HEADER = struct.Struct("<II")  # manifest length + crc32(manifest)
 
@@ -389,7 +392,9 @@ class DurableStore:
         The checkpoint holds the logical state and *cache_entries*, the
         engine's match-cache entries in wire form (see
         :class:`CacheEntry`, keyed ``plan`` / ``version`` / ``query`` /
-        ``rows``).  A failure cleans up the temp file and raises
+        ``rows``).  The manifest stores each distinct query text once,
+        in ``queries``, and each entry's ``query`` as its index there
+        (format 3).  A failure cleans up the temp file and raises
         :class:`DurabilityError` without touching the existing
         checkpoint or journal.
         """
@@ -401,6 +406,11 @@ class DurableStore:
             )
         started = time.perf_counter()
         seq = self.checkpoint_seq + 1
+        queries: Dict[str, int] = {}
+        cache = [
+            {**entry, "query": queries.setdefault(entry["query"], len(queries))}
+            for entry in cache_entries or ()
+        ]
         manifest = {
             "format": CKPT_FORMAT,
             "seq": seq,
@@ -411,7 +421,8 @@ class DurableStore:
                 for plan_id, state in self._plans.items()
             ],
             "kb": list(self._kb),
-            "cache": list(cache_entries or ()),
+            "queries": list(queries),
+            "cache": cache,
         }
         manifest_bytes = json.dumps(
             manifest, separators=(",", ":"), sort_keys=True
@@ -560,13 +571,17 @@ class DurableStore:
             self._kb = list(manifest.get("kb", ()))
             # Format 1 cache rows hold term ids into its image blob,
             # which is not read: those plans re-match once.
-            if manifest["format"] == CKPT_FORMAT:
+            if manifest["format"] != 1:
+                # Format 3 names each entry's query by its index into
+                # ``queries``; format 2 holds the text itself.
+                queries = manifest.get("queries")
                 for entry in manifest.get("cache", ()):
+                    query = entry["query"]
                     info.cache_entries.append(
                         CacheEntry(
                             plan_id=entry["plan"],
                             version=int(entry["version"]),
-                            query=entry["query"],
+                            query=query if queries is None else queries[query],
                             rows=entry["rows"],
                         )
                     )

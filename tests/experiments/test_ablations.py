@@ -22,7 +22,7 @@ from repro.experiments.workloads import controlled_config
 from repro.kb.builtin import builtin_sparql
 from repro.qep import BaseObject, PlanGraph, PlanOperator, StreamRole
 from repro.rdf.graph import Graph
-from repro.sparql import evaluator, planner, prepare_query, query
+from repro.sparql import evaluator, prepare_query, query
 from repro.workload.generator import GeneratorConfig, WorkloadGenerator
 
 
@@ -53,8 +53,7 @@ def cold_search(letter, transformed, monkeypatch, reordering=True,
     with no memoized plan or closure."""
     monkeypatch.setattr(evaluator, "JOIN_REORDERING", reordering)
     monkeypatch.setattr(evaluator, "CLOSURE_CACHING", caching)
-    planner.invalidate(transformed.graph)
-    vars(transformed.graph).pop(evaluator._CLOSURE_ATTR, None)
+    transformed.graph.drop_memos()
     budget = limits.Budget()
     with limits.activate(budget):
         result = search_plan(builtin_sparql(letter), transformed)

@@ -21,7 +21,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.kb.builtin import make_pattern
 from repro.qep import write_plan
-from repro.server import AsyncOptImatchServer
+from repro.server import RETRY_AFTER_SECONDS, AsyncOptImatchServer
 from repro.workload import generate_workload
 from tests.conftest import build_figure1_plan
 
@@ -260,9 +260,7 @@ class TestErrorTaxonomy:
             )
             assert status == 503
             assert json.loads(body)["code"] == "shed"
-            assert headers.get("retry-after") == str(
-                server.state.retry_after_seconds
-            )
+            assert headers.get("retry-after") == str(RETRY_AFTER_SECONDS)
         finally:
             server.state.draining = False
 

@@ -134,6 +134,6 @@ def test_disabled_admission_guards_call_no_probe(tmp_path):
         state.data_dir = str(tmp_path)
         state._disk_usage = probe
         state._rss_probe = probe
-        state.check_ingest_allowed(state.retry_after_seconds)
+        state.check_ingest_allowed()
     finally:
         state.tool.close()

@@ -143,9 +143,9 @@ class TestPlanMemo:
         patterns = patterns_of("?s p:rare ?o . ?s p:common ?c")
         compiled = evaluator._compile_bgp(patterns, g)
         planner.plan_bgp(patterns, compiled, g, frozenset())
-        assert hasattr(g, planner._PLAN_ATTR)
-        planner.invalidate(g)
-        assert not hasattr(g, planner._PLAN_ATTR)
+        assert "_memo" in vars(g)
+        g.drop_memos()
+        assert "_memo" not in vars(g)
 
     def test_distinct_bound_sets_get_distinct_plans(self):
         g = skewed_graph()
@@ -801,8 +801,7 @@ def build_catalog(size: int = CATALOG_SIZE) -> Graph:
 
 def drop_caches(graph):
     """Forget *graph*'s memoized plans and closures."""
-    planner.invalidate(graph)
-    vars(graph).pop(evaluator._CLOSURE_ATTR, None)
+    graph.drop_memos()
 
 
 def cold_run(query, graphs, monkeypatch, reordering):
@@ -934,8 +933,8 @@ class TestMemoBounds:
         del first
         for index in range(1, cap + 1):
             evaluator.evaluate_query(one_off_query(index), g)
-        plans = getattr(g, planner._PLAN_ATTR)["plans"]
-        closures = evaluator._closure_entries(g)
+        plans = g.memo("plans")
+        closures = g.memo("closures")
         assert len(plans) <= cap
         # 10 closures per query: cap + 1 queries overflow the closure cap.
         assert len(closures) <= evaluator.MAX_CLOSURES_PER_GRAPH
@@ -990,8 +989,8 @@ class TestMemoBounds:
         assert errors == []
         assert len(row_counts) == planner.MAX_PLANS_PER_GRAPH + 8
         assert set(row_counts) == {expected}
-        plans = getattr(g, planner._PLAN_ATTR)["plans"]
+        plans = g.memo("plans")
         assert len(plans) == planner.MAX_PLANS_PER_GRAPH
-        assert len(evaluator._closure_entries(g)) == (
+        assert len(g.memo("closures")) == (
             evaluator.MAX_CLOSURES_PER_GRAPH
         )

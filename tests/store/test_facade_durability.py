@@ -401,39 +401,47 @@ class TestEngineSeeding:
             tool.close()
 
 
+def binding_order(occurrence):
+    return [
+        (name, node.number)
+        if isinstance(node, PlanOperator)
+        else (name, node.qualified_name)
+        for name, node in occurrence.bindings.items()
+    ]
+
+
+def cached(tool):
+    """Every match-cache entry: occurrence signatures and binding order."""
+    return {
+        key: (
+            [occ.signature() for occ in matches.occurrences],
+            [binding_order(occ) for occ in matches.occurrences],
+        )
+        for key, matches in tool.engine.export_match_cache()
+    }
+
+
+def kb_texts():
+    """Four plans carrying Patterns A-D, so every builtin KB query
+    caches an entry for each of them."""
+    plans = generate_workload(
+        4,
+        seed=5,
+        plant_rates=dict.fromkeys("ABCD", 1.0),
+        size_sampler=lambda rng: 20,
+    )
+    return [write_plan(plan) for plan in plans]
+
+
 class TestBaseObjectRowsSurviveRestart:
     """The builtin KB binds base objects (Pattern A's ``BASE``) as well
     as operators; both kinds of cached row must seed back unchanged."""
 
-    @staticmethod
-    def binding_order(occurrence):
-        return [
-            (name, node.number)
-            if isinstance(node, PlanOperator)
-            else (name, node.qualified_name)
-            for name, node in occurrence.bindings.items()
-        ]
-
-    def cached(self, tool):
-        return {
-            key: (
-                [occ.signature() for occ in matches.occurrences],
-                [self.binding_order(occ) for occ in matches.occurrences],
-            )
-            for key, matches in tool.engine.export_match_cache()
-        }
-
     def test_builtin_kb_rows_seed_identically(self, tmp_path):
-        plans = generate_workload(
-            4,
-            seed=5,
-            plant_rates=dict.fromkeys("ABCD", 1.0),
-            size_sampler=lambda rng: 20,
-        )
         tool = OptImatch(workers=1, data_dir=str(tmp_path), fsync="async")
-        tool.load_explain_batch(write_plan(plan) for plan in plans)
+        tool.load_explain_batch(kb_texts())
         tool.run_knowledge_base(builtin_knowledge_base())
-        before = self.cached(tool)
+        before = cached(tool)
         assert any(
             isinstance(node, BaseObject)
             for _, matches in tool.engine.export_match_cache()
@@ -446,7 +454,7 @@ class TestBaseObjectRowsSurviveRestart:
         with OptImatch(workers=1, data_dir=str(tmp_path)) as recovered:
             stats = recovered.stats()["matchCache"]
             assert stats["seeded"] == len(before)
-            assert self.cached(recovered) == before
+            assert cached(recovered) == before
             recovered.run_knowledge_base(builtin_knowledge_base())
             stats = recovered.stats()["matchCache"]
             assert stats["misses"] == 0
@@ -606,6 +614,88 @@ class TestFormatOneCheckpoint:
             assert (data_dir / "ckpt-1.bin").exists()
             tool.checkpoint()
         manifest, trailing = read_manifest(data_dir / "ckpt-2.bin")
-        assert manifest["format"] == 2 and trailing == 0
+        assert manifest["format"] == 3 and trailing == 0
         assert [plan["id"] for plan in manifest["plans"]] == ["a", "b", "c"]
         assert set(manifest["plans"][0]) == {"id", "rev", "source"}
+
+
+def write_format_2_checkpoint(data_dir, tool, seq):
+    """Write ``ckpt-<seq>.bin`` as format 2 did: the manifest alone,
+    each cache entry carrying its query's full text."""
+    manifest = json.dumps(
+        {
+            "format": 2,
+            "seq": seq,
+            "wal": f"wal-{seq}.log",
+            "revisions": dict(tool._revisions),
+            "plans": [
+                {
+                    "id": transformed.plan_id,
+                    "rev": split_version(transformed.graph.version)[0],
+                    "source": write_plan(transformed.plan),
+                }
+                for transformed in tool.workload
+            ],
+            "kb": [],
+            "cache": tool._export_cache_entries(),
+        },
+        separators=(",", ":"),
+        sort_keys=True,
+    ).encode("utf-8")
+    with open(os.path.join(data_dir, f"ckpt-{seq}.bin"), "wb") as handle:
+        handle.write(b"OPTMCKP1")
+        handle.write(struct.pack("<II", len(manifest), zlib.crc32(manifest)))
+        handle.write(manifest)
+
+
+class TestQueryTextsStoredOnce:
+    """Format 3 lists each distinct cached query text once; entries
+    name theirs by index."""
+
+    def test_manifest_holds_each_query_text_once(self, tmp_path):
+        with OptImatch(
+            workers=1, data_dir=str(tmp_path), fsync="async"
+        ) as tool:
+            tool.load_explain_batch(kb_texts())
+            tool.run_knowledge_base(builtin_knowledge_base())
+            texts = [query for (_, _, query), _ in tool.engine.export_match_cache()]
+            seq = tool.checkpoint()
+        assert len(set(texts)) < len(texts)  # each query cached per plan
+        path = tmp_path / f"ckpt-{seq}.bin"
+        manifest, _ = read_manifest(path)
+        assert manifest["format"] == 3
+        assert sorted(manifest["queries"]) == sorted(set(texts))
+        assert [
+            manifest["queries"][entry["query"]] for entry in manifest["cache"]
+        ] == texts
+        data = path.read_bytes()
+        for text in set(texts):
+            assert data.count(json.dumps(text)[1:-1].encode("utf-8")) == 1
+
+
+class TestFormatTwoCheckpoint:
+    """A data directory whose newest checkpoint is format 2 restores
+    and seeds every cache entry."""
+
+    def test_restores_and_seeds_every_entry(self, tmp_path):
+        data_dir = tmp_path / "data"
+        data_dir.mkdir()
+        source = OptImatch(workers=1)
+        source.load_explain_batch(kb_texts())
+        source.run_knowledge_base(builtin_knowledge_base())
+        before = cached(source)
+        write_format_2_checkpoint(str(data_dir), source, seq=1)
+        source.close()
+
+        with OptImatch(workers=1, data_dir=str(data_dir)) as tool:
+            status = tool.durability_status()["recovery"]
+            assert status["checkpointSeq"] == 1
+            assert status["cacheSeeded"] == len(before)
+            assert cached(tool) == before
+            tool.run_knowledge_base(builtin_knowledge_base())
+            stats = tool.stats()["matchCache"]
+            assert (stats["hits"], stats["misses"]) == (len(before), 0)
+            tool.checkpoint()
+        manifest, _ = read_manifest(data_dir / "ckpt-2.bin")
+        assert manifest["format"] == 3
+        assert len(manifest["cache"]) == len(before)
