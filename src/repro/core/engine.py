@@ -9,11 +9,10 @@ workload-scale path fast:
 
 * a **prepared-query cache** (LRU): pattern / SPARQL text -> parsed AST,
   so repeated searches and knowledge-base runs parse each query once;
-* a **per-plan match cache** (LRU) keyed on
-  ``(plan_id, graph.version, query_key)``: re-running a search over an
-  unchanged workload is near-free, and mutating a plan's graph bumps
-  :attr:`repro.rdf.Graph.version` which transparently invalidates only
-  that plan's entries.
+* **per-plan match results** in each plan graph's per-version memo
+  (kind ``"matches"``, keyed on the query text): re-running a search
+  over an unchanged workload is near-free, and a mutated, replaced or
+  removed plan takes only its own results with it.
 
 Instrumentation (per-stage timings, cache hit/miss counters, worker
 tasks, snapshot builds) lives in one place: the engine's
@@ -82,8 +81,9 @@ from repro.testing import chaos
 
 #: Bound on distinct prepared queries kept in memory.
 PREPARED_CACHE_SIZE = 128
-#: Bound on (plan, version, query) match entries kept in memory.
-MATCH_CACHE_SIZE = 16384
+#: Bound on match results per graph version, one per query text: above
+#: the paper's largest KB (250 entries, Figure 11).
+MAX_MATCHES_PER_GRAPH = 256
 
 
 @dataclass
@@ -160,12 +160,6 @@ class LRUCache:
     def __len__(self) -> int:
         return len(self._data)
 
-    def __contains__(self, key) -> bool:
-        return key in self._data
-
-    def clear(self) -> None:
-        self._data.clear()
-
 
 def _chunked(items: Sequence, size: int) -> Iterable[Sequence]:
     for start in range(0, len(items), size):
@@ -202,8 +196,10 @@ class MatchingEngine:
         :attr:`mode` reports the tier in effect (``"serial"`` or
         ``"process"``).
     cache:
-        Enable the two cache levels.  With ``False`` every search
-        re-parses and re-evaluates, exactly like the bare
+        Enable the prepared-query cache and the per-graph match results
+        (shared by every caching engine searching the same graphs; each
+        counts its own hits).  With ``False`` every search re-parses and
+        re-evaluates, exactly like the bare
         :func:`repro.core.matcher.find_matches`.
     registry:
         Where the engine's counters live.  Omitted, the engine builds a
@@ -235,7 +231,6 @@ class MatchingEngine:
         self.workers = count if self.mode == "process" else 1
         self.cache_enabled = bool(cache)
         self._prepared = LRUCache(PREPARED_CACHE_SIZE)
-        self._matches = LRUCache(MATCH_CACHE_SIZE)
         self._lock = threading.Lock()
         #: The one per-engine figure without a registry series: a label
         #: per plan id would make the series set unbounded.
@@ -357,7 +352,7 @@ class MatchingEngine:
                 self._m_stage_prepare.observe(elapsed)
 
     # ------------------------------------------------------------------
-    # Search (cache level 2)
+    # Search (cache level 2: each plan graph's memo)
     # ------------------------------------------------------------------
     def search(
         self,
@@ -419,22 +414,27 @@ class MatchingEngine:
             # Committing them here and the derived counters (plans_from
             # _cache etc.) later is the torn-read bug this replaced — a
             # stats() between the two sections saw match_hits already
-            # bumped with plansFromCache still stale.
+            # bumped with plansFromCache still stale.  Each result goes
+            # into the memo fetched here, so if the graph mutates
+            # meanwhile it lands in the superseded memo, which no later
+            # search reads.  It holds only the occurrences: a PlanMatches
+            # refers back to the graph, a cycle only full GC would free.
             match_hits = match_misses = 0
             use_cache = self.cache_enabled and key is not None
+            memos: List[dict] = []
             if use_cache:
-                with self._lock:
-                    for index, transformed in enumerate(plans):
-                        cache_key = (
-                            transformed.plan_id, transformed.graph.version, key,
+                for index, transformed in enumerate(plans):
+                    memo = transformed.graph.memo("matches")
+                    memos.append(memo)
+                    occurrences = memo.get(key)
+                    if occurrences is not None:
+                        match_hits += 1
+                        results[index] = PlanMatches(
+                            transformed, list(occurrences)
                         )
-                        cached = self._matches.get(cache_key)
-                        if cached is not None:
-                            match_hits += 1
-                            results[index] = cached
-                        else:
-                            match_misses += 1
-                            pending.append((index, transformed))
+                    else:
+                        match_misses += 1
+                        pending.append((index, transformed))
             else:
                 pending = list(enumerate(plans))
 
@@ -445,17 +445,19 @@ class MatchingEngine:
             evaluate_seconds = time.perf_counter() - evaluate_started
             error_count = 0
             match_count = 0
+            for index, transformed, result in evaluated:
+                results[index] = result
+                if isinstance(result, PlanError):
+                    error_count += 1
+                    continue  # never cache failures — they may be transient
+                if use_cache:
+                    transformed.graph.memo_insert(
+                        memos[index],
+                        key,
+                        tuple(result.occurrences),
+                        MAX_MATCHES_PER_GRAPH,
+                    )
             with self._lock:
-                for index, transformed, result in evaluated:
-                    results[index] = result
-                    if isinstance(result, PlanError):
-                        error_count += 1
-                        continue  # never cache failures — they may be transient
-                    if use_cache:
-                        cache_key = (
-                            transformed.plan_id, transformed.graph.version, key,
-                        )
-                        self._matches.put(cache_key, result)
                 per_plan = self._matches_per_plan
                 for result in results:
                     if isinstance(result, PlanMatches) and result.count:
@@ -849,7 +851,6 @@ class MatchingEngine:
                     "misses": misses,
                     "seeded": int(self._m_match_seeded.value),
                     "hitRate": round(hits / lookups if lookups else 0.0, 4),
-                    "size": len(self._matches),
                 },
                 "timings": {
                     "prepareSeconds": round(self._m_stage_prepare.sum, 6),
@@ -870,23 +871,9 @@ class MatchingEngine:
                 "modeFallback": self.mode_fallback,
             }
 
-    def export_match_cache(
-        self,
-    ) -> List[Tuple[Tuple[str, int, str], PlanMatches]]:
-        """Snapshot the match cache as ``(key, PlanMatches)`` pairs.
-
-        Keys are the engine's ``(plan_id, graph.version, query_key)``
-        triples, LRU order (oldest first).  The durability layer
-        persists these with each checkpoint so a recovered process can
-        re-arm the cache for plans whose graphs did not change.
-        """
-        with self._lock:
-            return list(self._matches._data.items())
-
-    def seed_match_cache(
-        self, key: Tuple[str, int, str], matches: PlanMatches
-    ) -> bool:
-        """Pre-load one recovered entry; False when caching is off.
+    def seed_match_cache(self, query: str, matches: PlanMatches) -> bool:
+        """Pre-load one recovered result for *query* into its plan
+        graph's memo; False when caching is off.
 
         Seeded entries are counted separately from hits/misses (``
         stats()["matchCache"]["seeded"]``), so recovery tests can assert
@@ -894,15 +881,16 @@ class MatchingEngine:
         """
         if not self.cache_enabled:
             return False
+        graph = matches.transformed.graph
+        graph.memo_insert(
+            graph.memo("matches"),
+            query,
+            tuple(matches.occurrences),
+            MAX_MATCHES_PER_GRAPH,
+        )
         with self._lock:
-            self._matches.put(key, matches)
             self._m_match_seeded.inc()
         return True
-
-    def clear_caches(self) -> None:
-        with self._lock:
-            self._prepared.clear()
-            self._matches.clear()
 
     def close(self) -> None:
         """Shut the process pool down and release the shared-memory snapshot.

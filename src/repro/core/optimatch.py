@@ -13,8 +13,8 @@ Plans are transformed to RDF once and cached; every subsequent search or
 knowledge-base run reuses the cached graphs, mirroring the architecture
 of Figure 4 (transformation engine feeding the matching engine).  All
 searches go through a :class:`repro.core.engine.MatchingEngine`, which
-adds a prepared-query cache, a per-plan match cache keyed on the graph
-version, and — with ``workers`` above one — a shared-memory process
+adds a prepared-query cache, match results memoized on each plan's
+graph, and — with ``workers`` above one — a shared-memory process
 pool (``OptImatch(workers=4)``; see docs/scale-out.md).
 
 Workload loads are atomic: every add and replace, one plan or a batch,
@@ -25,8 +25,8 @@ leaves the workload exactly as it was.
 With a *data_dir* the facade becomes durable: every workload mutation is
 journaled through :class:`repro.store.DurableStore` before it is
 applied, periodic checkpoints bound recovery time, and a restart with
-the same directory recovers the workload — and re-arms the engine's
-match cache for every plan whose graph is unchanged.  See
+the same directory recovers the workload — and re-arms the cached
+match results of every plan whose graph is unchanged.  See
 docs/durability.md.
 """
 
@@ -103,9 +103,9 @@ class OptImatch:
     ):
         self._workload: List[TransformedPlan] = []
         self._by_id: Dict[str, TransformedPlan] = {}
-        #: Monotonic per-plan-id revisions; maintained even without a
-        #: store so re-adding a same-sized plan after ``clear()`` can
-        #: never collide with a stale match-cache entry.
+        #: Monotonic per-plan-id revisions, so a replaced or re-added
+        #: plan never reuses a graph version: the process tier's snapshot
+        #: ``covers`` and recovery's seeding both compare versions.
         self._revisions: Dict[str, int] = {}
         self._recovered_kb: List[dict] = []
         self._engine = MatchingEngine(
@@ -201,8 +201,8 @@ class OptImatch:
         """Replace the workload plan with the same id (add when absent).
 
         The replacement gets a fresh revision, so its stamped graph
-        version can never collide with a cached match for the old plan
-        even when both graphs have the same triple count.
+        version differs from the old plan's even when both graphs have
+        the same triple count.
         """
         return self._commit([(transform_plan(plan), None)], replace=True)[0]
 
@@ -381,8 +381,8 @@ class OptImatch:
         """Empty the workload (journaled when durability is on).
 
         Plan revisions survive on purpose: re-adding a plan after a
-        clear gets a *higher* revision, so stale match-cache entries for
-        the old graph can never be served for the new one."""
+        clear gets a *higher* revision, so no version check can take the
+        old graph's snapshot or checkpointed results for the new one."""
         self._check_writable()
         if self._store is not None:
             self._store.record_clear()
@@ -424,37 +424,34 @@ class OptImatch:
 
     def checkpoint(self) -> int:
         """Write a checkpoint now: the journaled workload state plus the
-        engine's current match-cache entries.  Returns the sequence."""
+        match results memoized on its graphs.  Returns the sequence."""
         if self._store is None:
             raise DurabilityError("durability is disabled (no data_dir)")
         self._check_writable()
         return self._store.checkpoint(self._export_cache_entries())
 
     def _export_cache_entries(self) -> List[dict]:
-        """Wire-form match-cache entries for the checkpoint manifest.
+        """Wire-form match results for the checkpoint manifest: those
+        memoized on the live workload's graphs, plan by plan.
 
         Each occurrence row keeps the engine's binding insertion order,
         with every bound plan node named by its operator number or its
         base object's qualified name — replaying the rows through
         :class:`repro.core.matcher.RowCollector` on recovery rebuilds
-        bit-identical :class:`PlanMatches`.  Entries whose version no
-        longer matches the live graph (replaced plans) are dropped here;
-        entries for changed graphs are dropped again on recovery.
+        bit-identical :class:`PlanMatches`.  Entries for graphs changed
+        since the checkpoint are dropped on recovery.
         """
         entries: List[dict] = []
-        for (plan_id, version, query), matches in (
-            self._engine.export_match_cache()
-        ):
-            transformed = self._by_id.get(plan_id)
-            if transformed is None or transformed.graph.version != version:
-                continue  # stale: plan replaced/removed since caching
-            rows = [
-                [[name, _node_key(node)] for name, node in occ.bindings.items()]
-                for occ in matches.occurrences
-            ]
-            entries.append(
-                {"plan": plan_id, "version": version, "query": query, "rows": rows}
-            )
+        for transformed in self._workload:
+            plan_id, version = transformed.plan_id, transformed.graph.version
+            for query, occurrences in transformed.graph.memo_items("matches"):
+                rows = [
+                    [[name, _node_key(node)] for name, node in occ.bindings.items()]
+                    for occ in occurrences
+                ]
+                entries.append(
+                    {"plan": plan_id, "version": version, "query": query, "rows": rows}
+                )
         return entries
 
     def recover(self) -> RecoveryInfo:
@@ -463,8 +460,8 @@ class OptImatch:
         Plans are re-parsed and re-transformed from their journaled
         explain source — the transform is deterministic, so recovered
         graphs (and therefore search results) are bit-identical to the
-        pre-crash ones.  Checkpointed match-cache entries whose graph
-        version still matches are seeded back into the engine; entries
+        pre-crash ones.  Checkpointed match results whose graph version
+        still matches are seeded back into their plans' memos; entries
         for plans that changed are dropped, so only those plans pay the
         re-match cost.
         """
@@ -491,7 +488,8 @@ class OptImatch:
         return info
 
     def _seed_cache(self, info: RecoveryInfo) -> int:
-        """Re-arm the engine match cache from checkpointed entries."""
+        """Re-arm match results from checkpointed entries whose version
+        equals the recovered graph's (the journal tail may replace one)."""
         seeded = 0
         for entry in info.cache_entries:
             transformed = self._by_id.get(entry.plan_id)
@@ -507,8 +505,7 @@ class OptImatch:
                 collector.add(items)
             else:
                 if self._engine.seed_match_cache(
-                    (entry.plan_id, entry.version, entry.query),
-                    collector.result,
+                    entry.query, collector.result
                 ):
                     seeded += 1
         return seeded

@@ -26,8 +26,8 @@ Two API levels:
 Everything derived from the triples and cached until they change lives
 in one per-version memo per graph (:meth:`TermReads.memo`): the cost
 planner's per-predicate statistics, which :class:`TermReads` computes
-from each store's ``predicate_groups``, the node list, and the
-planner's and evaluator's plan and closure memos.
+from each store's ``predicate_groups``, the node list, and the plan,
+closure and match-result memos of the planner, evaluator and engine.
 
 A :class:`Graph` stores only ground terms; variables belong to queries.
 See ``docs/store-internals.md`` for the full layout and invariants.
@@ -169,6 +169,15 @@ class TermReads:
             while len(table) > cap:
                 del table[next(iter(table))]
         return kept
+
+    def memo_items(self, kind: str) -> List[tuple]:
+        """A copy of one *kind*'s ``(key, entry)`` pairs at the current
+        version, oldest first, taken under the memo lock."""
+        with _MEMO_LOCK:
+            state = self._memo
+            if state is None or state[0] != self.version:
+                return []
+            return list(state[1].get(kind, {}).items())
 
     def drop_memos(self) -> None:
         """Forget everything memoized for this graph (tests force cold
@@ -701,10 +710,9 @@ class Graph(TermReads):
             return False
         return all(t in other for t in self)
 
-    # Identity hash (mutable container): lets per-graph caches key on the
-    # graph object (e.g. the evaluator's closure memo) while __eq__ stays
-    # value-based.  The seed store defined __eq__ only, which implicitly
-    # made graphs unhashable and silently disabled those caches.
+    # Identity hash (mutable container): __eq__ alone would make graphs
+    # unhashable, and __eq__ stays value-based.  Derived state is never
+    # keyed on a graph; it lives in the graph's own memo (TermReads.memo).
     __hash__ = object.__hash__
 
     def __repr__(self) -> str:

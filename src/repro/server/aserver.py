@@ -37,6 +37,7 @@ Start one with ``optimatch serve`` or programmatically::
 from __future__ import annotations
 
 import asyncio
+import re
 import sys
 import threading
 import time
@@ -67,6 +68,9 @@ from repro.server.stream import (
 
 #: Read streamed request bodies in slices of this many bytes.
 _STREAM_READ_SIZE = 64 * 1024
+#: A chunk size is RFC 9112 ``1*HEXDIG``: ``int(s, 16)`` alone also takes
+#: a sign (``-1`` reads to end of stream), ``_`` and a ``0x`` prefix.
+_CHUNK_SIZE = re.compile(rb"[0-9A-Fa-f]+")
 #: Cap on one request head line / header line (defense against
 #: unbounded readline buffering).  A line past the StreamReader's own
 #: 64 KiB limit never reaches this check; see :func:`_readline`.
@@ -587,12 +591,12 @@ class AsyncOptImatchServer:
                     raise _RequestError(
                         400, "bad_chunked_encoding", "chunk size line too long"
                     )
-                try:
-                    size = int(size_line.split(b";")[0].strip() or b"", 16)
-                except ValueError:
+                size_field = size_line.split(b";")[0].strip()
+                if not _CHUNK_SIZE.fullmatch(size_field):
                     raise _RequestError(
                         400, "bad_chunked_encoding", "malformed chunk size"
                     )
+                size = int(size_field, 16)
                 if size == 0:
                     # Consume trailers up to the terminating blank line.
                     while True:

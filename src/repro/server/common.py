@@ -23,6 +23,7 @@ around it.
 from __future__ import annotations
 
 import json
+import math
 import shutil
 import sys
 import threading
@@ -566,8 +567,9 @@ def request_budget(
 
     ``timeout_ms`` (or ``X-Timeout-Ms``) is clamped to the server max;
     without either, the server default applies.  ``max_rows`` and
-    ``max_bindings`` add result/work caps.  The budget runs on the
-    state's injectable clock.  *headers* must use lower-case keys.
+    ``max_bindings`` add result/work caps.  Each must be a positive,
+    finite number (a NaN deadline never expires).  The budget runs on
+    the state's injectable clock.  *headers* must use lower-case keys.
     """
 
     def number(name: str, header: Optional[str] = None):
@@ -581,12 +583,10 @@ def request_budget(
         try:
             value = float(raw)
         except (TypeError, ValueError):
+            value = math.nan
+        if not 0 < value < math.inf:  # NaN fails both comparisons
             raise _RequestError(
                 400, "bad_parameter", f"invalid {name} value: {raw!r}"
-            )
-        if value <= 0:
-            raise _RequestError(
-                400, "bad_parameter", f"{name} must be positive: {raw!r}"
             )
         return value
 

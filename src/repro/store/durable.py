@@ -7,8 +7,8 @@ entries added at runtime.  It composes two mechanisms:
 
 * the write-ahead journal (:mod:`repro.store.wal`): every mutation is
   appended (and, per the fsync policy, synced) before it is applied;
-* periodic **checkpoints**: that logical state plus the engine's warm
-  match-cache entries, one CRC-checked JSON manifest written to
+* periodic **checkpoints**: that logical state plus the plans' warm
+  match results, one CRC-checked JSON manifest written to
   ``ckpt-<seq>.bin.tmp``, fsynced, and atomically renamed into place
   (``checkpoint.rename`` chaos site between the two).  Each checkpoint
   starts a fresh journal ``wal-<seq>.log``, so journals stay short and
@@ -27,21 +27,22 @@ appending.  The returned :class:`RecoveryInfo` carries everything the
 facade needs to rebuild in-memory state **deterministically** — plans
 are re-transformed from their journaled source text, so recovered
 graphs are bit-identical to the pre-crash ones, and the checkpointed
-match-cache rows re-arm the engine for every plan whose
+match-cache rows re-arm the results of every plan whose
 ``graph.version`` is unchanged (the delta invalidation described in
 docs/durability.md).
 
 Versions and revisions
 ----------------------
-The engine's match cache is keyed on ``(plan_id, graph.version,
-query_key)``.  A freshly transformed graph's natural version is its
-triple count, so two *different* plans replacing each other under the
-same id could collide.  The facade therefore assigns each plan id a
-monotonic **revision** (1 on first add, +1 per replace, never reset by
-remove/clear) and stamps ``graph.version = revision << 32 | natural``
-via :func:`compose_version` — deterministic across recovery, distinct
-across replaces.  The store journals each plan's revision and keeps the
-highest one seen per id, which recovery hands back to the facade.
+Recovery seeds checkpointed match results, and the process tier reuses
+a snapshot, only for a graph at the same version.  A graph's natural
+version is its triple count, so two *different* plans replacing each
+other under one id could collide.  The facade therefore assigns each
+plan id a monotonic **revision** (1 on first add, +1 per replace, never
+reset by remove/clear) and stamps ``graph.version = revision << 32 |
+natural`` via :func:`compose_version` — deterministic across recovery,
+distinct across replaces.  The store journals each plan's revision and
+keeps the highest one seen per id, which recovery hands back to the
+facade.
 
 Failure mode
 ------------
@@ -390,7 +391,7 @@ class DurableStore:
         """Write checkpoint ``seq`` atomically and start journal ``seq``.
 
         The checkpoint holds the logical state and *cache_entries*, the
-        engine's match-cache entries in wire form (see
+        plans' memoized match results in wire form (see
         :class:`CacheEntry`, keyed ``plan`` / ``version`` / ``query`` /
         ``rows``).  The manifest stores each distinct query text once,
         in ``queries``, and each entry's ``query`` as its index there

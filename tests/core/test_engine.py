@@ -1,12 +1,17 @@
 """Cached matching engine (repro.core.engine)."""
 
+import gc
+import weakref
+
 import pytest
 
+import repro.core.engine as engine_module
 from repro.core import OptImatch, transform_plan, transform_workload
 from repro.core.engine import LRUCache, MatchingEngine
 from repro.core.matcher import find_matches
 from repro.kb import builtin_knowledge_base
 from repro.kb.builtin import builtin_sparql, make_pattern
+from repro.qep.writer import write_plan
 from repro.rdf import Literal, URIRef
 from repro.workload import generate_workload
 
@@ -22,6 +27,23 @@ def planted_workload():
     return [transform_plan(plan) for plan in plans]
 
 
+@pytest.fixture
+def cold_memos(planted_workload):
+    """Forget everything earlier tests memoized on the planted graphs.
+
+    Match results live in each graph's memo, shared by every caching
+    engine, so a test that counts a new engine's first misses starts
+    from graphs no earlier test has searched.
+    """
+    for transformed in planted_workload:
+        transformed.graph.drop_memos()
+
+
+def _memoized(transformed):
+    """The ``(query text, occurrences)`` results memoized on a plan's graph."""
+    return transformed.graph.memo_items("matches")
+
+
 def _signatures(matches):
     return [
         (m.plan_id, [o.signature() for o in m.occurrences]) for m in matches
@@ -35,7 +57,7 @@ class TestLRUCache:
         cache.put("b", 2)
         cache.get("a")  # refresh a; b becomes the LRU entry
         cache.put("c", 3)
-        assert "a" in cache and "c" in cache and "b" not in cache
+        assert (cache.get("a"), cache.get("b"), cache.get("c")) == (1, None, 3)
 
     def test_get_default(self):
         assert LRUCache(1).get("missing", 42) == 42
@@ -75,6 +97,7 @@ class TestParallelEqualsSerial:
         ]
 
 
+@pytest.mark.usefixtures("cold_memos")
 class TestMatchCache:
     def test_repeat_search_hits_cache(self, planted_workload):
         engine = MatchingEngine(workers=1)
@@ -116,15 +139,137 @@ class TestMatchCache:
         ast = prepare_query(builtin_sparql("A"))
         serial = find_matches(ast, planted_workload)
         assert _signatures(engine.search(ast, planted_workload)) == _signatures(serial)
-        assert engine.stats()["matchCache"]["size"] == 0
+        assert not any(_memoized(t) for t in planted_workload)
 
-    def test_clear_caches(self, planted_workload):
+    def test_drop_memos_forgets_match_results(self, planted_workload):
         engine = MatchingEngine(workers=1)
         engine.search(builtin_sparql("A"), planted_workload)
-        assert engine.stats()["matchCache"]["size"] > 0
-        engine.clear_caches()
-        assert engine.stats()["matchCache"]["size"] == 0
-        assert engine.stats()["preparedCache"]["size"] == 0
+        assert all(_memoized(t) for t in planted_workload)
+        for transformed in planted_workload:
+            transformed.graph.drop_memos()
+        assert not any(_memoized(t) for t in planted_workload)
+        engine.search(builtin_sparql("A"), planted_workload)
+        assert engine.stats()["matchCache"]["hits"] == 0
+
+
+@pytest.mark.usefixtures("cold_memos")
+class TestMatchResultsLiveOnTheGraph:
+    """One owner for match results: each plan graph's per-version memo."""
+
+    def test_engine_keeps_no_match_cache(self):
+        assert not hasattr(engine_module, "MATCH_CACHE_SIZE")
+        for name in ("_matches", "export_match_cache", "clear_caches"):
+            assert not hasattr(MatchingEngine(workers=1), name), name
+
+    def test_cached_search_memoizes_one_entry_per_query(
+        self, planted_workload
+    ):
+        queries = [builtin_sparql(letter) for letter in "AB"]
+        engine = MatchingEngine(workers=1)
+        for query in queries + queries:
+            engine.search(query, planted_workload)
+        for transformed in planted_workload:
+            assert list(transformed.graph.memo("matches")) == queries
+
+    def test_uncached_search_memoizes_nothing(self, planted_workload):
+        engine = MatchingEngine(workers=1, cache=False)
+        engine.search(builtin_sparql("A"), planted_workload)
+        for transformed in planted_workload:
+            assert _memoized(transformed) == []
+
+    def test_concurrent_searches_and_exports_lose_no_result(
+        self, planted_workload
+    ):
+        import sys
+        import threading
+
+        queries = [builtin_sparql(letter) for letter in "ABCD"]
+        engine = MatchingEngine(workers=1)
+        stop = threading.Event()
+        failures = []
+
+        def search(query):
+            try:
+                engine.search(query, planted_workload)
+            except Exception as exc:  # noqa: BLE001 — reported below
+                failures.append(exc)
+
+        def export():
+            # A checkpoint copies memos while searches insert into them.
+            try:
+                while not stop.is_set():
+                    for transformed in planted_workload:
+                        _memoized(transformed)
+            except Exception as exc:  # noqa: BLE001 — reported below
+                failures.append(exc)
+
+        threads = [threading.Thread(target=search, args=(q,)) for q in queries]
+        threads.append(threading.Thread(target=export))
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads[:-1]:
+                thread.join(timeout=120)
+        finally:
+            stop.set()
+            threads[-1].join(timeout=120)
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert failures == []
+        for transformed in planted_workload:
+            assert sorted(q for q, _ in _memoized(transformed)) == sorted(queries)
+
+    def test_engines_share_results_and_count_their_own(
+        self, planted_workload
+    ):
+        first, second = MatchingEngine(workers=1), MatchingEngine(workers=1)
+        expected = _signatures(first.search(builtin_sparql("A"), planted_workload))
+        assert _signatures(
+            second.search(builtin_sparql("A"), planted_workload)
+        ) == expected
+        assert first.stats()["matchCache"]["misses"] == len(planted_workload)
+        assert second.stats()["matchCache"]["hits"] == len(planted_workload)
+        assert second.stats()["plansEvaluated"] == 0
+
+
+def _kb_texts():
+    plans = generate_workload(
+        3,
+        seed=5,
+        plant_rates=dict.fromkeys("ABCD", 1.0),
+        size_sampler=lambda rng: 20,
+    )
+    return [write_plan(plan) for plan in plans]
+
+
+class TestSupersededPlanIsFreed:
+    """A replaced, removed or cleared plan takes its cached match results
+    with it: nothing keeps its graph reachable once a KB run has moved
+    on to the new workload."""
+
+    @pytest.mark.parametrize("change", ["replace", "remove", "clear"])
+    def test_plan_and_graph_are_collected(self, change):
+        texts = _kb_texts()
+        kb = builtin_knowledge_base()
+        with OptImatch(workers=1) as tool:
+            tool.load_explain_batch(texts)
+            tool.run_knowledge_base(kb)
+            plan_id = tool.workload[0].plan_id
+            refs = [
+                weakref.ref(tool.plan(plan_id)),
+                weakref.ref(tool.plan(plan_id).graph),
+            ]
+            if change == "replace":
+                tool.replace_explain_text(texts[1], plan_id)
+            elif change == "remove":
+                tool.remove_plan(plan_id)
+            else:
+                tool.clear()
+            tool.run_knowledge_base(kb)
+            gc.collect()
+            assert [ref() for ref in refs] == [None, None]
 
 
 class TestFig9Workload:
@@ -216,6 +361,7 @@ class TestFacadeIntegration:
             engine_report.entry_hit_counts() == serial_report.entry_hit_counts()
         )
 
+    @pytest.mark.usefixtures("cold_memos")
     def test_repeated_kb_run_hits_cache(self, planted_workload):
         kb = builtin_knowledge_base()
         engine = MatchingEngine(workers=1)

@@ -21,6 +21,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from repro.core import mpexec, transform_plan
 from repro.core.engine import MatchingEngine, default_worker_count
 from repro.core.limits import Budget
+from repro.core.sparqlgen import pattern_to_sparql
 from repro.experiments.workloads import transformed_experiment_workload
 from repro.kb.builtin import builtin_sparql, make_pattern
 from repro.testing import chaos
@@ -131,6 +132,40 @@ class TestStatsAndMetrics:
             text = render_text(engine.registry)
             assert 'optimatch_engine_mode_info{mode="process"} 1' in text
             assert 'optimatch_engine_mode_info{mode="serial"} 0' in text
+
+
+class TestMatchMemo:
+    """The process tier caches into the same per-graph memo as serial."""
+
+    def test_repeat_search_is_served_from_each_graph_memo(
+        self, serial_engine
+    ):
+        workload = transformed_experiment_workload(8, seed=15)
+        pattern = make_pattern("A")
+        expected = serial_engine.search(pattern, workload, keep_empty=True)
+        with MatchingEngine(workers=2) as engine:
+            first = engine.search(pattern, workload)
+            before = engine.stats()
+            second = engine.search(pattern, workload)
+            after = engine.stats()
+        assert before["mode"] == "process"
+        assert before["snapshot"]["builds"] == 1  # the pool evaluated
+        assert before["matchCache"]["misses"] == len(workload)
+        assert after["matchCache"]["hits"] == len(workload)
+        assert after["plansEvaluated"] == before["plansEvaluated"]
+        assert after["workerTasks"] == before["workerTasks"]
+        assert _signatures(second) == _signatures(first) == _signatures(
+            m for m in expected if m
+        )
+        query = pattern_to_sparql(pattern)
+        for transformed, result in zip(workload, expected):
+            [(cached_query, occurrences)] = transformed.graph.memo_items(
+                "matches"
+            )
+            assert cached_query == query
+            assert [occ.signature() for occ in occurrences] == [
+                occ.signature() for occ in result
+            ]
 
 
 class TestFallbacks:

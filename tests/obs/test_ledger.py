@@ -46,7 +46,7 @@ def _mixed_sequence(engine, workload):
         make_pattern("C"), workload, budget=Budget(max_bindings=1)
     )
     assert {e.kind for e in limited.errors} == {"budget"}
-    engine.seed_match_cache((first[0].plan_id, -1, "recovered"), first[0])
+    engine.seed_match_cache("recovered", first[0])
 
 
 @pytest.mark.parametrize("cache", [True, False], ids=["cache", "no-cache"])

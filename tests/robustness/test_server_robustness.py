@@ -237,9 +237,21 @@ class TestErrorTaxonomy:
         assert payload["errorId"] in captured.err
         assert "internal boom" in captured.err
 
-    def test_bad_timeout_parameter_is_400(self, server):
+    @pytest.mark.parametrize(
+        "query, headers",
+        [
+            pytest.param("?timeout_ms=soon", None, id="timeout_ms=soon"),
+            # A NaN deadline never expires; inf has no integer cap.
+            pytest.param("?timeout_ms=nan", None, id="timeout_ms=nan"),
+            pytest.param("?max_rows=inf", None, id="max_rows=inf"),
+            pytest.param("?max_bindings=1e400", None, id="max_bindings=1e400"),
+            pytest.param("?max_rows=nan", None, id="max_rows=nan"),
+            pytest.param("", {"X-Timeout-Ms": "nan"}, id="X-Timeout-Ms=nan"),
+        ],
+    )
+    def test_bad_timeout_parameter_is_400(self, server, query, headers):
         status, _, payload = post(
-            server, "/search/sparql?timeout_ms=soon", TRIVIAL_SPARQL.encode()
+            server, "/search/sparql" + query, TRIVIAL_SPARQL.encode(), headers
         )
         assert status == 400
         assert payload["code"] == "bad_parameter"

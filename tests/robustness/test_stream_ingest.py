@@ -312,19 +312,25 @@ def test_wire_torn_final_line_400(small_server):
     assert payload["ingested"] == 1
 
 
-def test_wire_bad_chunked_framing_400(small_server):
+@pytest.mark.parametrize("size", ["ZZZ", "-1", "+1", "0x1", "1_0"])
+def test_wire_bad_chunked_framing_400(small_server, size):
+    # Only bare hex digits are a chunk size: no sign, no "0x" prefix and
+    # no "_" separators, though int(size, 16) takes all three.
     sock = socket.create_connection(small_server.address, timeout=30)
     try:
         sock.sendall(
             b"POST /plans/stream HTTP/1.1\r\n"
             b"Host: localhost\r\n"
             b"Transfer-Encoding: chunked\r\n"
-            b"\r\n"
-            b"ZZZ\r\n"  # not a hex chunk size
+            b"\r\n" + size.encode("ascii") + b"\r\n"
         )
         reader = sock.makefile("rb")
         status = int(reader.readline().split()[1])
+        while reader.readline() not in (b"\r\n", b"\n", b""):
+            pass
+        body = reader.read()
         reader.close()
     finally:
         sock.close()
     assert status == 400
+    assert json.loads(body)["code"] == "bad_chunked_encoding"

@@ -17,6 +17,7 @@ import zlib
 import pytest
 
 import repro.store
+from repro.core.matcher import PlanMatches
 from repro.core.optimatch import OptImatch
 from repro.core.transform import transform_plan
 from repro.kb.builtin import builtin_knowledge_base
@@ -38,6 +39,16 @@ SPARQL = (
 def texts():
     plans = generate_workload(3, seed=21, size_sampler=lambda rng: 9)
     return [write_plan(plan) for plan in plans]
+
+
+def cache_entries(tool):
+    """Every match result memoized on the workload's graphs, as
+    ``((plan id, version, query), PlanMatches)`` in checkpoint order."""
+    return [
+        ((t.plan_id, t.graph.version, query), PlanMatches(t, list(occurrences)))
+        for t in tool.workload
+        for query, occurrences in t.graph.memo_items("matches")
+    ]
 
 
 def result_shape(matches):
@@ -379,8 +390,7 @@ class TestEngineSeeding:
             from repro.core.matcher import PlanMatches
 
             refused = tool.engine.seed_match_cache(
-                (transformed.plan_id, transformed.graph.version, SPARQL),
-                PlanMatches(transformed=transformed),
+                SPARQL, PlanMatches(transformed=transformed)
             )
             assert refused is False
             assert tool.stats()["matchCache"]["seeded"] == 0
@@ -392,10 +402,10 @@ class TestEngineSeeding:
         try:
             tool.load_explain_text(texts[0])
             tool.search(SPARQL)
-            exported = tool.engine.export_match_cache()
+            exported = cache_entries(tool)
             assert len(exported) == 1
-            key, matches = exported[0]
-            assert tool.engine.seed_match_cache(key, matches) is True
+            (_, _, query), matches = exported[0]
+            assert tool.engine.seed_match_cache(query, matches) is True
             assert tool.stats()["matchCache"]["seeded"] == 1
         finally:
             tool.close()
@@ -417,7 +427,7 @@ def cached(tool):
             [occ.signature() for occ in matches.occurrences],
             [binding_order(occ) for occ in matches.occurrences],
         )
-        for key, matches in tool.engine.export_match_cache()
+        for key, matches in cache_entries(tool)
     }
 
 
@@ -444,7 +454,7 @@ class TestBaseObjectRowsSurviveRestart:
         before = cached(tool)
         assert any(
             isinstance(node, BaseObject)
-            for _, matches in tool.engine.export_match_cache()
+            for _, matches in cache_entries(tool)
             for occ in matches.occurrences
             for node in occ.bindings.values()
         )
@@ -524,7 +534,7 @@ def write_format_1_checkpoint(data_dir, tool, seq, kb):
         views[transformed.plan_id] = snapshot.GraphView(image)
         blob += image
     cache = []
-    for (plan_id, version, query), matches in tool.engine.export_match_cache():
+    for (plan_id, version, query), matches in cache_entries(tool):
         transformed = tool.plan(plan_id)
         view = views[plan_id]
         rows = [
@@ -658,7 +668,7 @@ class TestQueryTextsStoredOnce:
         ) as tool:
             tool.load_explain_batch(kb_texts())
             tool.run_knowledge_base(builtin_knowledge_base())
-            texts = [query for (_, _, query), _ in tool.engine.export_match_cache()]
+            texts = [query for (_, _, query), _ in cache_entries(tool)]
             seq = tool.checkpoint()
         assert len(set(texts)) < len(texts)  # each query cached per plan
         path = tmp_path / f"ckpt-{seq}.bin"
