@@ -343,19 +343,12 @@ def _cmd_serve(args) -> int:
         max_rss_bytes=args.max_rss_bytes,
     )
     if args.workload:
-        if args.data_dir:
-            # Recover first so --workload files merge into (rather than
-            # collide with) the journaled workload.
-            server.state.begin_recovery()
-            server.state._recovery_thread.join()
-        for name in sorted(os.listdir(args.workload)):
-            if name.endswith(".exfmt"):
-                try:
-                    server.state.tool.load_explain_file(
-                        os.path.join(args.workload, name)
-                    )
-                except ValueError:
-                    pass  # already recovered from the journal
+        try:
+            server.state.preload(args.workload)
+        except ValueError as exc:
+            server.stop(drain_seconds=0)
+            print(f"serve: {exc}", file=sys.stderr)
+            return 1
     # The serve loop runs on a daemon thread and signals only set an
     # event: a SIGTERM that lands at any instant — even before the loop
     # is entered — always takes the graceful path (stop() would deadlock

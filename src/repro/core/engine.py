@@ -584,24 +584,28 @@ class MatchingEngine:
     # Process-mode dispatch
     # ------------------------------------------------------------------
     def _pin_snapshot(self, plans: Sequence[TransformedPlan]):
-        """The shared-memory snapshot covering *plans*, pinned until
-        :meth:`_unpin_snapshot`.
+        """The shared-memory snapshot holding *plans*, pinned until
+        :meth:`_unpin_snapshot`, and each plan's ``(offset, length)``
+        in it.
 
-        One build at a time: concurrent searches that need the same
-        plan versions share one snapshot, and a rebuild (a plan missing
-        or its graph mutated) retires the old segment only once no
-        search still has it pinned — their tasks may not have attached
-        it yet.
+        The current snapshot serves when every plan's graph memo names
+        it (:meth:`repro.core.shm.WorkloadSnapshot.locate`); otherwise
+        one is built, one build at a time.  A rebuild retires the old
+        segment only once no search still has it pinned — their tasks
+        may not have attached it yet.  The returned locations are what
+        the tasks read, so a graph mutated after the pin is still
+        evaluated against the image it was pinned with.
         """
         from repro.core.shm import WorkloadSnapshot
 
-        needed = {t.plan_id: t.graph.version for t in plans}
         retired = None
         with self._snapshot_lock:
             snapshot = self._snapshot
-            if snapshot is None or not snapshot.covers(needed):
+            locations = None if snapshot is None else snapshot.locate(plans)
+            if locations is None:
                 started = time.perf_counter()
                 snapshot = WorkloadSnapshot(plans)
+                locations = snapshot.locations
                 build_seconds = time.perf_counter() - started
                 if self.tracer.enabled:
                     self.tracer.event(
@@ -620,7 +624,7 @@ class MatchingEngine:
                 self._pins[snapshot] = self._pins.get(snapshot, 0) + 1
         if retired is not None:
             retired.close()
-        return snapshot
+        return snapshot, locations
 
     def _unpin_snapshot(self, snapshot) -> None:
         with self._lock:
@@ -648,17 +652,20 @@ class MatchingEngine:
         if not all(isinstance(t.graph, Graph) for _, t in pending):
             return None
         try:
-            snapshot = self._pin_snapshot([t for _, t in pending])
+            snapshot, locations = self._pin_snapshot([t for _, t in pending])
         except Exception:  # noqa: BLE001 — degrade, never fail the search
             return None
         try:
-            return self._run_chunks(snapshot, key, pending, budget, isolate)
+            return self._run_chunks(
+                snapshot.name, locations, key, pending, budget, isolate
+            )
         finally:
             self._unpin_snapshot(snapshot)
 
     def _run_chunks(
         self,
-        snapshot,
+        segment: str,
+        locations: Sequence[Tuple[int, int]],
         key: str,
         pending: Sequence[Tuple[int, TransformedPlan]],
         budget: Optional[Budget],
@@ -673,12 +680,14 @@ class MatchingEngine:
         size = max(1, len(pending) // (self.workers * 4))
         pool = self._mp_executor()
         submissions = []
-        for chunk in _chunked(list(pending), size):
+        for chunk, where in zip(
+            _chunked(list(pending), size), _chunked(locations, size)
+        ):
             task = {
-                "segment": snapshot.name,
+                "segment": segment,
                 "chunk": [
-                    (t.plan_id,) + snapshot.entry(t.plan_id)[:2]
-                    for _, t in chunk
+                    (t.plan_id,) + location
+                    for (_, t), location in zip(chunk, where)
                 ],
                 "query": key,
                 "budget": budget_spec,

@@ -6,8 +6,8 @@ workload's plan graphs into one shared-memory segment
 persistent spawn-context :class:`~concurrent.futures.ProcessPoolExecutor`.
 Each task names the segment, the plans' ``(offset, length)`` entries,
 the SPARQL text and an optional budget; the worker attaches the segment
-once (cached across tasks, keyed on the segment name — which changes
-whenever any ``graph.version`` does), evaluates each plan against a
+once (cached across tasks, keyed on the segment name, which changes
+on every rebuild), evaluates each plan against a
 zero-copy :class:`repro.rdf.snapshot.GraphView`, and marshals rows back
 as compact term-ID tuples.
 

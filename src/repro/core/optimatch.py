@@ -48,7 +48,6 @@ from repro.store import (
     DurabilityError,
     DurableStore,
     RecoveryInfo,
-    compose_version,
 )
 
 
@@ -70,6 +69,10 @@ def _node_resource(transformed: TransformedPlan, key: Union[int, str]):
     if isinstance(key, int):
         return transformed.pop_resources.get(key)
     return transformed.object_resources.get(key)
+
+
+class DuplicatePlanError(ValueError):
+    """A plan id already in the workload, or repeated within a batch."""
 
 
 class OptImatch:
@@ -103,10 +106,6 @@ class OptImatch:
     ):
         self._workload: List[TransformedPlan] = []
         self._by_id: Dict[str, TransformedPlan] = {}
-        #: Monotonic per-plan-id revisions, so a replaced or re-added
-        #: plan never reuses a graph version: the process tier's snapshot
-        #: ``covers`` and recovery's seeding both compare versions.
-        self._revisions: Dict[str, int] = {}
         self._recovered_kb: List[dict] = []
         self._engine = MatchingEngine(
             workers=workers, cache=cache, registry=registry, tracer=tracer
@@ -159,15 +158,6 @@ class OptImatch:
             )
 
     @staticmethod
-    def _stamp(transformed: TransformedPlan, revision: int) -> None:
-        """Compose the plan revision into the graph version (see
-        :func:`repro.store.compose_version`): distinct across replaces,
-        deterministic across recovery."""
-        transformed.graph.stamp_version(
-            compose_version(revision, transformed.graph.version)
-        )
-
-    @staticmethod
     def _journal_source(
         transformed: TransformedPlan, text: Optional[str]
     ) -> str:
@@ -198,12 +188,7 @@ class OptImatch:
         return self._commit([(transform_plan(plan), None)])[0]
 
     def replace_plan(self, plan: PlanGraph) -> TransformedPlan:
-        """Replace the workload plan with the same id (add when absent).
-
-        The replacement gets a fresh revision, so its stamped graph
-        version differs from the old plan's even when both graphs have
-        the same triple count.
-        """
+        """Replace the workload plan with the same id (add when absent)."""
         return self._commit([(transform_plan(plan), None)], replace=True)[0]
 
     def replace_explain_text(
@@ -246,40 +231,36 @@ class OptImatch:
         input order.
 
         Without *replace*, a plan id already in the workload or repeated
-        within the batch raises :class:`ValueError` before anything
+        within the batch raises :class:`DuplicatePlanError` before anything
         changes.  With it, each plan upserts in place, keeping its
-        workload position; an id repeated in the batch takes successive
-        revisions and its last copy wins.
+        workload position; of an id repeated in the batch the last copy
+        wins.
 
         With durability on the whole batch is journaled as ONE record,
         so it is atomic across a crash too: either every plan in the
         batch recovers or none does.  A journal failure
-        (:class:`DurabilityError`) leaves workload and revisions as
-        they were.
+        (:class:`DurabilityError`) leaves the workload as it was.
         """
         self._check_writable()
-        batch: List[Tuple[TransformedPlan, Optional[str], int]] = []
-        revisions: Dict[str, int] = {}  # this batch's allocations
+        batch: List[Tuple[TransformedPlan, Optional[str]]] = []
+        seen = set()
         for transformed, text in staged:
             plan_id = transformed.plan_id
-            duplicate = plan_id in self._by_id or plan_id in revisions
+            duplicate = plan_id in self._by_id or plan_id in seen
             if duplicate and not replace:
-                raise ValueError(f"duplicate plan id {plan_id!r} in workload")
-            revision = 1 + revisions.get(
-                plan_id, self._revisions.get(plan_id, 0)
-            )
-            revisions[plan_id] = revision
-            self._stamp(transformed, revision)
-            batch.append((transformed, text, revision))
+                raise DuplicatePlanError(
+                    f"duplicate plan id {plan_id!r} in workload"
+                )
+            seen.add(plan_id)
+            batch.append((transformed, text))
         if self._store is not None and batch:
             self._store.record_plans(
                 [
-                    (t.plan_id, revision, self._journal_source(t, text))
-                    for t, text, revision in batch
+                    (t.plan_id, self._journal_source(t, text))
+                    for t, text in batch
                 ]
             )
-        self._revisions.update(revisions)
-        for transformed, _, _ in batch:
+        for transformed, _ in batch:
             existing = self._by_id.get(transformed.plan_id)
             if existing is not None:
                 self._workload[self._workload.index(existing)] = transformed
@@ -287,7 +268,7 @@ class OptImatch:
                 self._workload.append(transformed)
             self._by_id[transformed.plan_id] = transformed
         self._maybe_checkpoint()
-        return [transformed for transformed, _, _ in batch]
+        return [transformed for transformed, _ in batch]
 
     @staticmethod
     def _parse_explain(text: str, plan_id: Optional[str] = None) -> PlanGraph:
@@ -378,11 +359,7 @@ class OptImatch:
         return self._by_id[plan_id]
 
     def clear(self) -> None:
-        """Empty the workload (journaled when durability is on).
-
-        Plan revisions survive on purpose: re-adding a plan after a
-        clear gets a *higher* revision, so no version check can take the
-        old graph's snapshot or checkpointed results for the new one."""
+        """Empty the workload (journaled when durability is on)."""
         self._check_writable()
         if self._store is not None:
             self._store.record_clear()
@@ -460,10 +437,10 @@ class OptImatch:
         Plans are re-parsed and re-transformed from their journaled
         explain source — the transform is deterministic, so recovered
         graphs (and therefore search results) are bit-identical to the
-        pre-crash ones.  Checkpointed match results whose graph version
-        still matches are seeded back into their plans' memos; entries
-        for plans that changed are dropped, so only those plans pay the
-        re-match cost.
+        pre-crash ones.  Checkpointed match results are seeded back
+        into their plans' memos, except those of plans the journal tail
+        adds or replaces and of graphs changed in place before the
+        checkpoint, so only those plans pay the re-match cost.
         """
         if self._store is None:
             raise DurabilityError("durability is disabled (no data_dir)")
@@ -472,14 +449,12 @@ class OptImatch:
         info = self._store.recover()
         workload: List[TransformedPlan] = []
         by_id: Dict[str, TransformedPlan] = {}
-        for plan_id, revision, source in info.plans:
+        for plan_id, source in info.plans:
             transformed = transform_plan(self._parse_explain(source, plan_id))
-            self._stamp(transformed, revision)
             workload.append(transformed)
             by_id[plan_id] = transformed
         self._workload = workload
         self._by_id = by_id
-        self._revisions = self._store.revisions
         self._recovered_kb = list(info.kb_entries)
         seeded = self._seed_cache(info)
         if self._store.last_recovery is not None:
@@ -488,8 +463,10 @@ class OptImatch:
         return info
 
     def _seed_cache(self, info: RecoveryInfo) -> int:
-        """Re-arm match results from checkpointed entries whose version
-        equals the recovered graph's (the journal tail may replace one)."""
+        """Re-arm the checkpointed match results the store kept (it
+        drops those of plans the journal tail adds or replaces) whose
+        version equals the recovered graph's: a graph changed in place
+        before the checkpoint was matched at another version."""
         seeded = 0
         for entry in info.cache_entries:
             transformed = self._by_id.get(entry.plan_id)

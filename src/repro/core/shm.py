@@ -4,13 +4,16 @@ The multiprocess matching tier (:mod:`repro.core.mpexec`) needs every
 worker to see the workload's plan graphs without pickling them per
 task.  This module packs the flat per-graph snapshots produced by
 :func:`repro.rdf.snapshot.encode_graph` into **one**
-:class:`multiprocessing.shared_memory.SharedMemory` segment with a
-directory of ``plan_id -> (offset, length, graph_version)`` entries.
-Workers attach the segment once (zero-copy) and open a
-:class:`repro.rdf.snapshot.GraphView` per plan at its offset; the
-parent re-uses a segment across searches for as long as every pending
-plan is still present at the same ``graph.version``, and rebuilds it
-(new segment, old one unlinked) when any graph mutated.
+:class:`multiprocessing.shared_memory.SharedMemory` segment, and
+records where each graph sits — ``(segment name, offset, length)`` —
+in that graph's own per-version memo (kind ``"snapshot"``).  Workers
+attach the segment once (zero-copy) and open a
+:class:`repro.rdf.snapshot.GraphView` per plan at its offset.  The
+parent re-uses a segment for a search only when every pending graph's
+memo names it (:meth:`WorkloadSnapshot.locate`): a mutated graph has a
+new memo and a replacing graph its own, so either makes the parent
+rebuild (new segment, old one unlinked).  Nothing is keyed on a plan
+id, so two plans sharing an id each read their own image.
 
 Leak safety: every created segment is registered for cleanup three
 ways — an explicit :meth:`WorkloadSnapshot.close` (called by
@@ -36,7 +39,7 @@ from __future__ import annotations
 import atexit
 import threading
 import weakref
-from typing import Dict, Iterable, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.rdf.snapshot import encode_graph
 
@@ -46,8 +49,9 @@ except ImportError:  # pragma: no cover - platforms without _posixshmem
     resource_tracker = None  # type: ignore[assignment]
     shared_memory = None  # type: ignore[assignment]
 
-#: Directory entry: byte offset, byte length, graph version at build.
-Entry = Tuple[int, int, int]
+#: The memo kind, and its one key, holding a graph's
+#: ``(segment name, offset, length)``.
+MEMO_KIND = "snapshot"
 
 _available: Optional[bool] = None
 _lock = threading.Lock()
@@ -122,29 +126,33 @@ class WorkloadSnapshot:
     Parameters
     ----------
     plans:
-        The transformed plans to pack (anything with ``plan_id`` and a
+        The transformed plans to pack (anything with a
         dictionary-encoded ``graph``).  Every graph is serialized with
         :func:`repro.rdf.snapshot.encode_graph` at an 8-byte-aligned
-        offset recorded in :attr:`directory`.
+        offset; :attr:`locations` lists each one's ``(offset, length)``
+        in the order given, and each graph's ``"snapshot"`` memo names
+        this segment.  The memo is fetched before the graph is encoded,
+        so a graph that mutates meanwhile records the location in its
+        superseded memo and is never served this image again.
     """
 
     def __init__(self, plans: Sequence):
         if shared_memory is None:  # pragma: no cover - guarded by caller
             raise RuntimeError("shared memory is unavailable on this platform")
-        directory: Dict[str, Entry] = {}
+        memos = []
+        locations: List[Tuple[int, int]] = []
         chunks = []
         offset = 0
         for transformed in plans:
+            memos.append(transformed.graph.memo(MEMO_KIND))
             buf = encode_graph(transformed.graph)
-            directory[transformed.plan_id] = (
-                offset, len(buf), transformed.graph.version,
-            )
+            locations.append((offset, len(buf)))
             chunks.append(buf)
             padding = (-len(buf)) % 8
             if padding:
                 chunks.append(b"\x00" * padding)
             offset += len(buf) + padding
-        self.directory = directory
+        self.locations = locations
         self.total_bytes = max(offset, 8)
         shm = shared_memory.SharedMemory(create=True, size=self.total_bytes)
         position = 0
@@ -156,21 +164,21 @@ class WorkloadSnapshot:
         self._closed = False
         _live_segments[shm.name] = shm
         self._finalizer = weakref.finalize(self, _release_segment, shm)
+        for memo, location in zip(memos, locations):
+            memo[MEMO_KIND] = (shm.name,) + location
 
-    def covers(self, needed: Dict[str, int]) -> bool:
-        """True when every ``plan_id -> graph.version`` is present
-        unchanged (the attach key the workers rely on)."""
+    def locate(self, plans: Sequence) -> Optional[List[Tuple[int, int]]]:
+        """Each plan's ``(offset, length)`` in this segment, or None
+        unless every plan's current ``"snapshot"`` memo names it."""
         if self._closed:
-            return False
-        directory = self.directory
-        for plan_id, version in needed.items():
-            entry = directory.get(plan_id)
-            if entry is None or entry[2] != version:
-                return False
-        return True
-
-    def entry(self, plan_id: str) -> Entry:
-        return self.directory[plan_id]
+            return None
+        located = []
+        for transformed in plans:
+            entry = transformed.graph.memo(MEMO_KIND).get(MEMO_KIND)
+            if entry is None or entry[0] != self.name:
+                return None
+            located.append(entry[1:])
+        return located
 
     @property
     def closed(self) -> bool:
@@ -192,6 +200,6 @@ class WorkloadSnapshot:
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         state = "closed" if self._closed else "open"
         return (
-            f"<WorkloadSnapshot {self.name} plans={len(self.directory)} "
+            f"<WorkloadSnapshot {self.name} plans={len(self.locations)} "
             f"bytes={self.total_bytes} {state}>"
         )

@@ -26,8 +26,9 @@ Two API levels:
 Everything derived from the triples and cached until they change lives
 in one per-version memo per graph (:meth:`TermReads.memo`): the cost
 planner's per-predicate statistics, which :class:`TermReads` computes
-from each store's ``predicate_groups``, the node list, and the plan,
-closure and match-result memos of the planner, evaluator and engine.
+from each store's ``predicate_groups``, the node list, the plan,
+closure and match-result memos of the planner, evaluator and engine,
+and where the process tier packed the graph into shared memory.
 
 A :class:`Graph` stores only ground terms; variables belong to queries.
 See ``docs/store-internals.md`` for the full layout and invariants.
@@ -651,20 +652,6 @@ class Graph(TermReads):
     def version(self) -> int:
         """Mutation counter; changes whenever the triple set changes."""
         return self._version
-
-    def stamp_version(self, version: int) -> None:
-        """Overwrite the mutation counter with an assigned version.
-
-        The durability layer stamps freshly transformed graphs with
-        ``repro.store.compose_version(revision, natural)`` so the
-        engine's ``(plan_id, graph.version, query_key)`` cache keys stay
-        distinct across replace/remove/re-add cycles and deterministic
-        across crash recovery.  Subsequent mutations keep incrementing
-        from the stamped value, preserving the invalidation contract.
-        """
-        if version < 0:
-            raise ValueError(f"graph version must be >= 0, not {version}")
-        self._version = int(version)
 
     # ------------------------------------------------------------------
     # Protocol

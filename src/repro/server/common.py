@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import json
 import math
+import os
 import shutil
 import sys
 import threading
@@ -32,6 +33,7 @@ from urllib.parse import parse_qs, urlsplit
 
 from repro.core import Budget, OptImatch, ProblemPattern
 from repro.core.limits import default_clock
+from repro.core.optimatch import DuplicatePlanError
 from repro.kb import KnowledgeBase, builtin_knowledge_base
 from repro.kb.knowledge_base import KBEntry
 from repro.obs.metrics import MetricsRegistry
@@ -320,6 +322,28 @@ class ServerState:
                 except Exception:  # noqa: BLE001 — skip bad/dup entries
                     pass
             self.recovering = False
+
+    def preload(self, directory: str) -> None:
+        """Load every ``*.exfmt`` explain file under *directory* (``serve
+        --workload``), after the journal recovery, so the files merge
+        into the recovered workload.  A file whose plan id is already
+        loaded is skipped; any other failure raises :class:`ValueError`
+        naming the file."""
+        if self.recovering:
+            self.begin_recovery()
+            self._recovery_thread.join()
+        if self.recovery_error is not None:
+            raise ValueError(f"journal recovery failed: {self.recovery_error}")
+        for name in sorted(os.listdir(directory)):
+            if not name.endswith(".exfmt"):
+                continue
+            path = os.path.join(directory, name)
+            try:
+                self.tool.load_explain_file(path)
+            except DuplicatePlanError:
+                pass  # already loaded, e.g. recovered from the journal
+            except Exception as exc:  # noqa: BLE001 — name the file
+                raise ValueError(f"cannot load {path}: {exc}") from exc
 
     def health_status(self) -> str:
         """Precedence: draining > recovering > read_only > ok."""

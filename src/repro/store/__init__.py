@@ -12,8 +12,6 @@ from repro.store.durable import (
     DurabilityError,
     DurableStore,
     RecoveryInfo,
-    compose_version,
-    split_version,
 )
 from repro.store.wal import (
     FSYNC_POLICIES,
@@ -36,10 +34,8 @@ __all__ = [
     "WalError",
     "WalScan",
     "WalWriter",
-    "compose_version",
     "decode_records",
     "encode_record",
     "scan_wal",
-    "split_version",
     "truncate_wal",
 ]

@@ -1,9 +1,9 @@
 """Crash-safe workload persistence: journal + checkpoints + recovery.
 
 :class:`DurableStore` owns one data directory and keeps the *logical*
-workload state durable — which plans exist (by id), their monotonic
-revisions, their explain-file source text, and any knowledge-base
-entries added at runtime.  It composes two mechanisms:
+workload state durable — which plans exist (by id), their explain-file
+source text, and any knowledge-base entries added at runtime.  It
+composes two mechanisms:
 
 * the write-ahead journal (:mod:`repro.store.wal`): every mutation is
   appended (and, per the fsync policy, synced) before it is applied;
@@ -20,29 +20,18 @@ source is all recovery needs to rebuild its graph.
 
 Recovery (:meth:`DurableStore.recover`) picks the newest *valid*
 checkpoint (CRC-checked manifest; an invalid or torn one falls back to
-its predecessor), replays every retained journal from that sequence
-forward, truncates a torn trailing record at the last valid CRC
-boundary, sweeps stray ``*.tmp`` files, and reopens the journal for
+its predecessor, while one it cannot read or whose format it does not
+know is refused and kept), replays every retained journal from that
+sequence forward, truncates a torn trailing record at the last valid
+CRC boundary, sweeps stray ``*.tmp`` files, and reopens the journal for
 appending.  The returned :class:`RecoveryInfo` carries everything the
 facade needs to rebuild in-memory state **deterministically** — plans
 are re-transformed from their journaled source text, so recovered
-graphs are bit-identical to the pre-crash ones, and the checkpointed
-match-cache rows re-arm the results of every plan whose
+graphs are bit-identical to the pre-crash ones.  It also carries the
+checkpointed match results, minus those of every plan a replayed
+journal record adds or replaces; the facade re-arms the rest whose
 ``graph.version`` is unchanged (the delta invalidation described in
 docs/durability.md).
-
-Versions and revisions
-----------------------
-Recovery seeds checkpointed match results, and the process tier reuses
-a snapshot, only for a graph at the same version.  A graph's natural
-version is its triple count, so two *different* plans replacing each
-other under one id could collide.  The facade therefore assigns each
-plan id a monotonic **revision** (1 on first add, +1 per replace, never
-reset by remove/clear) and stamps ``graph.version = revision << 32 |
-natural`` via :func:`compose_version` — deterministic across recovery,
-distinct across replaces.  The store journals each plan's revision and
-keeps the highest one seen per id, which recovery hands back to the
-facade.
 
 Failure mode
 ------------
@@ -80,7 +69,10 @@ CKPT_MAGIC = b"OPTMCKP1"
 #: 2 repeated the text in every entry; it still loads.  Format 1
 #: followed the manifest with a blob of per-plan graph images and stored
 #: cache rows as term ids into them; it still loads, minus its cache
-#: rows (see :meth:`DurableStore.recover`).
+#: rows (see :meth:`DurableStore.recover`).  Manifests written while
+#: graph versions carried a plan revision hold a ``revisions`` table
+#: and a ``rev`` per plan; recovery reads the table only as the sign
+#: that its cache versions carry that revision in their high 32 bits.
 CKPT_FORMAT = 3
 _CKPT_FORMATS = (1, 2, 3)
 
@@ -116,29 +108,6 @@ def failure_kind(err: Optional[int]) -> str:
     return "io" if err is not None else "error"
 
 
-def compose_version(revision: int, natural: int) -> int:
-    """Stamped graph version: revision in the high 32 bits.
-
-    ``natural`` (the graph's mutation counter — the triple count for a
-    freshly transformed plan) keeps the low 32 bits, so the composite
-    still changes on in-place graph mutation *and* on replace.
-    """
-    if revision < 0 or revision >= 1 << 31:
-        raise ValueError(f"plan revision out of range: {revision}")
-    return (revision << 32) | (natural & 0xFFFFFFFF)
-
-
-def split_version(version: int) -> Tuple[int, int]:
-    """Inverse of :func:`compose_version` → ``(revision, natural)``."""
-    return version >> 32, version & 0xFFFFFFFF
-
-
-@dataclass
-class _PlanState:
-    revision: int
-    source: str
-
-
 @dataclass
 class CacheEntry:
     """One persisted match-cache entry from a checkpoint.
@@ -159,7 +128,7 @@ class CacheEntry:
 class RecoveryInfo:
     """Everything :meth:`DurableStore.recover` hands the facade."""
 
-    plans: List[Tuple[str, int, str]] = field(default_factory=list)
+    plans: List[Tuple[str, str]] = field(default_factory=list)
     kb_entries: List[dict] = field(default_factory=list)
     cache_entries: List[CacheEntry] = field(default_factory=list)
     checkpoint_seq: int = 0
@@ -193,8 +162,7 @@ class DurableStore:
         os.makedirs(self.data_dir, exist_ok=True)
         self.fsync_policy = fsync
         self.checkpoint_every = max(1, int(checkpoint_every))
-        self._plans: "Dict[str, _PlanState]" = {}  # insertion-ordered
-        self._revisions: Dict[str, int] = {}
+        self._plans: Dict[str, str] = {}  # id -> source, insertion-ordered
         self._kb: List[dict] = []
         self._writer: Optional[WalWriter] = None
         self._recovered = False
@@ -262,10 +230,6 @@ class DurableStore:
             self._set_state_gauge()
 
     @property
-    def revisions(self) -> Dict[str, int]:
-        return dict(self._revisions)
-
-    @property
     def kb_entries(self) -> List[dict]:
         return list(self._kb)
 
@@ -314,11 +278,10 @@ class DurableStore:
         self.records_since_checkpoint += 1
         self._apply(record)
 
-    def record_plans(self, items: List[Tuple[str, int, str]]) -> None:
+    def record_plans(self, items: List[Tuple[str, str]]) -> None:
         """Journal a batch of plan adds and replaces — ``(plan id,
-        revision, source)`` triples, revisions allocated by the caller
-        — as ONE ``add_batch`` record (atomic across a crash: either
-        every plan in the batch recovers or none does)."""
+        source)`` pairs — as ONE ``add_batch`` record (atomic across a
+        crash: either every plan in the batch recovers or none does)."""
         self._append({"op": "add_batch", "plans": list(items)})
 
     def record_remove(self, plan_id: str) -> None:
@@ -351,38 +314,33 @@ class DurableStore:
     # ------------------------------------------------------------------
     # Replay (shared by recovery)
     # ------------------------------------------------------------------
-    def _apply(self, record: dict) -> bool:
+    def _apply(self, record: dict) -> Optional[List[str]]:
         """Apply one journal record to the logical state (idempotent
-        upserts, so chain replay across checkpoints converges).  Every
-        live write goes through here too (see :meth:`_append`).  Plan
-        writes are ``add_batch`` records; the single-plan ``add`` and
-        ``replace`` ops are still read, so data directories written by
-        older versions recover."""
+        upserts, so chain replay across checkpoints converges) and
+        return the ids of the plans it adds or replaces, or None for an
+        op it does not know.  Every live write goes through here too
+        (see :meth:`_append`).  Plan writes are ``add_batch`` records of
+        ``[id, source]`` pairs; ``[id, rev, source]`` triples and the
+        single-plan ``add`` and ``replace`` ops are still read, so data
+        directories written by older versions recover."""
         op = record.get("op")
         if op == "add" or op == "replace":
-            plan_id = record["plan"]
-            revision = int(record["rev"])
-            self._plans[plan_id] = _PlanState(revision, record["source"])
-            self._revisions[plan_id] = max(
-                self._revisions.get(plan_id, 0), revision
-            )
+            writes = [(record["plan"], record["source"])]
         elif op == "add_batch":
-            for plan_id, revision, source in record["plans"]:
-                self._plans[plan_id] = _PlanState(int(revision), source)
-                self._revisions[plan_id] = max(
-                    self._revisions.get(plan_id, 0), int(revision)
-                )
+            writes = [(item[0], item[-1]) for item in record["plans"]]
         elif op == "remove":
-            # The revision counter survives removal on purpose: a later
-            # re-add must not reuse a version an old cache entry may carry.
             self._plans.pop(record["plan"], None)
+            return []
         elif op == "clear":
             self._plans.clear()
+            return []
         elif op == "kb_add":
             self._kb.append(record["entry"])
+            return []
         else:
-            return False  # unknown op from a future version: skip
-        return True
+            return None  # unknown op from a future version: skip
+        self._plans.update(writes)
+        return [plan_id for plan_id, _ in writes]
 
     # ------------------------------------------------------------------
     # Checkpoints
@@ -416,10 +374,9 @@ class DurableStore:
             "format": CKPT_FORMAT,
             "seq": seq,
             "wal": f"wal-{seq}.log",
-            "revisions": dict(self._revisions),
             "plans": [
-                {"id": plan_id, "rev": state.revision, "source": state.source}
-                for plan_id, state in self._plans.items()
+                {"id": plan_id, "source": source}
+                for plan_id, source in self._plans.items()
             ],
             "kb": list(self._kb),
             "queries": list(queries),
@@ -538,7 +495,11 @@ class DurableStore:
     # Recovery
     # ------------------------------------------------------------------
     def recover(self) -> RecoveryInfo:
-        """Load the newest valid checkpoint, replay journals, reopen."""
+        """Load the newest valid checkpoint, replay journals, reopen.
+
+        Raises :class:`DurabilityError`, keeping the checkpoint, when
+        one cannot be read or has a format this version does not know
+        (see :meth:`_load_checkpoint`)."""
         if self._recovered:
             raise DurabilityError("recover() may only run once per store")
         started = time.perf_counter()
@@ -551,6 +512,7 @@ class DurableStore:
         info = RecoveryInfo()
         manifest: Optional[dict] = None
         ckpt_seq = 0
+        entries: List[CacheEntry] = []
         for seq in sorted(ckpts, reverse=True):
             manifest = self._load_checkpoint(seq)
             if manifest is not None:
@@ -562,26 +524,25 @@ class DurableStore:
                 os.path.join(self.data_dir, f"ckpt-{seq}.bin")
             )
         if manifest is not None:
-            self._revisions = {
-                k: int(v) for k, v in manifest.get("revisions", {}).items()
-            }
             for entry in manifest.get("plans", ()):
-                self._plans[entry["id"]] = _PlanState(
-                    int(entry["rev"]), entry["source"]
-                )
+                self._plans[entry["id"]] = entry["source"]
             self._kb = list(manifest.get("kb", ()))
             # Format 1 cache rows hold term ids into its image blob,
             # which is not read: those plans re-match once.
             if manifest["format"] != 1:
                 # Format 3 names each entry's query by its index into
-                # ``queries``; format 2 holds the text itself.
+                # ``queries``; format 2 holds the text itself.  A
+                # manifest with a ``revisions`` table was written with a
+                # plan revision in each version's high 32 bits: keep the
+                # graph's own version, the low 32.
                 queries = manifest.get("queries")
+                mask = 0xFFFFFFFF if "revisions" in manifest else -1
                 for entry in manifest.get("cache", ()):
                     query = entry["query"]
-                    info.cache_entries.append(
+                    entries.append(
                         CacheEntry(
                             plan_id=entry["plan"],
-                            version=int(entry["version"]),
+                            version=int(entry["version"]) & mask,
                             query=query if queries is None else queries[query],
                             rows=entry["rows"],
                         )
@@ -594,12 +555,15 @@ class DurableStore:
         # journals assume state we no longer have.
         replay = sorted(seq for seq in wals if seq >= ckpt_seq)
         current_seq = max([ckpt_seq] + wals) if (wals or ckpt_seq) else 0
+        rewritten = set()
         for wal_seq in replay:
             path = os.path.join(self.data_dir, f"wal-{wal_seq}.log")
             scan = _wal.scan_wal(path)
             for record in scan.records:
-                if self._apply(record):
+                written = self._apply(record)
+                if written is not None:
                     info.replayed_records += 1
+                    rewritten.update(written)
             if scan.truncated:
                 info.truncated_bytes += scan.total_bytes - scan.valid_bytes
                 _wal.truncate_wal(path, scan.valid_bytes)
@@ -607,9 +571,11 @@ class DurableStore:
                     break
 
         info.checkpoint_seq = ckpt_seq
-        info.plans = [
-            (plan_id, state.revision, state.source)
-            for plan_id, state in self._plans.items()
+        info.plans = list(self._plans.items())
+        # A plan the journal tail adds or replaces is not the one its
+        # checkpointed results were matched against.
+        info.cache_entries = [
+            entry for entry in entries if entry.plan_id not in rewritten
         ]
         info.kb_entries = list(self._kb)
         self.checkpoint_seq = max(ckpt_seq, current_seq)
@@ -638,13 +604,19 @@ class DurableStore:
 
     def _load_checkpoint(self, seq: int) -> Optional[dict]:
         """Validate ``ckpt-<seq>.bin`` and return its manifest; None
-        when invalid.  A format 1 file's trailing blob is not read."""
+        when it is torn or corrupt.  A file that cannot be read, or
+        whose format this version does not know, raises
+        :class:`DurabilityError` instead: it may hold the newest state,
+        so recovery must neither skip nor delete it.  A format 1 file's
+        trailing blob is not read."""
         path = os.path.join(self.data_dir, f"ckpt-{seq}.bin")
         try:
             with open(path, "rb") as handle:
                 data = handle.read()
-        except OSError:
-            return None
+        except OSError as exc:
+            raise DurabilityError(
+                f"cannot read checkpoint {path}: {exc}"
+            ) from exc
         header_size = len(CKPT_MAGIC) + _CKPT_HEADER.size
         if len(data) < header_size or not data.startswith(CKPT_MAGIC):
             return None
@@ -660,8 +632,13 @@ class DurableStore:
             manifest = json.loads(manifest_bytes.decode("utf-8"))
         except (ValueError, UnicodeDecodeError):
             return None
-        if not isinstance(manifest, dict) or manifest.get("format") not in _CKPT_FORMATS:
+        if not isinstance(manifest, dict):
             return None
+        if manifest.get("format") not in _CKPT_FORMATS:
+            raise DurabilityError(
+                f"checkpoint {path} has unknown format "
+                f"{manifest.get('format')!r}"
+            )
         return manifest
 
     # ------------------------------------------------------------------

@@ -12,17 +12,22 @@ Everything here drives a real spawn-context process pool, so the suite
 skips as a whole where POSIX shared memory is unavailable.
 """
 
+import copy
 import os
 import threading
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from repro.core import mpexec, transform_plan
+from repro.core import mpexec, transform_plan, transform_workload
 from repro.core.engine import MatchingEngine, default_worker_count
 from repro.core.limits import Budget
+from repro.core.optimatch import OptImatch
 from repro.core.sparqlgen import pattern_to_sparql
-from repro.experiments.workloads import transformed_experiment_workload
+from repro.experiments.workloads import (
+    experiment_workload,
+    transformed_experiment_workload,
+)
 from repro.kb.builtin import builtin_sparql, make_pattern
 from repro.testing import chaos
 
@@ -168,6 +173,91 @@ class TestMatchMemo:
             ]
 
 
+#: Matches only an operator whose estimated cardinality is 424242.
+CARDINALITY_QUERY = (
+    "PREFIX predURI: <http://optimatch/predicate#> "
+    "SELECT ?p WHERE { ?p predURI:hasEstimateCardinality ?c "
+    "FILTER (?c = 424242) }"
+)
+
+
+def _same_size_variant(plan):
+    """A copy of *plan*, same id and triple count, whose first operator
+    alone matches :data:`CARDINALITY_QUERY`."""
+    variant = copy.deepcopy(plan)
+    variant.operators[min(variant.operators)].cardinality = 424242
+    return variant
+
+
+class TestSnapshotIdentity:
+    """A snapshot serves exactly the graph objects it packed, at the
+    versions it packed: not a same-id, same-size plan that replaced one
+    of them, and each of two plans sharing an id reads its own image."""
+
+    def test_same_id_same_size_variant_is_repacked(self, serial_engine):
+        plans = experiment_workload(4, seed=4)
+        original = transform_workload(plans)
+        variant = transform_plan(_same_size_variant(plans[0]))
+        assert variant.plan_id == original[0].plan_id
+        assert variant.graph.version == original[0].graph.version
+        changed = [variant] + original[1:]
+        with MatchingEngine(workers=2, cache=False) as engine:
+            for workload in (original, changed):
+                expected = serial_engine.search(
+                    CARDINALITY_QUERY, workload, keep_empty=True
+                )
+                actual = engine.search(
+                    CARDINALITY_QUERY, workload, keep_empty=True
+                )
+                assert _signatures(actual) == _signatures(expected)
+            assert engine.stats()["snapshot"]["builds"] == 2
+        assert [m.count for m in expected] == [1, 0, 0, 0]
+
+    def test_two_plans_under_one_id(self, serial_engine):
+        plans = experiment_workload(4, seed=4)
+        workload = [transform_plan(_same_size_variant(plans[0]))]
+        workload += transform_workload(plans)
+        expected = serial_engine.search(
+            CARDINALITY_QUERY, workload, keep_empty=True
+        )
+        assert [m.count for m in expected] == [1, 0, 0, 0, 0]
+        with MatchingEngine(workers=2, cache=False) as engine:
+            actual = engine.search(
+                CARDINALITY_QUERY, workload, keep_empty=True
+            )
+        assert _signatures(actual) == _signatures(expected)
+
+    def test_each_graph_memo_names_its_image(self):
+        workload = transformed_experiment_workload(4, seed=14)
+        with MatchingEngine(workers=2, cache=False) as engine:
+            snapshot, locations = engine._pin_snapshot(workload)
+            try:
+                assert not hasattr(snapshot, "directory")
+                assert [
+                    t.graph.memo("snapshot")["snapshot"] for t in workload
+                ] == [(snapshot.name,) + location for location in locations]
+                assert snapshot.locate(workload) == locations
+                # The same plan transformed again: a graph it never packed.
+                again = transformed_experiment_workload(1, seed=14)
+                assert again[0].plan_id == workload[0].plan_id
+                assert snapshot.locate(again) is None
+            finally:
+                engine._unpin_snapshot(snapshot)
+
+    def test_facade_replace_plan(self):
+        # Without the cache every plan stays pending, so the search
+        # after the replace runs on the pool too.
+        plans = experiment_workload(4, seed=4)
+        with OptImatch(workers=2, cache=False) as tool:
+            tool.add_plans(plans)
+            assert tool.search(CARDINALITY_QUERY) == []
+            tool.replace_plan(_same_size_variant(plans[0]))
+            assert [
+                (m.plan_id, m.count) for m in tool.search(CARDINALITY_QUERY)
+            ] == [(plans[0].plan_id, 1)]
+            assert tool.stats()["snapshot"]["builds"] == 2
+
+
 class TestFallbacks:
     def test_single_worker_falls_back_to_serial(self, monkeypatch):
         # workers=0 means one per CPU; on a 1-CPU host that is serial.
@@ -311,12 +401,12 @@ class TestConcurrentSearches:
     def test_rebuild_keeps_a_pinned_segment(self):
         workload = transformed_experiment_workload(4, seed=14)
         with MatchingEngine(workers=2, cache=False) as engine:
-            first = engine._pin_snapshot(workload)
+            first, _ = engine._pin_snapshot(workload)
             graph = workload[0].graph
             triple = next(iter(graph))
             graph.remove(triple)
             graph.add(triple)  # bump the version: the next pin rebuilds
-            second = engine._pin_snapshot(workload)
+            second, _ = engine._pin_snapshot(workload)
             assert second is not first
             assert not first.closed  # a search may still be attaching it
             engine._unpin_snapshot(first)

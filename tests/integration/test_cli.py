@@ -2,12 +2,16 @@
 
 import json
 import os
+import shutil
 
 import pytest
 
 from repro.cli import build_parser, main
 from repro.core.engine import MatchingEngine
+from repro.core.optimatch import OptImatch
 from repro.kb.builtin import make_pattern
+from repro.server.common import ServerState
+from repro.store import scan_wal
 
 
 @pytest.fixture(scope="module")
@@ -256,3 +260,56 @@ def test_engine_rejects_thread_fan_out(kwargs):
         else:
             assert (engine.mode, engine.workers) == ("serial", 1)
             assert "shared memory unavailable" in engine.mode_fallback
+
+
+class TestServePreload:
+    """``serve --workload`` preloads through :meth:`ServerState.preload`,
+    which binds no port."""
+
+    def test_malformed_file_stops_the_preload(
+        self, workload_dir, tmp_path, capsys
+    ):
+        directory = tmp_path / "workload"
+        shutil.copytree(workload_dir, directory)
+        (directory / "zz-malformed.exfmt").write_text(
+            "Plan Details:\n\n\tgarbage operator line\n"
+        )
+        state = ServerState()
+        try:
+            with pytest.raises(ValueError, match="zz-malformed.exfmt"):
+                state.preload(str(directory))
+        finally:
+            state.tool.close()
+        # The CLI stops before it binds, with a non-zero exit.
+        argv = ["serve", "--workload", str(directory), "--port", "0"]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert "zz-malformed.exfmt" in err and "no operators found" in err
+
+    def test_recovered_plan_is_skipped_without_a_journal_record(
+        self, workload_dir, tmp_path
+    ):
+        names = sorted(
+            name
+            for name in os.listdir(workload_dir)
+            if name.endswith(".exfmt")
+        )
+        data_dir = tmp_path / "data"
+        with OptImatch(data_dir=str(data_dir)) as tool:
+            recovered = tool.load_explain_file(
+                os.path.join(workload_dir, names[0])
+            ).plan_id
+        state = ServerState(data_dir=str(data_dir))
+        try:
+            state.preload(workload_dir)
+            ids = [t.plan_id for t in state.tool.workload]
+        finally:
+            state.tool.close()
+        assert ids[0] == recovered and len(ids) == len(names)
+        journaled = [
+            plan_id
+            for path in sorted(data_dir.glob("wal-*.log"))
+            for record in scan_wal(str(path)).records
+            for plan_id, _ in record["plans"]
+        ]
+        assert journaled == ids[1:]

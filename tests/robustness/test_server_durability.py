@@ -259,8 +259,8 @@ class TestDurabilityAcks:
         assert status == 201 and summary["count"] == 4
         records = scan_wal(str(tmp_path / "data" / "wal-0.log")).records
         assert [record["op"] for record in records] == ["add_batch"] * 2
-        assert [(plan_id, rev) for plan_id, rev, _ in records[1]["plans"]] \
-            == [(plan_id, 2) for plan_id in payload["planIds"]]
+        assert [plan_id for plan_id, _ in records[1]["plans"]] \
+            == payload["planIds"]
 
     def test_malformed_batch_body_is_400(self, durable_server):
         srv = durable_server()
@@ -322,7 +322,7 @@ class TestJournalSource:
         for path in logs:
             for record in scan_wal(str(path)).records:
                 if record["op"] == "add_batch":
-                    sources.extend(source for _, _, source in record["plans"])
+                    sources.extend(source for _, source in record["plans"])
                 elif record["op"] in ("add", "replace"):
                     sources.append(record["source"])
         return sources

@@ -1,4 +1,4 @@
-"""OptImatch facade durability: recovery, delta invalidation, stamping.
+"""OptImatch facade durability: recovery and delta invalidation.
 
 The headline assertion of the PR lives here: after a checkpoint, a
 replace of ONE plan, and a restart, the engine is re-armed for exactly
@@ -10,22 +10,28 @@ control.
 import ast
 import json
 import os
+import pathlib
 import shutil
 import struct
+import tempfile
 import zlib
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 import repro.store
+from repro.core.engine import MatchingEngine
 from repro.core.matcher import PlanMatches
 from repro.core.optimatch import OptImatch
+from repro.core.shm import WorkloadSnapshot
 from repro.core.transform import transform_plan
 from repro.kb.builtin import builtin_knowledge_base
 from repro.qep.model import BaseObject, PlanOperator
 from repro.qep.parser import parse_plan
 from repro.qep.writer import write_plan
 from repro.rdf import snapshot
-from repro.store import DurabilityError, WalWriter, split_version
+from repro.rdf.graph import Graph
+from repro.store import DurabilityError, DurableStore, WalWriter, scan_wal
 from repro.testing import chaos
 from repro.workload import generate_workload
 
@@ -35,10 +41,14 @@ SPARQL = (
 )
 
 
-@pytest.fixture()
-def texts():
+def plan_texts():
     plans = generate_workload(3, seed=21, size_sampler=lambda rng: 9)
     return [write_plan(plan) for plan in plans]
+
+
+@pytest.fixture()
+def texts():
+    return plan_texts()
 
 
 def cache_entries(tool):
@@ -165,8 +175,9 @@ class TestDeltaInvalidation:
         before = result_shape(tool.search(SPARQL))
         assert len(before) == 3
         tool.checkpoint()  # persists three warm cache entries
-        # Replace the middle plan with a same-shaped graph: without the
-        # revision stamp its version (triple count) would collide.
+        # Replace the middle plan with a same-shaped graph: its version
+        # (triple count) equals the old one's, so only the journal tail
+        # tells recovery the plan changed.
         plan_id = tool.workload[1].plan_id
         tool.replace_plan(parse_plan(texts[1], plan_id))
         # Simulate a crash: tear down without the close() checkpoint.
@@ -188,47 +199,14 @@ class TestDeltaInvalidation:
         finally:
             recovered.close()
 
-    def test_replace_bumps_composed_version(self, tmp_path, texts):
-        tool = OptImatch(workers=1, data_dir=str(tmp_path), fsync="async")
-        try:
-            first = tool.load_explain_text(texts[0])
-            version_1 = first.graph.version
-            second = tool.replace_plan(
-                parse_plan(texts[0], first.plan_id)
-            )
-            version_2 = second.graph.version
-            assert version_1 != version_2
-            assert split_version(version_1)[0] == 1
-            assert split_version(version_2)[0] == 2
-            # Same graph shape: only the revision half differs.
-            assert split_version(version_1)[1] == split_version(version_2)[1]
-        finally:
-            tool.close()
-
-
-def revisions_of(plans):
-    return [split_version(t.graph.version)[0] for t in plans]
-
 
 class TestRevisions:
-    """The facade allocates every revision; the journal records them."""
-
-    def test_revisions_survive_remove_clear_and_restart(
-        self, tmp_path, texts
-    ):
-        tool = OptImatch(workers=1, data_dir=str(tmp_path), fsync="async")
-        first = tool.load_explain_text(texts[0])
-        tool.remove_plan(first.plan_id)
-        second = tool.load_explain_text(texts[0])
-        tool.clear()
-        tool.close()
-        with OptImatch(workers=1, data_dir=str(tmp_path)) as recovered:
-            third = recovered.load_explain_text(texts[0])
-        assert revisions_of([first, second, third]) == [1, 2, 3]
+    """Plan batches and their journal records: ids repeated in a batch,
+    refused batches, and records older versions wrote."""
 
     def test_replace_batch_repeating_an_id(self, tmp_path, texts):
-        """Each copy takes the next revision and the last one wins;
-        journal-only recovery rebuilds the same graph and version."""
+        """The last copy wins; journal-only recovery rebuilds the same
+        graph and version."""
         data_dir = tmp_path / "data"
         tool = OptImatch(workers=1, data_dir=str(data_dir), fsync="async")
         try:
@@ -239,7 +217,6 @@ class TestRevisions:
                 replace=True,
             )
             assert [t.plan_id for t in committed] == ["a", "c", "a"]
-            assert revisions_of(committed) == [2, 1, 3]
             assert [t.plan_id for t in tool.workload] == ["a", "b", "c"]
             assert tool.plan("a") is committed[-1]
             expected = {
@@ -277,7 +254,6 @@ class TestRevisions:
                 tool.load_explain_batch(texts, plan_ids=plan_ids)
             assert tool.plan_count == 1
             assert tool.workload == [added]
-            assert tool._revisions == {"a": 1}
             assert files() == journal
         finally:
             tool.close()
@@ -290,7 +266,6 @@ class TestRevisions:
                 with pytest.raises(DurabilityError):
                     tool.replace_explain_text(texts[1], added.plan_id)
             assert tool.workload == [added]
-            assert tool._revisions == {added.plan_id: 1}
         finally:
             tool.close()
 
@@ -309,29 +284,25 @@ class TestRevisions:
         writer.close()
         with OptImatch(workers=1, data_dir=str(tmp_path)) as tool:
             assert [t.plan_id for t in tool.workload] == ["a", "b"]
-            assert revisions_of(tool.workload) == [2, 1]
             fresh = transform_plan(parse_plan(texts[2], "a"))
             assert list(tool.plan("a").graph.triples()) == list(
                 fresh.graph.triples()
             )
-            replaced = tool.replace_explain_text(texts[0], "a")
-            assert revisions_of([replaced]) == [3]
+            tool.replace_explain_text(texts[0], "a")
 
 
 class TestStampingWithoutDurability:
-    """The revision stamp also fixes a pre-existing stale-cache hazard
-    with durability OFF: clear() + re-add of a same-sized plan used to
-    reuse the old graph version and could serve the old plan's rows."""
+    """With durability OFF, clear() + re-add of a same-sized plan gives
+    a graph at the old version; its results live in the new graph's
+    own memo, so none of the old plan's rows is served."""
 
     def test_clear_and_readd_never_reuses_version(self, texts):
         tool = OptImatch(workers=1)
         try:
-            first = tool.load_explain_text(texts[0])
-            version_1 = first.graph.version
+            tool.load_explain_text(texts[0])
             tool.search(SPARQL)
             tool.clear()
-            second = tool.load_explain_text(texts[0])
-            assert second.graph.version != version_1
+            tool.load_explain_text(texts[0])
             tool.search(SPARQL)
             stats = tool.stats()["matchCache"]
             assert stats["hits"] == 0 and stats["misses"] == 2
@@ -512,10 +483,24 @@ class TestNoImageInCheckpoints:
         ]
 
 
-def write_format_1_checkpoint(data_dir, tool, seq, kb):
+def write_checkpoint(data_dir, seq, manifest, blob=b""):
+    """Write ``ckpt-<seq>.bin``: magic, header, *manifest*, *blob*."""
+    data = json.dumps(
+        manifest, separators=(",", ":"), sort_keys=True
+    ).encode("utf-8")
+    with open(os.path.join(data_dir, f"ckpt-{seq}.bin"), "wb") as handle:
+        handle.write(b"OPTMCKP1")
+        handle.write(struct.pack("<II", len(data), zlib.crc32(data)))
+        handle.write(data)
+        handle.write(blob)
+
+
+def write_format_1_checkpoint(data_dir, tool, seq, kb, revisions):
     """Write ``ckpt-<seq>.bin`` as format 1 did: a manifest with each
-    plan's blob offset, length and stamped version, a blob of
-    ``encode_graph`` images, and cache rows as term ids into them."""
+    plan's revision, blob offset, length and version (the revision in
+    its high 32 bits), a ``revisions`` table, a blob of
+    ``encode_graph`` images, and cache rows as term ids into them.
+    *revisions* maps each plan id to the revision its writer gave it."""
     blob = b""
     plans = []
     views = {}
@@ -524,8 +509,11 @@ def write_format_1_checkpoint(data_dir, tool, seq, kb):
         plans.append(
             {
                 "id": transformed.plan_id,
-                "rev": split_version(transformed.graph.version)[0],
-                "version": transformed.graph.version,
+                "rev": revisions[transformed.plan_id],
+                "version": (
+                    revisions[transformed.plan_id] << 32
+                    | transformed.graph.version
+                ),
                 "source": write_plan(transformed.plan),
                 "offset": len(blob),
                 "length": len(image),
@@ -545,28 +533,25 @@ def write_format_1_checkpoint(data_dir, tool, seq, kb):
             for occ in matches.occurrences
         ]
         cache.append(
-            {"plan": plan_id, "version": version, "query": query, "rows": rows}
+            {
+                "plan": plan_id,
+                "version": revisions[plan_id] << 32 | version,
+                "query": query,
+                "rows": rows,
+            }
         )
-    manifest = json.dumps(
-        {
-            "format": 1,
-            "seq": seq,
-            "wal": f"wal-{seq}.log",
-            "revisions": dict(tool._revisions),
-            "plans": plans,
-            "kb": kb,
-            "cache": cache,
-            "blobLength": len(blob),
-            "blobCrc": zlib.crc32(blob),
-        },
-        separators=(",", ":"),
-        sort_keys=True,
-    ).encode("utf-8")
-    with open(os.path.join(data_dir, f"ckpt-{seq}.bin"), "wb") as handle:
-        handle.write(b"OPTMCKP1")
-        handle.write(struct.pack("<II", len(manifest), zlib.crc32(manifest)))
-        handle.write(manifest)
-        handle.write(blob)
+    manifest = {
+        "format": 1,
+        "seq": seq,
+        "wal": f"wal-{seq}.log",
+        "revisions": revisions,
+        "plans": plans,
+        "kb": kb,
+        "cache": cache,
+        "blobLength": len(blob),
+        "blobCrc": zlib.crc32(blob),
+    }
+    write_checkpoint(data_dir, seq, manifest, blob)
 
 
 def read_manifest(path):
@@ -579,22 +564,26 @@ def read_manifest(path):
 
 class TestFormatOneCheckpoint:
     """Data directories whose newest checkpoint is format 1 recover:
-    its plans, revisions and KB entries are used and its tail journal
-    replays, but its term-id cache rows are not seeded."""
+    its plans and KB entries are used and its tail journal replays, but
+    its term-id cache rows are not seeded."""
 
     def test_recovers_state_without_its_cache_rows(self, tmp_path, texts):
         data_dir = tmp_path / "data"
         data_dir.mkdir()
         source = OptImatch(workers=1)
         source.load_explain_batch(texts[:2], plan_ids=["a", "b"])
-        source.replace_explain_text(texts[2], "a")  # revision 2
+        source.replace_explain_text(texts[2], "a")
         expected = result_shape(source.search(SPARQL))
         graphs = {
             t.plan_id: (list(t.graph.triples()), t.graph.version)
             for t in source.workload
         }
         write_format_1_checkpoint(
-            str(data_dir), source, seq=1, kb=[{"name": "in-checkpoint"}]
+            str(data_dir),
+            source,
+            seq=1,
+            kb=[{"name": "in-checkpoint"}],
+            revisions={"a": 2, "b": 1},
         )
         source.close()
         writer = WalWriter(str(data_dir / "wal-1.log"), fsync="async")
@@ -609,8 +598,6 @@ class TestFormatOneCheckpoint:
             assert status["cacheSeeded"] == 0
             assert tool.stats()["matchCache"]["seeded"] == 0
             assert [t.plan_id for t in tool.workload] == ["a", "b", "c"]
-            assert revisions_of(tool.workload) == [2, 1, 1]
-            assert tool._revisions == {"a": 2, "b": 1, "c": 1}
             assert tool.recovered_kb_entries == [
                 {"name": "in-checkpoint"}, {"name": "in-tail"}
             ]
@@ -626,36 +613,38 @@ class TestFormatOneCheckpoint:
         manifest, trailing = read_manifest(data_dir / "ckpt-2.bin")
         assert manifest["format"] == 3 and trailing == 0
         assert [plan["id"] for plan in manifest["plans"]] == ["a", "b", "c"]
-        assert set(manifest["plans"][0]) == {"id", "rev", "source"}
+        assert set(manifest["plans"][0]) == {"id", "source"}
 
 
-def write_format_2_checkpoint(data_dir, tool, seq):
-    """Write ``ckpt-<seq>.bin`` as format 2 did: the manifest alone,
-    each cache entry carrying its query's full text."""
-    manifest = json.dumps(
-        {
-            "format": 2,
-            "seq": seq,
-            "wal": f"wal-{seq}.log",
-            "revisions": dict(tool._revisions),
-            "plans": [
-                {
-                    "id": transformed.plan_id,
-                    "rev": split_version(transformed.graph.version)[0],
-                    "source": write_plan(transformed.plan),
-                }
-                for transformed in tool.workload
-            ],
-            "kb": [],
-            "cache": tool._export_cache_entries(),
-        },
-        separators=(",", ":"),
-        sort_keys=True,
-    ).encode("utf-8")
-    with open(os.path.join(data_dir, f"ckpt-{seq}.bin"), "wb") as handle:
-        handle.write(b"OPTMCKP1")
-        handle.write(struct.pack("<II", len(manifest), zlib.crc32(manifest)))
-        handle.write(manifest)
+def write_format_2_checkpoint(data_dir, tool, seq, fmt=2):
+    """Write ``ckpt-<seq>.bin`` as format 2 did — the manifest alone,
+    each cache entry carrying its query's full text — or, with *fmt* 3,
+    as format 3 did while graph versions carried a plan revision: each
+    query text once in ``queries``, named by index.  Every plan is at
+    revision 1: a ``rev`` of 1, a ``revisions`` table, and cache
+    versions with 1 in their high 32 bits."""
+    cache = [
+        {**entry, "version": 1 << 32 | entry["version"]}
+        for entry in tool._export_cache_entries()
+    ]
+    manifest = {
+        "format": fmt,
+        "seq": seq,
+        "wal": f"wal-{seq}.log",
+        "revisions": {t.plan_id: 1 for t in tool.workload},
+        "plans": [
+            {"id": t.plan_id, "rev": 1, "source": write_plan(t.plan)}
+            for t in tool.workload
+        ],
+        "kb": [],
+        "cache": cache,
+    }
+    if fmt == 3:
+        queries = {}
+        for entry in cache:
+            entry["query"] = queries.setdefault(entry["query"], len(queries))
+        manifest["queries"] = list(queries)
+    write_checkpoint(data_dir, seq, manifest)
 
 
 class TestQueryTextsStoredOnce:
@@ -684,17 +673,19 @@ class TestQueryTextsStoredOnce:
 
 
 class TestFormatTwoCheckpoint:
-    """A data directory whose newest checkpoint is format 2 restores
-    and seeds every cache entry."""
+    """A data directory whose newest checkpoint is format 2, or format 3
+    written while graph versions carried a plan revision, restores and
+    seeds every cache entry."""
 
-    def test_restores_and_seeds_every_entry(self, tmp_path):
+    @pytest.mark.parametrize("fmt", [2, 3])
+    def test_restores_and_seeds_every_entry(self, tmp_path, fmt):
         data_dir = tmp_path / "data"
         data_dir.mkdir()
         source = OptImatch(workers=1)
         source.load_explain_batch(kb_texts())
         source.run_knowledge_base(builtin_knowledge_base())
         before = cached(source)
-        write_format_2_checkpoint(str(data_dir), source, seq=1)
+        write_format_2_checkpoint(str(data_dir), source, seq=1, fmt=fmt)
         source.close()
 
         with OptImatch(workers=1, data_dir=str(data_dir)) as tool:
@@ -709,3 +700,157 @@ class TestFormatTwoCheckpoint:
         manifest, _ = read_manifest(data_dir / "ckpt-2.bin")
         assert manifest["format"] == 3
         assert len(manifest["cache"]) == len(before)
+
+
+class TestNoRevisions:
+    """A graph's version is its own mutation counter: nothing
+    allocates, stamps, journals or checkpoints a plan revision."""
+
+    def test_no_revision_api(self):
+        assert not hasattr(repro.store, "compose_version")
+        assert not hasattr(repro.store, "split_version")
+        assert not hasattr(Graph, "stamp_version")
+        assert not hasattr(DurableStore, "revisions")
+        assert not hasattr(WorkloadSnapshot, "covers")
+        with OptImatch(workers=1) as tool:
+            assert not hasattr(tool, "_revisions")
+
+    def test_journal_and_manifest_hold_no_revision(self, tmp_path, texts):
+        with OptImatch(
+            workers=1, data_dir=str(tmp_path), fsync="async"
+        ) as tool:
+            tool.load_explain_batch(texts[:2], plan_ids=["a", "b"])
+            tool.replace_explain_text(texts[2], "a")
+            records = scan_wal(str(tmp_path / "wal-0.log")).records
+            seq = tool.checkpoint()
+        assert [record["plans"] for record in records] == [
+            [["a", texts[0]], ["b", texts[1]]],
+            [["a", texts[2]]],
+        ]
+        manifest, _ = read_manifest(tmp_path / f"ckpt-{seq}.bin")
+        assert manifest["format"] == 3
+        assert "revisions" not in manifest
+        assert manifest["plans"] == [
+            {"id": "a", "source": texts[2]},
+            {"id": "b", "source": texts[1]},
+        ]
+
+
+#: Matches only an operator whose estimated cardinality is 424242.
+CARDINALITY_QUERY = (
+    "PREFIX predURI: <http://optimatch/predicate#> "
+    "SELECT ?p WHERE { ?p predURI:hasEstimateCardinality ?c "
+    "FILTER (?c = 424242) }"
+)
+
+
+def same_size_variant(text):
+    """*text* with its first operator's cardinality changed: the same
+    plan id and triple count, so the same graph version."""
+    plan = parse_plan(text)
+    plan.operators[min(plan.operators)].cardinality = 424242
+    return write_plan(plan)
+
+
+PLAN_TEXTS = plan_texts()
+SOURCES = PLAN_TEXTS + [same_size_variant(text) for text in PLAN_TEXTS]
+QUERIES = [SPARQL, CARDINALITY_QUERY]
+
+PUT = st.tuples(
+    st.just("put"), st.sampled_from("abc"), st.integers(0, len(SOURCES) - 1)
+)
+SEARCH = st.tuples(st.just("search"), st.integers(0, len(QUERIES) - 1))
+#: Puts, searches and checkpoints are drawn more often than removes and
+#: clears, so most checkpoints hold results.
+OPS = st.lists(
+    st.one_of(
+        SEARCH,
+        PUT,
+        st.tuples(st.just("checkpoint")),
+        SEARCH,
+        PUT,
+        st.tuples(st.just("remove"), st.sampled_from("abc")),
+        st.tuples(st.just("clear")),
+    ),
+    max_size=14,
+)
+
+
+#: Every example starts from a checkpoint holding results of all three
+#: plans, so the random ops decide which of them recovery may seed.
+WARM_START = [("put", plan_id, index) for index, plan_id in enumerate("abc")]
+WARM_START += [("search", index) for index in range(len(QUERIES))]
+WARM_START += [("checkpoint",)]
+
+
+class TestSeedingRule:
+    """After any mix of adds, replaces (same-size variants included),
+    removes, clears, searches and checkpoints, a crash and recovery
+    seed exactly the last checkpoint's results of the plans that are
+    live and were not added or replaced after it, and every search
+    answers as an uncached engine does."""
+
+    @given(ops=OPS)
+    @settings(
+        max_examples=25,
+        deadline=None,
+        derandomize=True,
+        suppress_health_check=[HealthCheck.too_slow],
+    )
+    def test_recovery_seeds_only_unrewritten_plans(self, ops):
+        with tempfile.TemporaryDirectory() as data_dir:
+            self.check(pathlib.Path(data_dir), ops)
+
+    @staticmethod
+    def check(data_dir, ops):
+        tool = OptImatch(
+            workers=1,
+            data_dir=str(data_dir),
+            fsync="async",
+            checkpoint_every=10 ** 9,
+        )
+        checkpointed = []  # plan id of each entry in the last checkpoint
+        rewritten = set()  # ids added or replaced since it
+        for op, *args in WARM_START + ops:
+            if op == "put":
+                plan_id, source = args[0], SOURCES[args[1]]
+                if plan_id in {t.plan_id for t in tool.workload}:
+                    tool.replace_explain_text(source, plan_id)
+                else:
+                    tool.load_explain_text(source, plan_id)
+                rewritten.add(plan_id)
+            elif op == "remove":
+                if args[0] in {t.plan_id for t in tool.workload}:
+                    tool.remove_plan(args[0])
+            elif op == "clear":
+                tool.clear()
+            elif op == "search":
+                tool.search(QUERIES[args[0]])
+            else:
+                seq = tool.checkpoint()
+                manifest, _ = read_manifest(data_dir / f"ckpt-{seq}.bin")
+                checkpointed = [entry["plan"] for entry in manifest["cache"]]
+                rewritten = set()
+        live = {t.plan_id: list(t.graph.triples()) for t in tool.workload}
+        # Crash: tear down without the close() checkpoint.
+        tool._store.close()
+        tool._engine.close()
+
+        with OptImatch(workers=1, data_dir=str(data_dir)) as recovered:
+            assert {
+                t.plan_id: list(t.graph.triples()) for t in recovered.workload
+            } == live
+            assert list(live) == [t.plan_id for t in recovered.workload]
+            expected = sum(
+                plan_id in live and plan_id not in rewritten
+                for plan_id in checkpointed
+            )
+            status = recovered.durability_status()["recovery"]
+            assert status["cacheSeeded"] == expected
+            with MatchingEngine(cache=False) as uncached:
+                for query in QUERIES:
+                    assert result_shape(recovered.search(query)) == (
+                        result_shape(
+                            uncached.search(query, recovered.workload)
+                        )
+                    )
